@@ -1,18 +1,23 @@
 """Exact modular and p-adic arithmetic primitives.
 
-Hensel lifting of square roots, Teichmuller decomposition of units
-modulo ell^2, a generic baby-step giant-step discrete log, power
-residue tests and smoothness factoring.  Everything is a pure function
-of its inputs.
+Primality, factorisation and least primitive roots, Hensel lifting of
+square roots, Teichmuller decomposition of units modulo ell^2, a
+generic baby-step giant-step discrete log, power residue tests,
+smoothness factoring, and the one sparse Gauss-Jordan eliminator over
+F_ell that every module shares.  Everything is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 from .errors import (
     BadInput,
+    Inconsistent,
     NonResidue,
     NotAUnit,
     NotInSubgroup,
@@ -30,8 +35,14 @@ __all__ = [
     "ell_power_residue_test",
     "factor_smooth",
     "primes_up_to",
+    "is_prime",
+    "factorint",
+    "least_primitive_root",
+    "integer_cbrt",
     "sqrt_mod_prime",
     "jacobi",
+    "row_reduce_mod",
+    "rank_mod",
 ]
 
 
@@ -104,6 +115,183 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+@lru_cache(maxsize=None)
+def _primes(bound: int) -> tuple[int, ...]:
+    """primes_up_to(bound), sieved once per bound."""
+    return tuple(primes_up_to(bound))
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
+# Miller-Rabin to the first k prime bases is exact below psi_k, the
+# least strong pseudoprime to all of them (Jaeschke 1993; Sorenson and
+# Webster 2015 for psi_12 and psi_13).
+_MR_BASES = (
+    (2047, _SMALL_PRIMES[:1]),
+    (1373653, _SMALL_PRIMES[:2]),
+    (25326001, _SMALL_PRIMES[:3]),
+    (3215031751, _SMALL_PRIMES[:4]),
+    (2152302898747, _SMALL_PRIMES[:5]),
+    (3474749660383, _SMALL_PRIMES[:6]),
+    (341550071728321, _SMALL_PRIMES[:7]),
+    (3825123056546413051, _SMALL_PRIMES[:9]),
+    (318665857834031151167461, _SMALL_PRIMES[:12]),
+    (3317044064679887385961981, _SMALL_PRIMES[:13]),
+)
+
+
+def _strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (P = 1, Q = (1-D)/4)."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while jacobi(D, n) != -1:
+        if gcd(D, n) > 1:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":  # (U_k, V_k) -> (U_k+1, V_k+1), halving mod n
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Primality: Miller-Rabin with the least base set that is exact for
+    n's size, and Baillie-PSW (base 2 plus strong Lucas) above 3.3e24."""
+    if n < 2:
+        return False
+    if gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    if n < 53 * 53:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for bound, bases in _MR_BASES:
+        if n < bound:
+            return all(_strong_probable_prime(n, b, d, s) for b in bases)
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+
+
+def _brent_rho(n: int) -> int:
+    """A proper factor of the odd composite n (Brent's variant of
+    Pollard rho, with deterministic increments c = 1, 2, ...)."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+_TRIAL_BOUND = 1 << 10
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorisation {prime: exponent} of n >= 1, primes ascending.
+
+    Trial division by the primes below 2^10, then Brent-Pollard rho on
+    whatever composite cofactor remains.
+    """
+    if n < 1:
+        raise BadInput("n must be a positive integer")
+    factors: dict[int, int] = {}
+    for q in _primes(_TRIAL_BOUND):
+        if q * q > n:
+            break
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            factors[q] = e
+    # no factor below the trial bound is left, so below its square is prime
+    def prime(m):
+        return m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m)
+
+    while n > 1:
+        q = n
+        while not prime(q):
+            q = _brent_rho(q)
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        factors[q] = e
+    return dict(sorted(factors.items()))
+
+
+def least_primitive_root(p: int) -> int:
+    """The least generator of F_p^* for a prime p."""
+    if not is_prime(p):
+        raise BadInput(f"{p} is not prime")
+    if p == 2:
+        return 1
+    cofactors = [(p - 1) // q for q in factorint(p - 1)]
+    g = 2
+    while any(pow(g, e, p) == 1 for e in cofactors):
+        g += 1
+    return g
+
+
+def integer_cbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0, by Newton's iteration from above."""
+    if n < 0:
+        raise BadInput("n must be non-negative")
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def sqrt_mod_prime(n: int, q: int) -> int:
@@ -246,22 +434,15 @@ def ell_power_residue_test(a: int, p: int, ell: int) -> bool:
     return pow(a, (p - 1) // ell, p) == 1
 
 
+@lru_cache(maxsize=None)
 def _prime_product(bound: int) -> int:
-    prod = 1
-    for q in primes_up_to(bound):
-        prod *= q
-    return prod
-
-
-_PRIME_PRODUCT_CACHE: dict[int, int] = {}
+    return prod(_primes(bound))
 
 
 def smooth_cofactor(n: int, bound: int) -> int:
     """The part of n coprime to every prime <= bound (fast gcd screen)."""
-    if bound not in _PRIME_PRODUCT_CACHE:
-        _PRIME_PRODUCT_CACHE[bound] = _prime_product(bound)
     r = n
-    g = gcd(r, _PRIME_PRODUCT_CACHE[bound])
+    g = gcd(r, _prime_product(bound))
     while g > 1:
         r //= g
         g = gcd(r, g)
@@ -283,7 +464,7 @@ def factor_smooth(n: int, bound: int) -> dict[int, int]:
         raise NotSmooth(cofactor)
     factors: dict[int, int] = {}
     rem = n
-    for q in primes_up_to(bound):
+    for q in _primes(bound):
         if rem == 1:
             break
         if rem % q == 0:
@@ -293,3 +474,66 @@ def factor_smooth(n: int, bound: int) -> dict[int, int]:
                 e += 1
             factors[q] = e
     return factors
+
+
+# ---------------------------------------------------------------------------
+# sparse linear algebra over F_ell
+
+
+def _subtract_row(row: dict, f: int, other: dict, ell: int) -> None:
+    """row -= f * other over F_ell, in place, dropping zero entries."""
+    for c, v in other.items():
+        x = (row.get(c, 0) - f * v) % ell
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
+
+
+def row_reduce_mod(rows, ell: int) -> dict:
+    """Gauss-Jordan elimination over F_ell of sparse rows.
+
+    Each row is a pair ({column: coefficient}, right-hand side).  Rows
+    are taken lightest first and each pivots on its column that occurs
+    in the fewest input rows, which keeps fill-in low.  Returns the
+    reduced row echelon form as {pivot column: (row, right-hand side)},
+    where a row holds only free (non-pivot) columns and the pivot's own
+    coefficient 1 is implicit.  Its length is the rank, and a pivot
+    whose row is empty is determined: it equals the right-hand side.
+    Raises Inconsistent when a row reduces to 0 = nonzero.
+    """
+    work = []
+    for coeffs, const in rows:
+        work.append(({c: v % ell for c, v in coeffs.items() if v % ell}, const % ell))
+    occurrences = Counter(c for row, _ in work for c in row)
+    work.sort(key=lambda item: len(item[0]))
+    pivot_rows: dict = {}
+    pivot_consts: dict = {}
+    for row, const in work:
+        # pivot rows hold no pivot columns, so one pass clears them all
+        for col in [c for c in row if c in pivot_rows]:
+            f = row.pop(col)
+            _subtract_row(row, f, pivot_rows[col], ell)
+            const = (const - f * pivot_consts[col]) % ell
+        if not row:
+            if const:
+                raise Inconsistent("0 = nonzero row after elimination")
+            continue
+        pivot = min(row, key=occurrences.__getitem__)
+        inv = pow(row.pop(pivot), -1, ell)
+        if inv != 1:
+            row = {c: v * inv % ell for c, v in row.items()}
+            const = const * inv % ell
+        for col, other in pivot_rows.items():
+            f = other.pop(pivot, 0)
+            if f:
+                _subtract_row(other, f, row, ell)
+                pivot_consts[col] = (pivot_consts[col] - f * const) % ell
+        pivot_rows[pivot] = row
+        pivot_consts[pivot] = const
+    return {col: (row, pivot_consts[col]) for col, row in pivot_rows.items()}
+
+
+def rank_mod(matrix: list[list[int]], ell: int) -> int:
+    """Rank over F_ell of a dense integer matrix."""
+    return len(row_reduce_mod([(dict(enumerate(r)), 0) for r in matrix], ell))

@@ -14,9 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-import sympy
-
-from .arith import ell_power_residue_test, jacobi, smooth_cofactor, factor_smooth, teichmuller
+from .arith import (
+    ell_power_residue_test,
+    factor_smooth,
+    factorint,
+    is_prime,
+    jacobi,
+    least_primitive_root,
+    smooth_cofactor,
+    teichmuller,
+)
 from .errors import (
     BadInput,
     BudgetExhausted,
@@ -32,6 +39,7 @@ from .quadfield import (
     Place,
     QuadInt,
     RealQuadField,
+    _sqrtD_image,
     embed,
     place_valuations,
     split_places,
@@ -167,7 +175,7 @@ def check_conditions(instance: CharSignatureInstance) -> ConditionReport:
 def _validate_generator(g: int, p: int):
     if g % p == 0:
         raise BadInput("g must be a unit mod p")
-    for q in sympy.factorint(p - 1):
+    for q in factorint(p - 1):
         if pow(g, (p - 1) // q, p) == 1:
             raise BadInput(f"{g} does not generate F_{p}^*")
 
@@ -182,7 +190,7 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
     1 + d^2 is a nonzero square mod ell (so ell splits) and the
     resulting field passes every instance condition.
     """
-    if not sympy.isprime(p) or not sympy.isprime(ell) or ell == 2 or p == 2:
+    if not is_prime(p) or not is_prime(ell) or ell == 2 or p == 2:
         raise BadInput("p and ell must be odd primes")
     if (p - 1) % ell != 0:
         raise BadInput(f"{ell} must divide p - 1")
@@ -194,7 +202,7 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
     if pow(a, (p - 1) // ell, p) == 1:
         raise BadInput("a is an ell-th power residue; its log is 0 mod ell")
     if g is None:
-        g = sympy.primitive_root(p)
+        g = least_primitive_root(p)
     else:
         _validate_generator(g, p)
     inv2 = pow(2, -1, p)
@@ -228,7 +236,7 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
             reject("not_split")
             continue
         # gamma = f*sqrt(D) reduces to +-c; v is the place matching +c
-        gamma_images = [f * _root_residue(w_, 1) % p for w_ in v_places]
+        gamma_images = [f * _sqrtD_image(w_, 1) % p for w_ in v_places]
         if c not in gamma_images:
             reject("no_v_label")
             continue
@@ -252,13 +260,6 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
         assert instance.residue_at_v() == a
         return instance.with_report(report)
     raise BudgetExhausted(budget, counters)
-
-
-def _root_residue(place: Place, k: int) -> int:
-    """Image of sqrt(D) at a split place mod q**k."""
-    from .quadfield import _sqrtD_image
-
-    return _sqrtD_image(place, k) % place.q ** k
 
 
 def signature_from_dl(instance: CharSignatureInstance, dl_oracle) -> CharSignature:

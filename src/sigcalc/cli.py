@@ -13,11 +13,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 
-import sympy
-
-from .arith import bsgs_dlog, jacobi, mult_group_ops, primes_up_to
+from .arith import bsgs_dlog, factorint, is_prime, jacobi, mult_group_ops, primes_up_to
 from .charsig import (
     instance_from_json,
     instance_to_json,
@@ -41,8 +38,10 @@ from .errors import (
     BadReduction,
     BadSupport,
     BudgetExhausted,
+    ClassNumberDivisible,
     DegenerateTarget,
     Inconsistent,
+    NonInvertibleDenominator,
     NonResidue,
     NotAUnit,
     NotInSubgroup,
@@ -75,7 +74,8 @@ EXIT_ASSUMPTION = 5
 _PRECONDITION_ERRORS = (
     BadInput, NonResidue, Ramified, NotAUnit, NotSquarefree, TooLarge,
     ZeroElement, DegenerateTarget, BadSupport, Singular, OutOfScope,
-    NotInSubgroup, BadReduction, NotSmooth,
+    NotInSubgroup, BadReduction, NotSmooth, ClassNumberDivisible,
+    NonInvertibleDenominator,
 )
 _BUDGET_ERRORS = (BudgetExhausted, RankDeficient, PrecisionLoss)
 _INVARIANT_ERRORS = (
@@ -89,6 +89,23 @@ class ConditionFailure(SigcalcError):
     def __init__(self, report):
         super().__init__(f"instance conditions fail: {report.as_dict()}")
         self.report = report
+
+
+_EXIT_CODES = (
+    (ConditionFailure, EXIT_CONDITIONS),
+    (AssumptionViolated, EXIT_ASSUMPTION),
+    (_BUDGET_ERRORS, EXIT_BUDGET),
+    (_INVARIANT_ERRORS, EXIT_INVARIANT),
+    (_PRECONDITION_ERRORS, EXIT_PRECONDITION),
+)
+
+
+def exit_code_for(error_type: type) -> int | None:
+    """The documented exit code of a SigcalcError subclass, if mapped."""
+    for types, code in _EXIT_CODES:
+        if issubclass(error_type, types):
+            return code
+    return None
 
 
 def _stringify(obj):
@@ -148,6 +165,8 @@ def _emit(report: RunReport, args) -> None:
 
 def cmd_dlog(args) -> int:
     p, ell, g, a = args.p, args.ell, args.g, args.a
+    if not is_prime(p):
+        raise BadInput(f"{p} is not prime")
     t0 = time.perf_counter()
     report = RunReport(
         "dlog",
@@ -185,7 +204,10 @@ def _load_char_instance(args):
         if not report.all_ok:
             raise ConditionFailure(report)
         return instance
-    p, ell, g, a = (int(t) for t in args.lift.split(","))
+    try:
+        p, ell, g, a = (int(t) for t in args.lift.split(","))
+    except ValueError:
+        raise BadInput(f"--lift needs four integers p,ell,g,a, got {args.lift!r}") from None
     return lift_unit(a, p, ell, args.seed, g=g)
 
 
@@ -234,6 +256,8 @@ def cmd_signature(args) -> int:
 
 
 def load_fixture(name: str) -> dict:
+    from importlib import resources  # deferred: only the ec commands need it
+
     path = resources.files("sigcalc.fixtures").joinpath(f"{name}.json")
     try:
         doc = json.loads(path.read_text())
@@ -349,7 +373,7 @@ def rayrank_fields(ell_list, count: int):
         for D in range(2, 2000):
             if len(found) >= count:
                 return found
-            if any(e > 1 for e in sympy.factorint(D).values()):
+            if any(e > 1 for e in factorint(D).values()):
                 continue
             if D % ell == 0 or jacobi(D % ell, ell) != 1:
                 continue
@@ -364,7 +388,7 @@ def rayrank_fields(ell_list, count: int):
             p = None
             candidate = 2 * ell + 1
             while candidate < 60 * ell:
-                if sympy.isprime(candidate) and candidate % ell == 1 \
+                if is_prime(candidate) and candidate % ell == 1 \
                         and D % candidate != 0 \
                         and jacobi(D % candidate, candidate) == 1:
                     v = split_places(candidate, K)[0]
@@ -531,27 +555,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConditionFailure as exc:
-        print(json.dumps(_stringify({"error": "ConditionFailure",
-                                     "report": exc.report.as_dict()}),
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_CONDITIONS
-    except AssumptionViolated as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except _BUDGET_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_BUDGET
-    except _INVARIANT_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_INVARIANT
-    except _PRECONDITION_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_PRECONDITION
+    except SigcalcError as exc:
+        code = exit_code_for(type(exc))
+        if code is None:
+            raise
+        if isinstance(exc, ConditionFailure):
+            doc = _stringify({"error": "ConditionFailure", "report": exc.report.as_dict()})
+        else:
+            doc = {"error": type(exc).__name__, "detail": str(exc)}
+        print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import sympy
-
-from .arith import bsgs_dlog, jacobi
+from .arith import bsgs_dlog, is_prime, jacobi, rank_mod
 from .errors import (
     AssumptionViolated,
     BadInput,
@@ -38,7 +36,6 @@ from .quadfield import (
     Place,
     QuadInt,
     RealQuadField,
-    _matrix_rank_mod,
     embed,
     split_places,
     squarefree_kernel,
@@ -119,7 +116,7 @@ class EcSignature:
 
 def _require_prime_order_base(curve: Curve, ell: int):
     order = ec_group_order(curve)
-    if order != ell or not sympy.isprime(ell):
+    if order != ell or not is_prime(ell):
         raise BadInput(f"base curve order {order} must equal the prime ell={ell}")
 
 
@@ -363,8 +360,7 @@ def coker_dim(instance: EcSignatureInstance, extra_places=()) -> int:
         rows_r.append(_local_coordinates(instance, instance.R, place))
     if columns_dim == 0:
         return 0
-    rank = _matrix_rank_mod([rows_q, rows_r], ell)
-    return columns_dim - rank
+    return columns_dim - rank_mod([rows_q, rows_r], ell)
 
 
 def scan_torsion_places(curve: Curve, K: RealQuadField, ell: int,

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-import sympy
-
-from .arith import bsgs_dlog, jacobi, sqrt_mod_prime
+from .arith import bsgs_dlog, factorint, jacobi, sqrt_mod_prime
 from .errors import (
     BadInput,
     BadReduction,
@@ -284,7 +282,7 @@ def _point_order(P, curve: Curve, lo: int, hi: int) -> int:
     k = bsgs_dlog(P, target, hi - lo + 1, **ops)
     t = lo + k
     order = t
-    for prime in sympy.factorint(t):
+    for prime in factorint(t):
         while order % prime == 0 and \
                 ec_scalar_mul(order // prime, P, curve) is INFINITY:
             order //= prime

@@ -1,8 +1,8 @@
 """Classical index calculus over F_p^* and shared F_ell linear algebra.
 
 Relations between discrete logs of factor-base primes are harvested
-from smooth powers of the generator and solved by dense Gaussian
-elimination mod ell.  The rational character pairing realises the
+from smooth powers of the generator and solved by the shared sparse
+Gauss-Jordan eliminator mod ell.  The rational character pairing realises the
 degree-ell character of Q ramified only at p, whose local values
 reproduce exactly this relation machinery.
 """
@@ -12,15 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-import sympy
-
-from .arith import bsgs_dlog, factor_smooth, mult_group_ops, primes_up_to, smooth_cofactor
+from .arith import (
+    bsgs_dlog,
+    factor_smooth,
+    is_prime,
+    least_primitive_root,
+    mult_group_ops,
+    primes_up_to,
+    row_reduce_mod,
+    smooth_cofactor,
+)
 from .errors import (
     BadInput,
     BadSupport,
     BudgetExhausted,
-    Inconsistent,
     NotSmooth,
     RankDeficient,
     VerificationFailed,
@@ -150,54 +155,22 @@ class SolveResult:
 
 
 def solve_linear_mod_ell(relations: list[Relation], unknowns, ell: int) -> SolveResult:
-    """Gaussian elimination over F_ell.
+    """Solve a relation system over F_ell with the sparse eliminator.
 
     Returns the value of every determined column and the solution-space
     dimension.  Raises Inconsistent for contradictory systems and
     RankDeficient when a requested unknown stays undetermined.
     """
-    if ell >= 2**31:
-        raise BadInput("ell too large for the dense int64 solver")
     requested = list(unknowns)
     columns = sorted({col for rel in relations for col in rel.columns} | set(requested))
-    index = {col: i for i, col in enumerate(columns)}
-    n = len(columns)
-    mat = np.zeros((len(relations), n + 1), dtype=np.int64)
-    for i, rel in enumerate(relations):
-        for col, c in rel.coeffs:
-            mat[i, index[col]] = c % ell
-        mat[i, n] = rel.const % ell
-    pivot_of_col: dict[int, int] = {}
-    row = 0
-    for col in range(n):
-        pivots = np.nonzero(mat[row:, col])[0]
-        if len(pivots) == 0:
-            continue
-        pr = row + int(pivots[0])
-        if pr != row:
-            mat[[row, pr]] = mat[[pr, row]]
-        inv = pow(int(mat[row, col]), -1, ell)
-        mat[row] = mat[row] * inv % ell
-        others = np.nonzero(mat[:, col])[0]
-        for r in others:
-            if r != row:
-                mat[r] = (mat[r] - mat[r, col] * mat[row]) % ell
-        pivot_of_col[col] = row
-        row += 1
-        if row == len(relations):
-            break
-    for r in range(row, len(relations)):
-        if mat[r, n] % ell:
-            raise Inconsistent("0 = nonzero row after elimination")
-    free_cols = [c for c in range(n) if c not in pivot_of_col]
-    values: dict[str, int] = {}
-    for col, r in pivot_of_col.items():
-        if all(mat[r, fc] == 0 for fc in free_cols):
-            values[columns[col]] = int(mat[r, n]) % ell
+    pivots = row_reduce_mod([(dict(rel.coeffs), rel.const) for rel in relations], ell)
+    values = {col: pivots[col][1] for col in columns
+              if col in pivots and not pivots[col][0]}
     missing = [u for u in requested if u not in values]
     if missing:
         raise RankDeficient(missing)
-    return SolveResult(values=values, nullity=len(free_cols), rank=row, columns=columns)
+    return SolveResult(values=values, nullity=len(columns) - len(pivots),
+                       rank=len(pivots), columns=columns)
 
 
 def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
@@ -235,6 +208,8 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
     with a*g^s smooth and reads m = sum e_q theta(q) - s.  The answer is
     verified against a^((p-1)/ell) = (g^((p-1)/ell))^m before returning.
     """
+    if not is_prime(p) or not is_prime(ell):
+        raise BadInput(f"p = {p} and ell = {ell} must be primes")
     if (p - 1) % ell != 0:
         raise BadInput(f"{ell} must divide p - 1")
     a %= p
@@ -301,7 +276,7 @@ def rational_character_pairing(p: int, ell: int, site, a) -> int:
     a = _as_fraction(a)
     if a == 0:
         raise BadSupport("a must be nonzero")
-    g = sympy.primitive_root(p)
+    g = least_primitive_root(p)
 
     def theta_mod_ell(t: int) -> int:
         return bsgs_dlog(g, t % p, p - 1, **mult_group_ops(p)) % ell
@@ -314,7 +289,7 @@ def rational_character_pairing(p: int, ell: int, site, a) -> int:
     q = int(site)
     if q == p:
         raise BadSupport("use site 'p' for the ramified prime")
-    if not sympy.isprime(q):
+    if not is_prime(q):
         raise BadSupport(f"site {q} is not prime")
     v = _valuation(a, q)
     return (-v * theta_mod_ell(q)) % ell

@@ -12,16 +12,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-import numpy as np
-import sympy
-
 from .arith import (
     PadicApprox,
     bsgs_dlog,
+    factorint,
     hensel_sqrt,
+    integer_cbrt,
+    is_prime,
     jacobi,
+    least_primitive_root,
     mult_group_ops,
     factor_smooth,
+    primes_up_to,
+    rank_mod,
     sqrt_2adic,
     sqrt_mod_prime,
     teichmuller,
@@ -56,7 +59,7 @@ def squarefree_kernel(n: int) -> tuple[int, int]:
     if n <= 0:
         raise BadInput("n must be positive")
     d, f = 1, 1
-    for p, e in sympy.factorint(n).items():
+    for p, e in factorint(n).items():
         f *= p ** (e // 2)
         if e % 2:
             d *= p
@@ -75,7 +78,7 @@ class RealQuadField:
     def __init__(self, D: int):
         if D <= 1:
             raise BadInput("D must be > 1")
-        if any(e > 1 for e in sympy.factorint(D).values()):
+        if any(e > 1 for e in factorint(D).values()):
             raise NotSquarefree(f"{D} is not squarefree")
         self.D = D
         self.omega_is_half = D % 4 == 1
@@ -253,7 +256,7 @@ def fundamental_unit(D: int, field: RealQuadField | None = None) -> QuadInt:
         return eps
     # look for (u + v*sqrt(D))/2 whose cube is eps, i.e. half-integer units;
     # the sqrt(D)-part of the cube is (v^3*D -+ 3v)/2, so v ~ cbrt(2y/D)
-    y_est = sympy.integer_nthroot(max(2 * y // D, 1), 3)[0]
+    y_est = integer_cbrt(max(2 * y // D, 1))
     for v in range(max(1, y_est - 2), y_est + 4):
         for norm_sign in (1, -1):
             u_sq = v * v * D + 4 * norm_sign
@@ -273,22 +276,45 @@ def fundamental_unit(D: int, field: RealQuadField | None = None) -> QuadInt:
 
 
 def _reduced_forms(disc: int) -> list[tuple[int, int, int]]:
-    """All reduced indefinite forms (a, b, c) of discriminant disc."""
+    """All reduced indefinite forms (a, b, c) of discriminant disc.
+
+    For each b the leading coefficients a are the divisors of
+    m = (disc - b^2)/4 in [(s-b)/2 + 1, (s+b)/2], s = isqrt(disc).  An
+    odd prime q divides m exactly when b = +-sqrt(disc) mod q, so the
+    primes up to sqrt(disc/4) are sieved over b; what they leave of m is
+    1 or a single prime.
+    """
     s = isqrt(disc)
-    forms: list[tuple[int, int, int]] = []
     b_start = 2 - (disc & 1)
-    for b in range(b_start, s + 1, 2):
+    small: dict[int, list[int]] = {b: [] for b in range(b_start, s + 1, 2)}
+    for q in primes_up_to(isqrt(disc // 4))[1:]:
+        if jacobi(disc, q) == -1:
+            continue
+        r = sqrt_mod_prime(disc, q)
+        for root in {r, (q - r) % q}:
+            first = root if (root - b_start) % 2 == 0 else root + q
+            if first < b_start:
+                first += 2 * q
+            for b in range(first, s + 1, 2 * q):
+                small[b].append(q)
+    forms: list[tuple[int, int, int]] = []
+    for b, odd_primes in small.items():
         m = (disc - b * b) // 4
         lo = (s - b) // 2 + 1
         hi = (s + b) // 2
         if hi < lo:
             continue
-        if hi - lo > 512:
-            arr = np.arange(lo, hi + 1, dtype=np.int64)
-            divisors = arr[m % arr == 0].tolist()
-        else:
-            divisors = [a for a in range(lo, hi + 1) if m % a == 0]
-        for a in divisors:
+        rest = m
+        divisors = [1]
+        for q in (2, *odd_primes):
+            powers = [1]
+            while rest % q == 0:
+                rest //= q
+                powers.append(powers[-1] * q)
+            divisors = [d * t for d in divisors for t in powers]
+        if rest > 1:
+            divisors += [d * rest for d in divisors]
+        for a in sorted(d for d in divisors if lo <= d <= hi):
             c = -(m // a)
             forms.append((a, b, c))
             forms.append((-a, b, -c))
@@ -392,7 +418,7 @@ def split_places(q: int, K: RealQuadField) -> list[Place]:
                 s = (-s) % 8
             return [Place(D, 2, "split", s), Place(D, 2, "split", (-s) % 8)]
         return [Place(D, 2, "inert")]
-    if not sympy.isprime(q):
+    if not is_prime(q):
         raise BadInput(f"{q} is not prime")
     if K.discriminant % q == 0:
         return [Place(D, q, "ramified")]
@@ -522,29 +548,8 @@ def _local_coordinate(x: QuadInt, place: Place, exponent: int, ell: int) -> int:
     residue = embed(x, place, 1).value
     if residue == 0:
         raise BadInput("element is not a unit at a modulus place")
-    g = sympy.primitive_root(q)
+    g = least_primitive_root(q)
     return bsgs_dlog(g, residue, q - 1, **mult_group_ops(q)) % ell
-
-
-def _matrix_rank_mod(rows: list[list[int]], ell: int) -> int:
-    rank = 0
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col] % ell), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = pow(rows[pivot_row][col], -1, ell)
-        rows[pivot_row] = [v * inv % ell for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] % ell:
-                f = rows[r][col]
-                rows[r] = [(v - f * w) % ell for v, w in zip(rows[r], rows[pivot_row])]
-        rank += 1
-        pivot_row += 1
-    return rank
 
 
 def ray_class_ell_rank(K: RealQuadField, ell: int,
@@ -578,4 +583,4 @@ def ray_class_ell_rank(K: RealQuadField, ell: int,
         [_local_coordinate(u, place, exponent, ell) for place, exponent in modulus]
         for u in (minus_one, eps)
     ]
-    return len(modulus) - _matrix_rank_mod(rows, ell)
+    return len(modulus) - rank_mod(rows, ell)

@@ -1,27 +1,40 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from sigcalc.arith import (
     PadicApprox,
     bsgs_dlog,
     ell_power_residue_test,
     factor_smooth,
+    factorint,
     hensel_sqrt,
+    integer_cbrt,
+    is_prime,
     jacobi,
+    least_primitive_root,
     mult_group_ops,
     primes_up_to,
+    rank_mod,
+    row_reduce_mod,
     sqrt_2adic,
     sqrt_mod_prime,
     teichmuller,
 )
 from sigcalc.errors import (
     BadInput,
+    Inconsistent,
     NonResidue,
     NotAUnit,
     NotInSubgroup,
     NotSmooth,
     Ramified,
+    RankDeficient,
 )
+from sigcalc.indexcalc import Relation, solve_linear_mod_ell
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -203,3 +216,193 @@ def test_sqrt_mod_prime_matches_brute_force():
             if jacobi(n, q) == 1:
                 r = sqrt_mod_prime(n, q)
                 assert r * r % q == n
+
+
+# ---------------------------------------------------------------------------
+# number theory core, against sympy as the oracle
+
+# psi_1..psi_9 of the Miller-Rabin base ladder: each is a strong
+# pseudoprime to every base of the rung below it
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 3474749660383,
+                       341550071728321, 3825123056546413051]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              321197185, 5394826801, 232250619601, 9746347772161]
+
+
+class TestIsPrime:
+    def test_small_range(self):
+        assert [n for n in range(3000) if is_prime(n)] == list(sympy.primerange(3000))
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+    def test_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+        assert not sympy.isprime(n)
+
+    @given(st.integers(0, 10**40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sympy(self, n):
+        assert is_prime(n) == sympy.isprime(n)
+
+    @pytest.mark.parametrize("p", [43, 47, 53, 71])
+    def test_base_two_pseudoprimes_beyond_the_ladder(self, p):
+        # (4^p + 1)/5 is a strong pseudoprime to base 2 above 3.3e24,
+        # where only the strong Lucas half of Baillie-PSW rejects it
+        n = (4**p + 1) // 5
+        assert n > 3317044064679887385961981 and pow(2, n - 1, n) == 1
+        assert not is_prime(n)
+        assert not sympy.isprime(n)
+
+    @given(st.integers(2, 10**30), st.integers(2, 10**30))
+    @settings(max_examples=100, deadline=None)
+    def test_primes_and_their_products(self, a, b):
+        p, q = sympy.nextprime(a), sympy.nextprime(b)
+        assert is_prime(p) and is_prime(q)
+        assert not is_prime(p * q)
+
+
+class TestFactorint:
+    @given(st.integers(1, 10**20))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy(self, n):
+        assert factorint(n) == dict(sorted(sympy.factorint(n).items()))
+
+    @given(st.integers(2**10, 2**26), st.integers(2**10, 2**26), st.integers(1, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_products_of_large_primes(self, a, b, e):
+        p, q = sympy.nextprime(a), sympy.nextprime(b)
+        assert factorint(p**e * q) == dict(sorted(sympy.factorint(p**e * q).items()))
+
+    def test_rejects_non_positive(self):
+        with pytest.raises(BadInput):
+            factorint(0)
+
+
+class TestLeastPrimitiveRoot:
+    def test_small_primes(self):
+        for p in sympy.primerange(2, 5000):
+            assert least_primitive_root(p) == sympy.primitive_root(p)
+
+    @given(st.integers(2, 10**12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy(self, n):
+        p = sympy.nextprime(n)
+        assert least_primitive_root(p) == sympy.primitive_root(p)
+
+    def test_composite_rejected(self):
+        with pytest.raises(BadInput):
+            least_primitive_root(1001)
+
+
+class TestIntegerCbrt:
+    @given(st.integers(0, 10**60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sympy(self, n):
+        assert integer_cbrt(n) == sympy.integer_nthroot(n, 3)[0]
+
+    def test_exact_cubes_and_neighbours(self):
+        for r in range(1, 2000):
+            assert integer_cbrt(r**3) == r
+            assert integer_cbrt(r**3 - 1) == r - 1
+
+
+# ---------------------------------------------------------------------------
+# the sparse F_ell eliminator
+
+
+def oracle_rank(rows, ncols, ell):
+    F = sympy.GF(ell)
+    if not rows:
+        return 0
+    return DomainMatrix([[F(v) for v in row] for row in rows], (len(rows), ncols), F).rank()
+
+
+@st.composite
+def sparse_systems(draw):
+    """A random sparse system over F_ell with a planted solution."""
+    ell = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    ncols = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    truth = [rng.randrange(ell) for _ in range(ncols)]
+    dense = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [rng.randrange(ell) if rng.random() < 0.4 else 0 for _ in range(ncols)]
+        dense.append(row)
+    consts = [sum(c * t for c, t in zip(row, truth)) % ell for row in dense]
+    return ell, ncols, truth, dense, consts
+
+
+class TestSparseKernel:
+    @given(sparse_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_consistent_systems(self, system):
+        ell, ncols, truth, dense, consts = system
+        pivots = row_reduce_mod(
+            [(dict(enumerate(row)), k) for row, k in zip(dense, consts)], ell)
+        assert len(pivots) == oracle_rank(dense, ncols, ell)
+        # free columns at zero give a particular solution: pivots = rhs
+        x = {j: 0 for j in range(ncols)}
+        x.update({col: k for col, (_, k) in pivots.items()})
+        for row, k in zip(dense, consts):
+            assert sum(c * x[j] for j, c in enumerate(row)) % ell == k
+        # determined columns carry the planted values, and are exactly
+        # those whose unit vector lies in the row space
+        for j in range(ncols):
+            unit = [int(i == j) for i in range(ncols)]
+            determined = oracle_rank(dense + [unit], ncols, ell) == len(pivots)
+            assert (j in pivots and not pivots[j][0]) == determined
+            if determined:
+                assert pivots[j][1] == truth[j]
+
+    @given(sparse_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_solver_rank_nullity_and_rank_deficiency(self, system):
+        ell, ncols, truth, dense, consts = system
+        unknowns = [f"c{j}" for j in range(ncols)]
+        rels = [Relation.make({f"c{j}": c for j, c in enumerate(row)}, k, ell)
+                for row, k in zip(dense, consts)]
+        rank = oracle_rank(dense, ncols, ell)
+        undetermined = [u for j, u in enumerate(unknowns)
+                        if oracle_rank(dense + [[int(i == j) for i in range(ncols)]],
+                                       ncols, ell) > rank]
+        if undetermined:
+            with pytest.raises(RankDeficient) as exc:
+                solve_linear_mod_ell(rels, unknowns, ell)
+            assert exc.value.undetermined == sorted(undetermined)
+            return
+        result = solve_linear_mod_ell(rels, unknowns, ell)
+        assert result.rank == rank
+        assert result.rank + result.nullity == len(result.columns) == ncols
+        assert result.values == dict(zip(unknowns, truth))
+
+    @given(sparse_systems(), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_inconsistent_systems(self, system, shift):
+        ell, ncols, truth, dense, consts = system
+        assume(dense and shift % ell)
+        # a combination of the rows whose right-hand side is off by shift
+        combo = [sum(row[j] for row in dense) % ell for j in range(ncols)]
+        rows = [(dict(enumerate(row)), k) for row, k in zip(dense, consts)]
+        rows.append((dict(enumerate(combo)), sum(consts) + shift))
+        with pytest.raises(Inconsistent):
+            row_reduce_mod(rows, ell)
+
+    def test_rank_mod_matches_oracle(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            ell = rng.choice([2, 3, 5, 7, 31])
+            rows = [[rng.randrange(-50, 50) for _ in range(4)] for _ in range(2)]
+            assert rank_mod(rows, ell) == oracle_rank(
+                [[v % ell for v in row] for row in rows], 4, ell)
+
+    def test_modulus_beyond_31_bits(self):
+        ell = 2**61 - 1
+        rng = random.Random(11)
+        truth = {f"u{i}": rng.randrange(ell) for i in range(6)}
+        rels = []
+        for _ in range(9):
+            coeffs = {k: rng.randrange(ell) for k in rng.sample(sorted(truth), 4)}
+            const = sum(c * truth[k] for k, c in coeffs.items())
+            rels.append(Relation.make(coeffs, const, ell))
+        result = solve_linear_mod_ell(rels, list(truth), ell)
+        assert result.values == truth
+        assert result.rank == 6 and result.nullity == 0

@@ -52,6 +52,12 @@ class TestDlog:
         assert r.returncode == 3
         assert "BudgetExhausted" in r.stderr
 
+    def test_composite_modulus_exit_code(self):
+        r = run_cli("dlog", "--p", "1001", "--ell", "5", "--g", "3", "--a", "7",
+                    "--method", "index", "--json")
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"] == "BadInput"
+
 
 class TestSignature:
     def test_lift_dl_oracle(self):
@@ -100,6 +106,12 @@ class TestSignature:
     def test_degenerate_target_exit_code(self):
         r = run_cli("signature", "--lift", "31,5,3,30", "--json")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("lift", ["31,5", "31,5,3,x", "1001,5,3,7"])
+    def test_malformed_lift_exit_code(self, lift):
+        r = run_cli("signature", "--lift", lift, "--method", "dl-oracle")
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"] == "BadInput"
 
 
 class TestEc:
@@ -167,3 +179,35 @@ class TestDeterminism:
             second = run_cli(*args)
             assert first.returncode == second.returncode == 0
             assert first.stdout == second.stdout
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestErrorMapping:
+    def test_every_error_has_an_exit_code(self):
+        from sigcalc.cli import exit_code_for
+        from sigcalc.errors import SigcalcError
+
+        errors = list(_subclasses(SigcalcError))
+        assert len(errors) > 20
+        unmapped = [cls.__name__ for cls in errors if exit_code_for(cls) is None]
+        assert unmapped == []
+
+    def test_class_number_and_denominator_errors_are_preconditions(self):
+        from sigcalc.cli import EXIT_PRECONDITION, exit_code_for
+        from sigcalc.errors import ClassNumberDivisible, NonInvertibleDenominator
+
+        assert exit_code_for(ClassNumberDivisible) == EXIT_PRECONDITION
+        assert exit_code_for(NonInvertibleDenominator) == EXIT_PRECONDITION
+
+
+def test_cli_imports_only_the_standard_library():
+    code = ("import sys, sigcalc.cli; "
+            "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -299,9 +299,9 @@ class TestRayClassRank:
                                  if pow(h, t, q) == residue)
                         row.append(t % ell)
                 rows.append(row)
-            from sigcalc.quadfield import _matrix_rank_mod
+            from sigcalc.arith import rank_mod
 
-            return len(modulus) - _matrix_rank_mod(rows, ell)
+            return len(modulus) - rank_mod(rows, ell)
 
         for D, ell, p in ((4226, 5, 31), (19, 3, 31), (22, 3, 13)):
             K = RealQuadField(D)
