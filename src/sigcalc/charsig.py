@@ -256,8 +256,8 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
                 if not ok:
                     reject(f"condition_{name}")
             continue
-        assert alpha.norm() == -1
-        assert instance.residue_at_v() == a
+        if alpha.norm() != -1 or instance.residue_at_v() != a:
+            raise VerificationFailed("lifted unit fails N(alpha) = -1 or alpha = a at v")
         return instance.with_report(report)
     raise BudgetExhausted(budget, counters)
 

@@ -231,8 +231,9 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 place_v=v_places[vi], place_v_conj=v_places[1 - vi],
                 d_ell=d_ell, certificate=certificate, seed=seed,
             )
-            assert _reduce_point(Q, instance.place_v, p) == instance.Qt
-            assert _reduce_point(R, instance.place_v, p) == instance.Rt
+            if (_reduce_point(Q, instance.place_v, p) != instance.Qt
+                    or _reduce_point(R, instance.place_v, p) != instance.Rt):
+                raise VerificationFailed("lifted points do not reduce to Qt, Rt at v")
             return instance
     raise BudgetExhausted(attempts, counters)
 

@@ -5,15 +5,24 @@ Provides the chord-tangent group law, deterministic point counting,
 the one-place cohomology dimension formula, and the normalised
 formal-group coordinate on the kernel of reduction that turns
 E(Q_ell)/ell into explicit F_ell values.
+
+Over F_q the group law is one affine law on plain ints: internally a
+point is an (x, y) tuple of residues and None is O, and the public
+functions wrap it in Points.  The rational and quadratic bases keep an
+exact law on Fractions and QuadRats.  #E(F_q) comes from a table of
+square-root counts mod q (one bytearray, built in O(q)) up to
+ENUMERATION_LIMIT, and from point orders found by baby-step giant-step
+in the Hasse interval above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
-from .arith import bsgs_dlog, factorint, jacobi, sqrt_mod_prime
+from .arith import bsgs_dlog, factorint, is_prime, jacobi, sqrt_mod_prime
 from .errors import (
     BadInput,
     BadReduction,
@@ -94,60 +103,62 @@ class Curve:
 
 
 # ---------------------------------------------------------------------------
-# generic affine group law
+# group law over F_q on plain ints
 
 
-class _FpOps:
-    def __init__(self, p):
-        self.p = p
+def _fp_add(P, Q, a: int, q: int):
+    """Chord-tangent sum on (x, y) tuples of residues in [0, q); None is O.
 
-    def sub(self, u, v):
-        return (u - v) % self.p
+    Any non-unit denominator, q prime or not, raises
+    NonInvertibleDenominator.
+    """
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % q == 0:
+            return None
+        num, den = 3 * x1 * x1 + a, 2 * y1
+    else:
+        num, den = y2 - y1, x2 - x1
+    try:
+        lam = num * pow(den, -1, q) % q
+    except ValueError:
+        raise NonInvertibleDenominator(f"{den % q} is not a unit mod {q}") from None
+    x3 = (lam * lam - x1 - x2) % q
+    return x3, (lam * (x1 - x3) - y1) % q
 
-    def add2(self, u, v):
-        return (u + v) % self.p
 
-    def mul(self, u, v):
-        return u * v % self.p
-
-    def div(self, u, v):
-        if v % self.p == 0:
-            raise NonInvertibleDenominator(f"division by 0 mod {self.p}")
-        return u * pow(v, -1, self.p) % self.p
-
-    def is_zero(self, u):
-        return u % self.p == 0
-
-    def lift(self, n):
-        return n % self.p
+def _fp_neg(P, q: int):
+    return None if P is None else (P[0], -P[1] % q)
 
 
-class _ExactOps:
-    """Field operations for exact bases (Fraction or QuadRat elements)."""
+def _fp_mul(n: int, P, a: int, q: int):
+    """n*P for n >= 0 by double-and-add on tuples."""
+    result = None
+    while n:
+        if n & 1:
+            result = _fp_add(result, P, a, q)
+        P = _fp_add(P, P, a, q)
+        n >>= 1
+    return result
 
-    def __init__(self, zero, make):
-        self.zero = zero
-        self.make = make
 
-    def sub(self, u, v):
-        return u - v
+def _fp_point_add(P, Q, a: int, q: int):
+    """_fp_add on Points; an operand O returns the other as given."""
+    if P is INFINITY:
+        return Q
+    if Q is INFINITY:
+        return P
+    R = _fp_add((P.x % q, P.y % q), (Q.x % q, Q.y % q), a, q)
+    return INFINITY if R is None else Point(*R)
 
-    def add2(self, u, v):
-        return u + v
 
-    def mul(self, u, v):
-        return u * v
-
-    def div(self, u, v):
-        if v == self.zero:
-            raise NonInvertibleDenominator("division by zero")
-        return u / v
-
-    def is_zero(self, u):
-        return u == self.zero
-
-    def lift(self, n):
-        return self.make(n)
+# ---------------------------------------------------------------------------
+# exact group law over the rationals and quadratic fields
 
 
 @dataclass(frozen=True)
@@ -185,63 +196,74 @@ class QuadRat:
         return cls(D, Fraction(n), Fraction(0))
 
 
-def _ops_for(curve: Curve):
+def _coerce(curve: Curve, value):
+    """An exact-base coordinate as a Fraction or QuadRat."""
     kind = curve.base[0]
-    if kind == "fp":
-        return _FpOps(curve.base[1])
     if kind == "rational":
-        return _ExactOps(Fraction(0), Fraction)
+        return Fraction(value) if isinstance(value, int) else value
     if kind == "quad":
-        D = curve.base[1]
-        return _ExactOps(QuadRat.integer(D, 0), lambda n: QuadRat.integer(D, n))
+        if isinstance(value, QuadInt):
+            return QuadRat.from_quadint(value)
+        if isinstance(value, int):
+            return QuadRat.integer(curve.base[1], value)
+        return value
     raise BadInput(f"unknown base {curve.base}")
 
 
-def _coerce(curve: Curve, value):
-    if curve.base[0] == "quad" and isinstance(value, QuadInt):
-        return QuadRat.from_quadint(value)
-    if curve.base[0] == "quad" and isinstance(value, int):
-        return QuadRat.integer(curve.base[1], value)
-    if curve.base[0] == "rational" and isinstance(value, int):
-        return Fraction(value)
-    if curve.base[0] == "fp" and isinstance(value, int):
-        return value % curve.base[1]
-    return value
+def _exact_add(P, Q, curve: Curve):
+    x1, y1 = _coerce(curve, P.x), _coerce(curve, P.y)
+    x2, y2 = _coerce(curve, Q.x), _coerce(curve, Q.y)
+    zero = _coerce(curve, 0)
+    if x1 == x2:
+        if y1 + y2 == zero:
+            return INFINITY
+        # tangent: lambda = (3x^2 + a) / (2y)
+        num = _coerce(curve, 3) * (x1 * x1) + _coerce(curve, curve.a)
+        den = _coerce(curve, 2) * y1
+    else:
+        num, den = y2 - y1, x2 - x1
+    if den == zero:
+        raise NonInvertibleDenominator("division by zero")
+    lam = num / den
+    x3 = lam * lam - x1 - x2
+    return Point(x3, lam * (x1 - x3) - y1)
+
+
+# ---------------------------------------------------------------------------
+# public group law
 
 
 def ec_neg(P, curve: Curve):
     if P is INFINITY:
         return INFINITY
-    ops = _ops_for(curve)
-    return Point(_coerce(curve, P.x), ops.sub(ops.lift(0), _coerce(curve, P.y)))
+    if curve.base[0] == "fp":
+        q = curve.base[1]
+        return Point(P.x % q, -P.y % q)
+    return Point(_coerce(curve, P.x), -_coerce(curve, P.y))
 
 
 def ec_add(P, Q, curve: Curve):
-    """Chord-tangent sum of two points with exact field inversions."""
+    """Chord-tangent sum: int-only over F_q, exact field inversions over
+    the rational and quadratic bases."""
+    if curve.base[0] == "fp":
+        return _fp_point_add(P, Q, curve.a, curve.base[1])
     if P is INFINITY:
         return Q
     if Q is INFINITY:
         return P
-    ops = _ops_for(curve)
-    x1, y1 = _coerce(curve, P.x), _coerce(curve, P.y)
-    x2, y2 = _coerce(curve, Q.x), _coerce(curve, Q.y)
-    if ops.is_zero(ops.sub(x1, x2)):
-        if ops.is_zero(ops.add2(y1, y2)):
-            return INFINITY
-        # tangent: lambda = (3x^2 + a) / (2y)
-        num = ops.add2(ops.mul(ops.lift(3), ops.mul(x1, x1)), _coerce(curve, curve.a))
-        lam = ops.div(num, ops.mul(ops.lift(2), y1))
-    else:
-        lam = ops.div(ops.sub(y2, y1), ops.sub(x2, x1))
-    x3 = ops.sub(ops.sub(ops.mul(lam, lam), x1), x2)
-    y3 = ops.sub(ops.mul(lam, ops.sub(x1, x3)), y1)
-    return Point(x3, y3)
+    return _exact_add(P, Q, curve)
 
 
 def ec_scalar_mul(n: int, P, curve: Curve):
     """n*P by double-and-add (negative n through the inverse)."""
     if n < 0:
         return ec_scalar_mul(-n, ec_neg(P, curve), curve)
+    if curve.base[0] == "fp":
+        if P is INFINITY:
+            return INFINITY
+        q = curve.base[1]
+        R = _fp_mul(n, (P.x % q, P.y % q), curve.a, q)
+        return INFINITY if R is None else Point(*R)
     result, base = INFINITY, P
     while n:
         if n & 1:
@@ -253,45 +275,62 @@ def ec_scalar_mul(n: int, P, curve: Curve):
 
 def curve_group_ops(curve: Curve) -> dict:
     """Operation table of E(F_q) for bsgs_dlog (points must be Points/None)."""
-    return {
-        "op": lambda P, Q: ec_add(P, Q, curve),
-        "identity": INFINITY,
-        "invert": lambda P: ec_neg(P, curve),
-    }
+    if curve.base[0] == "fp":
+        op = partial(_fp_point_add, a=curve.a, q=curve.base[1])
+    else:
+        op = partial(ec_add, curve=curve)
+    return {"op": op, "identity": INFINITY, "invert": partial(ec_neg, curve=curve)}
 
 
 # ---------------------------------------------------------------------------
 # point counting
 
 
-def _first_points(curve: Curve):
-    q = curve.base[1]
+def _enumerated_order(a: int, b: int, q: int) -> int:
+    """1 + sum over x of #{y : y^2 = x^3 + ax + b}, read from one table
+    of square-root counts mod q."""
+    roots = bytearray(q)  # roots[v] = #{y in F_q : y^2 = v}
+    roots[0] = 1
+    for y in range(1, (q + 1) // 2):
+        roots[y * y % q] = 2
+    total = 1
     for x in range(q):
-        f = (x * x * x + curve.a * x + curve.b) % q
+        total += roots[(x * (x * x + a) + b) % q]
+    return total
+
+
+def _first_points(a: int, b: int, q: int):
+    for x in range(q):
+        f = (x * x * x + a * x + b) % q
         if f == 0:
-            yield Point(x, 0)
+            yield x, 0
         elif jacobi(f, q) == 1:
             y = sqrt_mod_prime(f, q)
-            yield Point(x, min(y, q - y))
+            yield x, min(y, q - y)
 
 
-def _point_order(P, curve: Curve, lo: int, hi: int) -> int:
+def _point_order(P, a: int, q: int, lo: int, hi: int) -> int:
     # least multiple of ord(P) in [lo, hi], then strip prime factors
-    ops = curve_group_ops(curve)
-    target = ec_neg(ec_scalar_mul(lo, P, curve), curve)
-    k = bsgs_dlog(P, target, hi - lo + 1, **ops)
+    target = _fp_neg(_fp_mul(lo, P, a, q), q)
+    k = bsgs_dlog(P, target, hi - lo + 1, op=partial(_fp_add, a=a, q=q),
+                  identity=None, invert=partial(_fp_neg, q=q))
     t = lo + k
     order = t
     for prime in factorint(t):
-        while order % prime == 0 and \
-                ec_scalar_mul(order // prime, P, curve) is INFINITY:
+        while order % prime == 0 and _fp_mul(order // prime, P, a, q) is None:
             order //= prime
     return order
 
 
 def ec_group_order(curve: Curve) -> int:
-    """#E(F_q), by full enumeration for q <= 1e4 and by baby-step
-    giant-step inside the Hasse interval above that; deterministic."""
+    """#E(F_q) for a prime q, deterministic.
+
+    Up to ENUMERATION_LIMIT the square-root table counts every x.  Above
+    it, the orders of up to 40 points, each found by baby-step
+    giant-step inside the Hasse interval, pin down the one multiple of
+    their lcm in that interval; when more than one multiple remains the
+    table counts after all.
+    """
     if curve.base[0] != "fp":
         raise BadInput("point counting needs a prime-field base")
     q = curve.base[1]
@@ -299,28 +338,29 @@ def ec_group_order(curve: Curve) -> int:
         raise BadInput("q must be an odd prime")
     if q > 2**24:
         raise BadInput("desk-scale counting is limited to q <= 2^24")
+    if not is_prime(q):
+        raise BadInput(f"q = {q} is not prime")
     if curve.is_singular():
         raise Singular(f"curve is singular over F_{q}")
+    a, b = curve.a % q, curve.b % q
     if q <= ENUMERATION_LIMIT:
-        total = q + 1
-        a, b = curve.a % q, curve.b % q
-        for x in range(q):
-            total += jacobi((x * x * x + a * x + b) % q, q)
-        return total
+        return _enumerated_order(a, b, q)
     lo = q + 1 - isqrt(4 * q)
     hi = q + 1 + isqrt(4 * q)
     L = 1
-    for count, P in enumerate(_first_points(curve)):
+    for count, P in enumerate(_first_points(a, b, q)):
         if count >= 40:
             break
-        order = _point_order(P, curve, lo, hi)
+        order = _point_order(P, a, q, lo, hi)
         L = L * order // gcd(L, order)
         first = ((lo + L - 1) // L) * L
         if first > hi:  # pragma: no cover - impossible, #E is a multiple
             raise ArithmeticError("no multiple of the point orders in range")
         if first + L > hi:
             return first
-    raise ArithmeticError("group order not pinned down by sampled points")
+    # several multiples of the sampled orders lie in the interval: the
+    # group has a large non-cyclic part, which happens at small q
+    return _enumerated_order(a, b, q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sigcalc.arith import jacobi, sqrt_mod_prime
+import sigcalc.ecurve as ecurve
+from sigcalc.arith import jacobi, primes_up_to, sqrt_mod_prime
 from sigcalc.ecurve import (
     Curve,
     INFINITY,
@@ -19,7 +21,7 @@ from sigcalc.ecurve import (
     _local_add,
     _local_scalar_mul,
 )
-from sigcalc.errors import BadInput, OutOfScope, Singular
+from sigcalc.errors import BadInput, NonInvertibleDenominator, OutOfScope, Singular
 from sigcalc.quadfield import RealQuadField, split_places
 from sigcalc.seeds import rng_for
 
@@ -137,6 +139,87 @@ class TestGroupOrder:
                 continue
             n = ec_group_order(c)
             assert q + 1 - isqrt(4 * q) <= n <= q + 1 + isqrt(4 * q)
+
+
+PRIMES_BELOW_3000 = [q for q in primes_up_to(3000) if q > 2]
+
+
+@st.composite
+def fp_curves(draw):
+    # half the draws below 100, where small and non-cyclic groups
+    # leave the Hasse-interval search more than one candidate order
+    q = draw(st.sampled_from(PRIMES_BELOW_3000[:24]) | st.sampled_from(PRIMES_BELOW_3000))
+    curve = Curve(draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1)), ("fp", q))
+    assume(not curve.is_singular())
+    return curve
+
+
+def point_from(curve: Curve, x0: int, flip: bool):
+    """The first affine point with x >= x0 (cyclically), or O if none."""
+    q = curve.base[1]
+    for x in [*range(x0, q), *range(x0)]:
+        f = (x**3 + curve.a * x + curve.b) % q
+        if f == 0:
+            return Point(x, 0)
+        if jacobi(f, q) == 1:
+            y = sqrt_mod_prime(f, q)
+            return Point(x, q - y if flip else y)
+    return INFINITY
+
+
+def bsgs_order(curve: Curve) -> int:
+    """ec_group_order with the Hasse-interval path forced."""
+    old = ecurve.ENUMERATION_LIMIT
+    ecurve.ENUMERATION_LIMIT = 2
+    try:
+        return ec_group_order(curve)
+    finally:
+        ecurve.ENUMERATION_LIMIT = old
+
+
+class TestCountingProperties:
+    @given(fp_curves())
+    @settings(max_examples=150, deadline=None)
+    def test_table_bsgs_and_brute_counts_agree(self, curve):
+        assert ec_group_order(curve) == bsgs_order(curve) == brute_order(curve)
+
+    @given(fp_curves(), st.lists(st.tuples(st.integers(0, 2999), st.booleans()),
+                                 min_size=3, max_size=3),
+           st.integers(-10**6, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_fp_law_axioms(self, curve, picks, n):
+        q = curve.base[1]
+        P, Q, R = (point_from(curve, x % q, flip) for x, flip in picks)
+
+        def add(U, V):
+            return ec_add(U, V, curve)
+
+        assert add(add(P, Q), R) == add(P, add(Q, R))
+        assert add(P, Q) == add(Q, P)
+        assert add(P, ec_neg(P, curve)) is INFINITY
+        assert add(P, INFINITY) == P
+        order = ec_group_order(curve)
+        assert ec_scalar_mul(order, P, curve) is INFINITY
+        assert ec_scalar_mul(n, P, curve) == ec_scalar_mul(n % order, P, curve)
+        assert ec_scalar_mul(-n, P, curve) == ec_neg(ec_scalar_mul(n, P, curve), curve)
+
+
+class TestCompositeModuli:
+    @pytest.mark.parametrize("q", [15, 3 * 10007])
+    def test_group_order_rejects_composite_q(self, q):
+        with pytest.raises(BadInput):
+            ec_group_order(Curve(1, 1, ("fp", q)))
+
+    def test_non_unit_denominator(self):
+        # x2 - x1 = 5 shares the factor 5 with 15
+        with pytest.raises(NonInvertibleDenominator):
+            ec_add(Point(0, 1), Point(5, 1), Curve(1, 1, ("fp", 15)))
+
+    def test_zero_denominator(self):
+        # off-curve points with equal x and y1 + y2 != 0 take the
+        # tangent branch, whose denominator 2*y1 is 0 here
+        with pytest.raises(NonInvertibleDenominator):
+            ec_add(Point(1, 0), Point(1, 3), Curve(0, 1, ("fp", 7)))
 
 
 class TestH1LocalDim:
