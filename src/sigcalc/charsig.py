@@ -432,6 +432,8 @@ def instance_to_json(instance: CharSignatureInstance) -> str:
 
 
 def instance_from_json(text: str) -> CharSignatureInstance:
+    """Parse an instance file, holding it to the invariants of a lift:
+    g generates F_p^*, N(alpha) = -1 and alpha reduces to a at v."""
     doc = json.loads(text)
     p, ell = int(doc["p"]), int(doc["ell"])
     K = RealQuadField(int(doc["D"]))
@@ -444,10 +446,14 @@ def instance_from_json(text: str) -> CharSignatureInstance:
         vi = [w.root_label for w in v_places].index(v_root)
     except ValueError:
         raise BadInput("root labels do not match the field's places") from None
+    g, a = int(doc["g"]), int(doc["a"])
+    _validate_generator(g, p)
     instance = CharSignatureInstance(
-        K=K, p=p, ell=ell, g=int(doc["g"]), a=int(doc["a"]), alpha=alpha,
+        K=K, p=p, ell=ell, g=g, a=a, alpha=alpha,
         place_u=u_places[ui], place_u_conj=u_places[1 - ui],
         place_v=v_places[vi], place_v_conj=v_places[1 - vi],
         seed=int(doc["seed"]),
     )
+    if alpha.norm() != -1 or instance.residue_at_v() != a % p:
+        raise BadInput("alpha must have norm -1 and reduce to a at v")
     return instance.with_report(check_conditions(instance))

@@ -1,7 +1,8 @@
 """Command-line driver: deterministic experiments, instance file I/O,
 and machine-readable reports.
 
-Exit codes: 0 ok, 1 invariant or cross-check failure, 2 arithmetic
+Exit codes: 0 ok; a SigcalcError exits with its category's exit_code
+(see errors): 1 invariant or cross-check failure, 2 arithmetic
 precondition, 3 attempt budget exhausted, 4 instance condition report,
 5 heuristic assumption violated.
 """
@@ -32,80 +33,13 @@ from .ecsig import (
     signature_from_ecdl,
 )
 from .ecurve import Curve, Point, curve_group_ops, ec_scalar_mul, h1_local_dim
-from .errors import (
-    AssumptionViolated,
-    BadInput,
-    BadReduction,
-    BadSupport,
-    BudgetExhausted,
-    ClassNumberDivisible,
-    DegenerateTarget,
-    Inconsistent,
-    NonInvertibleDenominator,
-    NonResidue,
-    NotAUnit,
-    NotInSubgroup,
-    NotSmooth,
-    NotSquarefree,
-    OracleInconsistent,
-    OutOfScope,
-    PrecisionLoss,
-    Ramified,
-    RankDeficient,
-    Singular,
-    SingularSystem,
-    SigcalcError,
-    TooLarge,
-    VerificationFailed,
-    ZeroElement,
-    ZeroY,
-)
+from .errors import BadInput, ConditionFailure, InvariantError, OutOfScope, SigcalcError
 from .indexcalc import index_calculus_dlog, rational_character_pairing
 from .quadfield import RealQuadField, ray_class_ell_rank, split_places
 from .seeds import rng_for
 
 EXIT_OK = 0
-EXIT_INVARIANT = 1
-EXIT_PRECONDITION = 2
-EXIT_BUDGET = 3
-EXIT_CONDITIONS = 4
-EXIT_ASSUMPTION = 5
-
-_PRECONDITION_ERRORS = (
-    BadInput, NonResidue, Ramified, NotAUnit, NotSquarefree, TooLarge,
-    ZeroElement, DegenerateTarget, BadSupport, Singular, OutOfScope,
-    NotInSubgroup, BadReduction, NotSmooth, ClassNumberDivisible,
-    NonInvertibleDenominator,
-)
-_BUDGET_ERRORS = (BudgetExhausted, RankDeficient, PrecisionLoss)
-_INVARIANT_ERRORS = (
-    VerificationFailed, Inconsistent, OracleInconsistent, ZeroY, SingularSystem,
-)
-
-
-class ConditionFailure(SigcalcError):
-    """An instance failed its condition report (exit code 4)."""
-
-    def __init__(self, report):
-        super().__init__(f"instance conditions fail: {report.as_dict()}")
-        self.report = report
-
-
-_EXIT_CODES = (
-    (ConditionFailure, EXIT_CONDITIONS),
-    (AssumptionViolated, EXIT_ASSUMPTION),
-    (_BUDGET_ERRORS, EXIT_BUDGET),
-    (_INVARIANT_ERRORS, EXIT_INVARIANT),
-    (_PRECONDITION_ERRORS, EXIT_PRECONDITION),
-)
-
-
-def exit_code_for(error_type: type) -> int | None:
-    """The documented exit code of a SigcalcError subclass, if mapped."""
-    for types, code in _EXIT_CODES:
-        if issubclass(error_type, types):
-            return code
-    return None
+EXIT_INVARIANT = InvariantError.exit_code
 
 
 def _stringify(obj):
@@ -266,15 +200,19 @@ def load_fixture(name: str) -> dict:
     return doc
 
 
+def _lift_fixture(name: str, seed: int):
+    doc = load_fixture(name)
+    Qt = Point(int(doc["Qt"][0]), int(doc["Qt"][1]))
+    Rt = Point(int(doc["Rt"][0]), int(doc["Rt"][1]))
+    return lift_ec_instance(int(doc["a"]), int(doc["b"]), Qt, Rt,
+                            int(doc["p"]), int(doc["ell"]), seed)
+
+
 def _ec_instance_from_args(args):
     if args.instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
             return ec_instance_from_json(fh.read())
-    doc = load_fixture(args.fixture)
-    p, ell = int(doc["p"]), int(doc["ell"])
-    Qt = Point(int(doc["Qt"][0]), int(doc["Qt"][1]))
-    Rt = Point(int(doc["Rt"][0]), int(doc["Rt"][1]))
-    return lift_ec_instance(int(doc["a"]), int(doc["b"]), Qt, Rt, p, ell, args.seed)
+    return _lift_fixture(args.fixture, args.seed)
 
 
 def cmd_ec(args) -> int:
@@ -438,11 +376,7 @@ def _brute_local_dim(curve: Curve, q: int, ell: int) -> int:
 
 
 def _suite_lemma1(seed: int, bound: int = 500):
-    doc = load_fixture("f7l13")
-    instance = lift_ec_instance(int(doc["a"]), int(doc["b"]),
-                                Point(int(doc["Qt"][0]), int(doc["Qt"][1])),
-                                Point(int(doc["Rt"][0]), int(doc["Rt"][1])),
-                                int(doc["p"]), int(doc["ell"]), seed)
+    instance = _lift_fixture("f7l13", seed)
     E, K, ell = instance.lifted_curve, instance.K, instance.ell
     disc = abs(E.discriminant())
     for q in primes_up_to(bound):
@@ -556,15 +490,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SigcalcError as exc:
-        code = exit_code_for(type(exc))
-        if code is None:
-            raise
         if isinstance(exc, ConditionFailure):
             doc = _stringify({"error": "ConditionFailure", "report": exc.report.as_dict()})
         else:
             doc = {"error": type(exc).__name__, "detail": str(exc)}
         print(json.dumps(doc, sort_keys=True), file=sys.stderr)
-        return code
+        return exc.exit_code
 
 
 if __name__ == "__main__":

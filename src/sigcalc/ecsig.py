@@ -18,7 +18,6 @@ from .errors import (
     AssumptionViolated,
     BadInput,
     BudgetExhausted,
-    PrecisionLoss,
     SingularSystem,
     VerificationFailed,
 )
@@ -171,11 +170,7 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
         if d_ell % ell == 0:
             reject("ell_divides_reduced_order")
             continue
-        try:
-            cQ = local_class(Q, E, ell).c
-        except PrecisionLoss:
-            reject("precision_loss")
-            continue
+        cQ = local_class(Q, E, ell).c
         if cQ == 0:
             reject("Q_trivial_at_ell")
             continue
@@ -209,12 +204,8 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 reject("no_v_label")
                 continue
             vi = images.index(nu0)
-            try:
-                cR_u = local_class(R, E, ell, place=u_places[0]).c
-                cR_uc = local_class(R, E, ell, place=u_places[1]).c
-            except PrecisionLoss:
-                reject("precision_loss")
-                continue
+            cR_u = local_class(R, E, ell, place=u_places[0]).c
+            cR_uc = local_class(R, E, ell, place=u_places[1]).c
             det = (cQ * cR_uc - cQ * cR_u) % ell
             if det == 0:
                 reject("certificate_singular")
@@ -414,6 +405,9 @@ def ec_instance_to_json(instance: EcSignatureInstance) -> str:
 
 
 def ec_instance_from_json(text: str) -> EcSignatureInstance:
+    """Parse an instance file, holding it to the invariants of a lift:
+    Q and R on the curve, a base curve of prime order ell, and an
+    invertible independence certificate."""
     doc = json.loads(text)
     p, ell = int(doc["p"]), int(doc["ell"])
     a, b_r = int(doc["a"]), int(doc["b_r"])
@@ -429,13 +423,16 @@ def ec_instance_from_json(text: str) -> EcSignatureInstance:
     except ValueError:
         raise BadInput("root labels do not match the field's places") from None
     E = Curve(a, b_r, ("rational",))
+    if not E.contains(Q) or not Curve(a, b_r, ("quad", K.D)).contains(R):
+        raise BadInput("Q and R must lie on y^2 = x^3 + a*x + b_r")
+    _require_prime_order_base(Curve(a % p, b_r % p, ("fp", p)), ell)
     d_ell = ec_group_order(E.reduction(ell))
     Qt = _reduce_point(Q, v_places[vi], p)
     Rt = _reduce_point(R, v_places[vi], p)
     cQ = local_class(Q, E, ell).c
     cR_u = local_class(R, E, ell, place=u_places[ui]).c
     cR_uc = local_class(R, E, ell, place=u_places[1 - ui]).c
-    return EcSignatureInstance(
+    instance = EcSignatureInstance(
         p=p, ell=ell, base_a=a % p, base_b=b_r % p, Qt=Qt, Rt=Rt,
         a=a, b_r=b_r, Q=Q, R=R, K=K,
         place_u=u_places[ui], place_u_conj=u_places[1 - ui],
@@ -443,3 +440,6 @@ def ec_instance_from_json(text: str) -> EcSignatureInstance:
         d_ell=d_ell, certificate=((cQ, cQ), (cR_u, cR_uc)),
         seed=int(doc["seed"]), sha_assumption=bool(doc["sha_assumption"]),
     )
+    if instance.certificate_det() == 0:
+        raise SingularSystem("the independence certificate is singular")
+    return instance

@@ -13,6 +13,13 @@ exact law on Fractions and QuadRats.  #E(F_q) comes from a table of
 square-root counts mod q (one bytearray, built in O(q)) up to
 ENUMERATION_LIMIT, and from point orders found by baby-step giant-step
 in the Hasse interval above it.
+
+The class of a point in E(Q_ell)/ell is read from d*P, d = #E(F_ell),
+computed exactly in E(Z/ell^2): a Montgomery ladder on the complete
+projective addition law of Renes, Costello and Batina, reduced mod
+ell^2.  That law fails over F_ell only on pairs whose difference has
+order 2, so every result mod ell^2 is primitive and no precision is
+tracked.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import bsgs_dlog, factorint, is_prime, jacobi, sqrt_mod_prime
 from .errors import (
@@ -28,8 +35,8 @@ from .errors import (
     BadReduction,
     NonInvertibleDenominator,
     OutOfScope,
-    PrecisionLoss,
     Singular,
+    VerificationFailed,
 )
 from .quadfield import Place, QuadInt, embed
 
@@ -45,13 +52,11 @@ __all__ = [
     "curve_group_ops",
     "h1_local_dim",
     "local_class",
-    "local_point_at_place",
 ]
 
 INFINITY = None  # the point at infinity
 
 ENUMERATION_LIMIT = 10**4  # point counting switches to BSGS above this
-DEFAULT_LOCAL_PRECISION = 4  # work mod ell^4 for formal-group reads
 
 
 @dataclass(frozen=True)
@@ -396,177 +401,7 @@ def h1_local_dim(curve: Curve, place: Place, ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ell-adic numbers with explicit valuation tracking
-
-
-class Loc:
-    """ell^val * (unit + O(ell^rel)): a floating ell-adic ball.
-
-    kind "num" carries a unit; "zero" is an unresolved zero known only
-    mod ell^val; "exact0" is the true zero.  Division never loses
-    digits; subtraction sheds digits on cancellation.
-    """
-
-    __slots__ = ("ell", "kind", "val", "unit", "rel")
-
-    def __init__(self, ell, kind, val=0, unit=0, rel=0):
-        self.ell = ell
-        self.kind = kind
-        self.val = val
-        self.unit = unit
-        self.rel = rel
-
-    @classmethod
-    def from_int(cls, n: int, ell: int, prec: int) -> "Loc":
-        if n == 0:
-            return cls(ell, "exact0")
-        v = 0
-        while n % ell == 0:
-            n //= ell
-            v += 1
-        return cls(ell, "num", v, n % ell**prec, prec)
-
-    @classmethod
-    def zero_ball(cls, ell: int, abs_prec: int) -> "Loc":
-        return cls(ell, "zero", abs_prec)
-
-    def is_certain_zero(self) -> bool:
-        return self.kind == "exact0"
-
-    def is_unresolved(self) -> bool:
-        return self.kind == "zero"
-
-    def __neg__(self):
-        if self.kind != "num":
-            return self
-        return Loc(self.ell, "num", self.val,
-                   (-self.unit) % self.ell**self.rel, self.rel)
-
-    def __add__(self, other: "Loc") -> "Loc":
-        ell = self.ell
-        if self.kind == "exact0":
-            return other
-        if other.kind == "exact0":
-            return self
-        if self.kind == "zero" and other.kind == "zero":
-            return Loc.zero_ball(ell, min(self.val, other.val))
-        if self.kind == "zero" or other.kind == "zero":
-            ball, num = (self, other) if self.kind == "zero" else (other, self)
-            if num.val >= ball.val:
-                return Loc.zero_ball(ell, ball.val)
-            return Loc(ell, "num", num.val, num.unit % ell**min(num.rel, ball.val - num.val),
-                       min(num.rel, ball.val - num.val))
-        lo, hi = (self, other) if self.val <= other.val else (other, self)
-        delta = hi.val - lo.val
-        if delta >= lo.rel:
-            return lo
-        rel = min(lo.rel, hi.rel + delta)
-        mod = ell**rel
-        t = (lo.unit + hi.unit * ell**delta) % mod
-        if t == 0:
-            return Loc.zero_ball(ell, lo.val + rel)
-        e = 0
-        while t % ell == 0:
-            t //= ell
-            e += 1
-        return Loc(ell, "num", lo.val + e, t % ell ** (rel - e), rel - e)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "Loc") -> "Loc":
-        ell = self.ell
-        if self.kind == "exact0" or other.kind == "exact0":
-            return Loc(ell, "exact0")
-        if self.kind == "zero" or other.kind == "zero":
-            if self.kind == "zero" and other.kind == "zero":
-                return Loc.zero_ball(ell, self.val + other.val)
-            ball, num = (self, other) if self.kind == "zero" else (other, self)
-            return Loc.zero_ball(ell, ball.val + num.val)
-        rel = min(self.rel, other.rel)
-        return Loc(ell, "num", self.val + other.val,
-                   self.unit * other.unit % ell**rel, rel)
-
-    def inverse(self) -> "Loc":
-        if self.kind != "num":
-            raise NonInvertibleDenominator("cannot invert an (apparent) zero")
-        return Loc(self.ell, "num", -self.val,
-                   pow(self.unit, -1, self.ell**self.rel), self.rel)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def valuation(self) -> int:
-        if self.kind != "num":
-            raise PrecisionLoss("valuation of an unresolved zero")
-        return self.val
-
-    def __repr__(self):  # pragma: no cover - debug helper
-        if self.kind == "num":
-            return f"Loc({self.ell}^{self.val} * {self.unit} + O({self.ell}^{self.val + self.rel}))"
-        return f"Loc({self.kind}, O({self.ell}^{self.val}))"
-
-
-def _local_add(P, Q, a_loc: Loc, ell: int):
-    """Group law on affine local points (pairs of Loc) or None for O."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    dx = x2 - x1
-    if dx.kind == "num":
-        lam = (y2 - y1) / dx
-    else:
-        sy = y1 + y2
-        if sy.kind != "num":
-            return None  # inverse points (or beyond precision: consistent)
-        if y1.kind != "num":
-            raise PrecisionLoss("tangent slope with unresolved y")
-        three = Loc.from_int(3, ell, y1.rel)
-        two = Loc.from_int(2, ell, y1.rel)
-        lam = (three * x1 * x1 + a_loc) / (two * y1)
-    x3 = lam * lam - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    return (x3, y3)
-
-
-def _local_scalar_mul(n: int, P, a_loc: Loc, ell: int):
-    result, base = None, P
-    while n:
-        if n & 1:
-            result = _local_add(result, base, a_loc, ell)
-        base = _local_add(base, base, a_loc, ell)
-        n >>= 1
-    return result
-
-
-def local_point_at_place(point, place: Place | None, ell: int, prec: int):
-    """Affine local coordinates of a global point as Loc values.
-
-    Rational coordinates embed directly; QuadInt coordinates embed
-    through the given split place over ell.
-    """
-    if point is INFINITY:
-        return None
-    coords = []
-    for c in (point.x, point.y):
-        if isinstance(c, int):
-            coords.append(Loc.from_int(c, ell, prec))
-        elif isinstance(c, Fraction):
-            num = Loc.from_int(c.numerator, ell, prec)
-            den = Loc.from_int(c.denominator, ell, prec)
-            coords.append(num / den)
-        elif isinstance(c, QuadInt):
-            if place is None:
-                raise BadInput("quadratic coordinates need a place over ell")
-            approx = embed(c, place, prec)
-            coords.append(Loc.from_int(approx.value, ell, prec)
-                          if approx.value else Loc.zero_ball(ell, prec))
-        else:
-            raise BadInput(f"cannot localise coordinate {type(c).__name__}")
-    return tuple(coords)
+# local classes in E(Q_ell)/ell, exact in E(Z/ell^2)
 
 
 @dataclass(frozen=True)
@@ -583,30 +418,70 @@ class LocalClass:
     d: int
 
 
-def _formal_read(dP, ell: int) -> int:
-    """(z/ell) mod ell for a kernel-of-reduction point, or 0 deep down."""
-    if dP is None:
-        return 0
-    x, y = dP
-    if x.kind != "num" or y.kind != "num":
-        raise PrecisionLoss("kernel point unresolved at this precision")
-    z = -(x / y)
-    v = z.valuation()
-    if v < 1:
-        raise PrecisionLoss("point did not land in the kernel of reduction")
-    if v >= 2:
-        return 0
-    if z.rel < 1:
-        raise PrecisionLoss("one digit of z/ell is not resolved")
-    return z.unit % ell
+def _proj_add(P, Q, a: int, b3: int, N: int):
+    """Complete projective sum on (X, Y, Z) tuples mod N, with b3 = 3b.
+
+    Renes, Costello and Batina, "Complete addition formulas for prime
+    order elliptic curves" (EUROCRYPT 2016), Algorithm 1.  Over F_ell it
+    returns (0:0:0) only when P - Q has order 2; otherwise its result
+    mod ell^2 is primitive.
+    """
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    t0, t1, t2 = X1 * X2, Y1 * Y2, Z1 * Z2
+    t3 = X1 * Y2 + X2 * Y1
+    t4 = X1 * Z2 + X2 * Z1
+    t5 = Y1 * Z2 + Y2 * Z1
+    u = (a * t4 + b3 * t2) % N
+    v = (a * (t0 - a * t2) + b3 * t4) % N
+    w = (3 * t0 + a * t2) % N
+    s, t = t1 - u, t1 + u
+    return (t3 * s - t5 * v) % N, (s * t + w * v) % N, (t5 * t + t3 * w) % N
 
 
-def local_class(point, curve: Curve, ell: int, place: Place | None = None,
-                prec: int = DEFAULT_LOCAL_PRECISION) -> LocalClass:
+def _proj_mul(n: int, P, a: int, b3: int, N: int):
+    """n*P for n >= 0 by a Montgomery ladder; R1 - R0 = P throughout."""
+    R0, R1 = (0, 1, 0), P
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            R0, R1 = _proj_add(R0, R1, a, b3, N), _proj_add(R1, R1, a, b3, N)
+        else:
+            R0, R1 = _proj_add(R0, R0, a, b3, N), _proj_add(R0, R1, a, b3, N)
+    return R0
+
+
+def _projective_mod(point, place: Place | None, ell: int):
+    """A primitive (X, Y, Z) mod ell^2 for a global point at a place over ell.
+
+    QuadInt coordinates embed through the place; rational coordinates
+    are scaled by the power of ell in their denominators.
+    """
+    N = ell * ell
+    if point is INFINITY:
+        return 0, 1, 0
+    x, y = point.x, point.y
+    if isinstance(x, QuadInt) or isinstance(y, QuadInt):
+        if place is None:
+            raise BadInput("quadratic coordinates need a place over ell")
+        return embed(x, place, 2).value, embed(y, place, 2).value, 1
+    for c in (x, y):
+        if not isinstance(c, (int, Fraction)):
+            raise BadInput(f"cannot localise coordinate {type(c).__name__}")
+    x, y = Fraction(x), Fraction(y)
+    scale, den = Fraction(1), lcm(x.denominator, y.denominator)
+    while den % ell == 0:
+        scale, den = scale * ell, den // ell
+    return tuple(c.numerator * pow(c.denominator, -1, N) % N
+                 for c in (x * scale, y * scale, scale))
+
+
+def local_class(point, curve: Curve, ell: int,
+                place: Place | None = None) -> LocalClass:
     """The class of a point of E(Q_ell) in E(Q_ell)/ell as an F_ell value.
 
     Requires good reduction at ell with reduced order d not divisible
-    by ell.  Retries once at doubled precision on precision loss.
+    by ell.  d*P lies in the kernel of reduction; it is computed exactly
+    in E(Z/ell^2), and c = (z/ell) mod ell with z = -X/Y.
     """
     if not isinstance(curve.a, int) or not isinstance(curve.b, int):
         raise BadInput("local classes need an integral model")
@@ -616,12 +491,14 @@ def local_class(point, curve: Curve, ell: int, place: Place | None = None,
     d = ec_group_order(reduced)
     if d % ell == 0:
         raise BadReduction(f"ell divides the reduced order {d}")
-    for attempt_prec in (prec, 2 * prec):
-        try:
-            a_loc = Loc.from_int(curve.a, ell, attempt_prec)
-            P_loc = local_point_at_place(point, place, ell, attempt_prec)
-            dP = _local_scalar_mul(d, P_loc, a_loc, ell)
-            return LocalClass(_formal_read(dP, ell), place, d)
-        except PrecisionLoss:
-            continue
-    raise PrecisionLoss(f"local class unresolved at precision {2 * prec}")
+    N = ell * ell
+    a, b3 = curve.a % N, 3 * curve.b % N
+    P, n = _projective_mod(point, place, ell), d
+    if P[1] % ell == 0 and P[2] % ell:
+        # P reduces to a point of order 2, the one ladder difference the
+        # complete law does not cover: d is even, and d*P = (d/2)*(2P)
+        P, n = _proj_add(P, P, a, b3, N), d // 2
+    X, Y, Z = _proj_mul(n, P, a, b3, N)
+    if X % ell or Z % ell or Y % ell == 0:
+        raise VerificationFailed(f"d*P is not in the kernel of reduction at {ell}")
+    return LocalClass((-X * pow(Y, -1, N) % N) // ell, place, d)

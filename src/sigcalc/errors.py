@@ -1,4 +1,11 @@
-"""Exception taxonomy shared by every module of the toolkit."""
+"""Exception taxonomy shared by every module of the toolkit.
+
+Every error is, or descends from, one of five categories, and the
+category's exit_code is the CLI's exit code for it: 1 invariant or
+cross-check failure, 2 arithmetic precondition, 3 attempt budget
+exhausted, 4 instance condition report, 5 heuristic assumption
+violated.
+"""
 
 from __future__ import annotations
 
@@ -7,27 +14,61 @@ class SigcalcError(Exception):
     """Base class for all toolkit errors."""
 
 
-class BadInput(SigcalcError):
+class InvariantError(SigcalcError):
+    """An invariant or a cross-check failed."""
+
+    exit_code = 1
+
+
+class PreconditionError(SigcalcError):
+    """An arithmetic precondition on the inputs is violated."""
+
+    exit_code = 2
+
+
+class BudgetError(SigcalcError):
+    """A search ran out of its attempt budget."""
+
+    exit_code = 3
+
+
+class ConditionFailure(SigcalcError):
+    """An instance failed its condition report."""
+
+    exit_code = 4
+
+    def __init__(self, report):
+        super().__init__(f"instance conditions fail: {report.as_dict()}")
+        self.report = report
+
+
+class AssumptionViolated(SigcalcError):
+    """A documented heuristic assumption fails its proxy check."""
+
+    exit_code = 5
+
+
+class BadInput(PreconditionError):
     """An arithmetic precondition on the inputs is violated."""
 
 
-class NonResidue(SigcalcError):
+class NonResidue(PreconditionError):
     """The argument is not a quadratic residue at the requested prime."""
 
 
-class Ramified(SigcalcError):
+class Ramified(PreconditionError):
     """The prime divides the radicand; no unit square root exists."""
 
 
-class NotAUnit(SigcalcError):
+class NotAUnit(PreconditionError):
     """The element is divisible by the prime and has no Teichmuller part."""
 
 
-class NotInSubgroup(SigcalcError):
+class NotInSubgroup(PreconditionError):
     """The target is not a power of the generator."""
 
 
-class NotSmooth(SigcalcError):
+class NotSmooth(PreconditionError):
     """Factorisation aborted: a cofactor above the bound survives."""
 
     def __init__(self, cofactor: int, message: str | None = None):
@@ -35,23 +76,23 @@ class NotSmooth(SigcalcError):
         self.cofactor = cofactor
 
 
-class NotSquarefree(SigcalcError):
+class NotSquarefree(PreconditionError):
     """The radicand of a quadratic field must be squarefree."""
 
 
-class TooLarge(SigcalcError):
+class TooLarge(PreconditionError):
     """Beyond the desk-scale bound for exhaustive methods."""
 
 
-class ZeroElement(SigcalcError):
+class ZeroElement(PreconditionError):
     """The zero element has no ideal factorisation."""
 
 
-class ClassNumberDivisible(SigcalcError):
+class ClassNumberDivisible(PreconditionError):
     """ell divides the class number; the rank formula does not apply."""
 
 
-class BudgetExhausted(SigcalcError):
+class BudgetExhausted(BudgetError):
     """A randomized search ran out of attempts."""
 
     def __init__(self, attempts: int, counters: dict | None = None,
@@ -65,11 +106,11 @@ class BudgetExhausted(SigcalcError):
         self.counters = dict(counters or {})
 
 
-class Inconsistent(SigcalcError):
+class Inconsistent(InvariantError):
     """The linear system has no solution."""
 
 
-class RankDeficient(SigcalcError):
+class RankDeficient(BudgetError):
     """Requested unknowns are not determined by the system."""
 
     def __init__(self, undetermined, message: str | None = None):
@@ -77,49 +118,41 @@ class RankDeficient(SigcalcError):
         super().__init__(message or f"undetermined unknowns: {self.undetermined}")
 
 
-class VerificationFailed(SigcalcError):
+class VerificationFailed(InvariantError):
     """A result failed its built-in cross-check."""
 
 
-class DegenerateTarget(SigcalcError):
+class DegenerateTarget(PreconditionError):
     """The discrete-log target is +-1; the lifting does not apply."""
 
 
-class OracleInconsistent(SigcalcError):
+class OracleInconsistent(InvariantError):
     """An oracle answer failed verification against the instance."""
 
 
-class ZeroY(SigcalcError):
+class ZeroY(InvariantError):
     """The 1-unit exponent vanishes; the signature relation degenerates."""
 
 
-class BadSupport(SigcalcError):
+class BadSupport(PreconditionError):
     """A rational argument is supported at a disallowed prime."""
 
 
-class NonInvertibleDenominator(SigcalcError):
+class NonInvertibleDenominator(PreconditionError):
     """A group-law denominator is not invertible in the local ring."""
 
 
-class Singular(SigcalcError):
+class Singular(PreconditionError):
     """The curve is singular over the requested base."""
 
 
-class OutOfScope(SigcalcError):
+class OutOfScope(PreconditionError):
     """The local dimension formula does not cover this case."""
 
 
-class PrecisionLoss(SigcalcError):
-    """Local arithmetic lost too many digits; retry at higher precision."""
-
-
-class BadReduction(SigcalcError):
+class BadReduction(PreconditionError):
     """The curve has bad reduction at the requested place."""
 
 
-class SingularSystem(SigcalcError):
+class SingularSystem(InvariantError):
     """The 2x2 signature system is singular; the instance is invalid."""
-
-
-class AssumptionViolated(SigcalcError):
-    """A documented heuristic assumption fails its proxy check."""

@@ -327,3 +327,16 @@ class TestSerialization:
         doc = json.loads(instance_to_json(lift_unit(17, 31, 5, seed=0)))
         assert doc["p"] == "31" and doc["D"] == "4226"
         assert doc["alpha"] == ["65", "1"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("a", "18"),  # alpha reduces to 17 at v
+        ("g", "2"),  # 2 has order 5 in F_31^*
+        ("alpha", ["64", "1"]),  # norm 64^2 - 4226 = -130
+    ])
+    def test_tampered_file_is_rejected(self, key, value):
+        import json
+
+        doc = json.loads(instance_to_json(lift_unit(17, 31, 5, seed=0)))
+        doc[key] = value
+        with pytest.raises(BadInput):
+            instance_from_json(json.dumps(doc))

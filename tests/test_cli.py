@@ -83,20 +83,19 @@ class TestSignature:
         assert json.loads(r2.stdout)["outputs"]["s_dl_oracle"] == "1"
 
     def test_condition_failure_exit_code(self, tmp_path):
-        # Q(sqrt 79) has class number 3: the ell = 3 condition-(1) fixture
-        doc = {
-            "p": "7", "ell": "3", "g": "3", "a": "3", "D": "79",
-            "alpha": ["80", "9"], "u_root_label": "1", "v_root_label": "3",
-            "seed": "0",
-        }
-        # fix labels to the field's actual places
-        from sigcalc.quadfield import RealQuadField, split_places
+        # Q(sqrt 229) has class number 3: an ell = 3 condition-(1) fixture.
+        # alpha = (15 + sqrt 229)/2 = 7 + omega has norm -1; 3 and 19 split
+        from sigcalc.quadfield import RealQuadField, embed, split_places
 
-        K = RealQuadField(79)
+        K = RealQuadField(229)
+        alpha = K.element(7, 1)
         u = split_places(3, K)[0]
-        v = split_places(7, K)[0]
-        doc["u_root_label"] = str(u.root_label)
-        doc["v_root_label"] = str(v.root_label)
+        v = split_places(19, K)[0]
+        doc = {
+            "p": "19", "ell": "3", "g": "2", "a": str(embed(alpha, v, 1).value),
+            "D": "229", "alpha": ["7", "1"], "u_root_label": str(u.root_label),
+            "v_root_label": str(v.root_label), "seed": "0",
+        }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         r = run_cli("signature", "--instance", str(path), "--json")
@@ -111,6 +110,28 @@ class TestSignature:
     def test_malformed_lift_exit_code(self, lift):
         r = run_cli("signature", "--lift", lift, "--method", "dl-oracle")
         assert r.returncode == 2
+        assert json.loads(r.stderr)["error"] == "BadInput"
+
+
+    def test_instance_file_re_saves_byte_identically(self, tmp_path):
+        path, again = tmp_path / "instance.json", tmp_path / "again.json"
+        assert run_cli("signature", "--lift", "31,5,3,17",
+                       "--save-instance", str(path)).returncode == 0
+        r = run_cli("signature", "--instance", str(path), "--save-instance", str(again))
+        assert r.returncode == 0
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_instance_file_with_a_wrong_target_is_rejected(self, tmp_path):
+        path = tmp_path / "instance.json"
+        assert run_cli("signature", "--lift", "31,5,3,17",
+                       "--save-instance", str(path)).returncode == 0
+        doc = json.loads(path.read_text())
+        assert doc["a"] == "17"
+        doc["a"] = "18"
+        path.write_text(json.dumps(doc))
+        r = run_cli("signature", "--instance", str(path), "--json")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
         assert json.loads(r.stderr)["error"] == "BadInput"
 
 
@@ -147,6 +168,29 @@ class TestEc:
         assert r.returncode == 0
         r2 = run_cli("ec", "coker", "--instance", str(path), "--json")
         assert r2.returncode == 0
+
+
+    def test_instance_file_re_saves_byte_identically(self, tmp_path):
+        path, again = tmp_path / "ec.json", tmp_path / "again.json"
+        assert run_cli("ec", "coker", "--fixture", "f7l13",
+                       "--save-instance", str(path)).returncode == 0
+        r = run_cli("ec", "coker", "--instance", str(path), "--save-instance", str(again))
+        assert r.returncode == 0
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_instance_file_with_a_point_off_the_curve_is_rejected(self, tmp_path):
+        # 455 = 5*7*13 keeps the curve mod p = 7 and mod ell = 13, so only
+        # the check that Q and R lie on the curve can catch it
+        path = tmp_path / "ec.json"
+        assert run_cli("ec", "coker", "--fixture", "f7l13",
+                       "--save-instance", str(path)).returncode == 0
+        doc = json.loads(path.read_text())
+        doc["b_r"] = str(int(doc["b_r"]) + 455)
+        path.write_text(json.dumps(doc))
+        r = run_cli("ec", "coker", "--instance", str(path), "--json")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stderr)["error"] == "BadInput"
 
 
 class TestVerify:
@@ -189,20 +233,24 @@ def _subclasses(cls):
 
 class TestErrorMapping:
     def test_every_error_has_an_exit_code(self):
-        from sigcalc.cli import exit_code_for
         from sigcalc.errors import SigcalcError
 
         errors = list(_subclasses(SigcalcError))
         assert len(errors) > 20
-        unmapped = [cls.__name__ for cls in errors if exit_code_for(cls) is None]
+        unmapped = [cls.__name__ for cls in errors
+                    if getattr(cls, "exit_code", None) not in range(1, 6)]
         assert unmapped == []
 
     def test_class_number_and_denominator_errors_are_preconditions(self):
-        from sigcalc.cli import EXIT_PRECONDITION, exit_code_for
-        from sigcalc.errors import ClassNumberDivisible, NonInvertibleDenominator
+        from sigcalc.errors import (
+            ClassNumberDivisible,
+            NonInvertibleDenominator,
+            PreconditionError,
+        )
 
-        assert exit_code_for(ClassNumberDivisible) == EXIT_PRECONDITION
-        assert exit_code_for(NonInvertibleDenominator) == EXIT_PRECONDITION
+        assert PreconditionError.exit_code == 2
+        assert ClassNumberDivisible.exit_code == 2
+        assert NonInvertibleDenominator.exit_code == 2
 
 
 def test_cli_imports_only_the_standard_library():

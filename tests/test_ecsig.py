@@ -19,7 +19,7 @@ from sigcalc.ecurve import (
     ec_scalar_mul,
     local_class,
 )
-from sigcalc.errors import BadInput, VerificationFailed
+from sigcalc.errors import BadInput, SingularSystem, VerificationFailed
 from sigcalc.quadfield import split_places
 from sigcalc.seeds import rng_for
 
@@ -274,3 +274,38 @@ class TestSerialization:
         assert doc["p"] == "7" and doc["ell"] == "13"
         assert doc["sha_assumption"] is True
         assert isinstance(doc["Q"][0], str)
+
+    def test_point_off_the_curve_is_rejected(self):
+        import json
+
+        doc = json.loads(ec_instance_to_json(fixture_instance()))
+        doc["R"][0][0] = str(int(doc["R"][0][0]) + 1)
+        with pytest.raises(BadInput, match="lie on"):
+            ec_instance_from_json(json.dumps(doc))
+
+    def test_base_of_the_wrong_order_is_rejected(self):
+        import json
+
+        from sigcalc.arith import primes_up_to
+
+        inst = fixture_instance()
+        doc = json.loads(ec_instance_to_json(inst))
+        for q in primes_up_to(200):
+            places = split_places(q, inst.K)
+            if q not in (2, 7, 13) and len(places) == 2 \
+                    and inst.lifted_curve.discriminant() % q \
+                    and ec_group_order(inst.lifted_curve.reduction(q)) != 13:
+                break
+        doc["p"], doc["v_root_label"] = str(q), str(places[0].root_label)
+        with pytest.raises(BadInput, match="base curve order"):
+            ec_instance_from_json(json.dumps(doc))
+
+    def test_singular_certificate_is_rejected(self, monkeypatch):
+        import sigcalc.ecsig as ecsig
+        from sigcalc.ecurve import LocalClass
+
+        text = ec_instance_to_json(fixture_instance())
+        monkeypatch.setattr(ecsig, "local_class",
+                            lambda point, curve, ell, place=None: LocalClass(1, place, 9))
+        with pytest.raises(SingularSystem):
+            ec_instance_from_json(text)

@@ -1,14 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sigcalc.ecurve as ecurve
-from sigcalc.arith import jacobi, primes_up_to, sqrt_mod_prime
+from sigcalc.arith import hensel_sqrt, jacobi, primes_up_to, sqrt_mod_prime
 from sigcalc.ecurve import (
     Curve,
     INFINITY,
-    Loc,
     Point,
     curve_group_ops,
     ec_add,
@@ -17,11 +16,17 @@ from sigcalc.ecurve import (
     ec_scalar_mul,
     h1_local_dim,
     local_class,
-    local_point_at_place,
-    _local_add,
-    _local_scalar_mul,
+    _proj_add,
+    _proj_mul,
+    _projective_mod,
 )
-from sigcalc.errors import BadInput, NonInvertibleDenominator, OutOfScope, Singular
+from sigcalc.errors import (
+    BadInput,
+    NonInvertibleDenominator,
+    OutOfScope,
+    Singular,
+    VerificationFailed,
+)
 from sigcalc.quadfield import RealQuadField, split_places
 from sigcalc.seeds import rng_for
 
@@ -270,63 +275,52 @@ class TestH1LocalDim:
                 h1_local_dim(E, inert[0], 13)
 
 
-def in_ell_E(W, curve: Curve, ell: int, prec: int = 6) -> bool:
-    """Brute-force membership test W in ell*E(Q_ell).
+def in_ell_E(W, curve: Curve, ell: int) -> bool:
+    """Brute-force membership test W in ell*E(Q_ell), W an (X, Y, Z)
+    tuple mod ell^2.
 
     Multiplication by ell is a bijection on the reduced curve, so the
     reduction of any ell-divisor of W is forced; W is divisible by ell
     iff W - ell*V0 sits at depth >= 2 in the kernel of reduction, for
-    V0 any lift of that forced reduction.
+    V0 any lift of that forced reduction.  Depth >= 2 means z = -X/Y
+    vanishes mod ell^2.
     """
-    d = ec_group_order(curve.reduction(ell))
-    a_loc = Loc.from_int(curve.a, ell, prec)
-    if W is None:
-        return True
-    # reduction of W
-    xw, yw = W
-    if xw.val > 0 or yw.val > 0 or xw.val < 0:
-        # W reduces to O: W in E1; divisible iff depth >= 2... use z directly
-        z = -(xw / yw)
-        return z.valuation() >= 2
-    x_red = (xw.unit if xw.val == 0 else 0) % ell
-    y_red = (yw.unit if yw.val == 0 else 0) % ell
-    reduced_curve = curve.reduction(ell)
-    W_red = Point(x_red % ell, y_red % ell)
-    inv_ell = pow(ell, -1, d)
-    V_red = ec_scalar_mul(inv_ell, W_red, reduced_curve)
-    if V_red is INFINITY:
-        V0 = None
-    else:
+    N = ell * ell
+    a, b3 = curve.a % N, 3 * curve.b % N
+    X, Y, Z = W
+    if Z % ell:
+        zi = pow(Z, -1, ell)
+        W_red = Point(X * zi % ell, Y * zi % ell)
+        reduced_curve = curve.reduction(ell)
+        d = ec_group_order(reduced_curve)
+        V_red = ec_scalar_mul(pow(ell, -1, d), W_red, reduced_curve)
+        if V_red.y == 0:
+            raise ValueError("lifting 2-torsion is not needed for these curves")
         # lift V_red to a local point: fix x, lift y by the square root
-        xv = V_red.x
-        f = xv**3 + curve.a * xv + curve.b
-        if f % ell == 0:
-            # 2-torsion reduction: lift x instead, Newton on the cubic
-            x = xv
-            for _ in range(prec + 2):
-                fx = x**3 + curve.a * x + curve.b
-                dfx = 3 * x * x + curve.a
-                x = (x - fx * pow(dfx, -1, ell**prec)) % ell**prec
-            V0 = (Loc.from_int(x, ell, prec), Loc.from_int(0, ell, prec))
-        else:
-            from sigcalc.arith import hensel_sqrt
-
-            y = hensel_sqrt(f, ell, prec).value
-            if y % ell != V_red.y % ell:
-                y = ell**prec - y
-            V0 = (Loc.from_int(xv, ell, prec), Loc.from_int(y, ell, prec))
-    ellV = _local_scalar_mul(ell, V0, a_loc, ell)
-    diff = _local_add(W, _neg_local(ellV), a_loc, ell)
-    if diff is None:
-        return True
-    z = -(diff[0] / diff[1])
-    return z.valuation() >= 2
+        f = V_red.x**3 + curve.a * V_red.x + curve.b
+        y = hensel_sqrt(f, ell, 2).value
+        if y % ell != V_red.y:
+            y = N - y
+        EX, EY, EZ = _proj_mul(ell, (V_red.x, y, 1), a, b3, N)
+        X, Y, Z = _proj_add(W, (EX, -EY % N, EZ), a, b3, N)
+    if Y % ell == 0:
+        raise ValueError("the difference left the projective law's scope")
+    return X % ell == 0 == Z % ell and X * pow(Y, -1, N) % N == 0
 
 
-def _neg_local(P):
-    if P is None:
-        return None
-    return (P[0], -P[1])
+def _neg(P, ell: int):
+    X, Y, Z = P
+    return X, -Y % (ell * ell), Z
+
+
+def exact_class(P, curve: Curve, ell: int) -> int:
+    """(z/ell) mod ell for z = -x/y of d*P, d*P computed over Q."""
+    d = ec_group_order(curve.reduction(ell))
+    Q = ec_scalar_mul(d, P, Curve(curve.a, curve.b, ("rational",)))
+    if Q is INFINITY:
+        return 0
+    t = -Fraction(Q.x) / Fraction(Q.y) / ell
+    return t.numerator * pow(t.denominator, -1, ell) % ell
 
 
 class TestLocalClass:
@@ -353,44 +347,67 @@ class TestLocalClass:
     def test_kills_ell_multiples(self):
         c = Curve(0, 3, ("rational",))
         ell = 13
-        P = Point(1, 2)
-        prec = 6
-        a_loc = Loc.from_int(0, ell, prec)
-        P_loc = local_point_at_place(P, None, ell, prec)
-        ellP = _local_scalar_mul(ell, P_loc, a_loc, ell)
-        d = ec_group_order(c.reduction(ell))
-        dellP = _local_scalar_mul(d, ellP, a_loc, ell)
-        z = -(dellP[0] / dellP[1])
-        # class of ell*P is (z/ell mod ell) with z now at depth >= ...
-        cls = 0 if z.valuation() >= 2 else z.unit % ell
-        assert cls == local_class(P, c, ell).c * ell % ell == 0
+        ellP = ec_scalar_mul(ell, Point(1, 2), Curve(0, Fraction(3), ("rational",)))
+        assert local_class(ellP, c, ell).c == local_class(Point(1, 2), c, ell).c * ell % ell == 0
 
     def test_membership_oracle_cross_check(self):
         # local_class(P) = c means P - c*G is an ell-th multiple, where the
         # auxiliary point G has class 1
-        ell = 13
+        ell, N = 13, 169
+        a, b3 = 0, 9  # y^2 = x^3 + 3
         c = Curve(0, 3, ("rational",))
-        prec = 8
         cP = local_class(Point(1, 2), c, ell).c
         assert cP != 0
         # G with class 1: scale P by the inverse of its class
         k = pow(cP, -1, ell)
-        a_loc = Loc.from_int(0, ell, prec)
-        P_loc = local_point_at_place(Point(1, 2), None, ell, prec)
-        G_loc = _local_scalar_mul(k, P_loc, a_loc, ell)
+        P_loc = _projective_mod(Point(1, 2), None, ell)
+        G_loc = _proj_mul(k, P_loc, a, b3, N)
         for m in range(1, 6):
-            W = _local_scalar_mul(m, P_loc, a_loc, ell)
+            W = _proj_mul(m, P_loc, a, b3, N)
             cW = local_class(ec_scalar_mul(m, Point(1, 2),
                                            Curve(0, Fraction(3), ("rational",))),
                              c, ell).c
             # W - cW * G must be in ell*E
-            minus = _local_scalar_mul(cW, G_loc, a_loc, ell)
-            diff = _local_add(W, _neg_local(minus), a_loc, ell)
-            assert in_ell_E(diff, c, ell, prec)
+            minus = _proj_mul(cW, G_loc, a, b3, N)
+            assert in_ell_E(_proj_add(W, _neg(minus, ell), a, b3, N), c, ell)
             # and W - (cW+1) * G must not be
-            minus_bad = _local_scalar_mul((cW + 1) % ell, G_loc, a_loc, ell)
-            diff_bad = _local_add(W, _neg_local(minus_bad), a_loc, ell)
-            assert not in_ell_E(diff_bad, c, ell, prec)
+            minus_bad = _proj_mul((cW + 1) % ell, G_loc, a, b3, N)
+            assert not in_ell_E(_proj_add(W, _neg(minus_bad, ell), a, b3, N), c, ell)
+
+    def test_pinned_kernel_descent(self):
+        # 15*P passes through the kernel of reduction on the way; the
+        # exact rational 15*P has z/11 = 7 mod 11
+        E = Curve(2, 31, ("rational",))
+        assert exact_class(Point(3, -8), E, 11) == 7
+        assert local_class(Point(3, -8), E, 11).c == 7
+
+    @settings(max_examples=300, deadline=None)
+    @example(ell=11, a=2, x=3, y=-8, y_mult=False, k=1)
+    @example(ell=11, a=5, x=5, y=-9, y_mult=False, k=1)
+    @example(ell=11, a=3, x=-2, y=-5, y_mult=False, k=1)
+    @example(ell=7, a=-3, x=-3, y=1, y_mult=True, k=2)  # 2P has 7^3 in y's denominator
+    @given(ell=st.sampled_from([3, 5, 7, 11, 13]), a=st.integers(-6, 6),
+           x=st.integers(-6, 6), y=st.integers(-9, 9), y_mult=st.booleans(),
+           k=st.integers(1, 3))
+    def test_matches_exact_rational_multiple(self, ell, a, x, y, y_mult, k):
+        # b is fixed by the point; y_mult forces y = 0 mod ell, a point
+        # reducing to 2-torsion; k > 1 gives Fraction coordinates, and
+        # k = 2 on such a point lands in the kernel of reduction
+        if y_mult:
+            y *= ell
+        E = Curve(a, y * y - x**3 - a * x, ("rational",))
+        assume(E.discriminant() % ell != 0)
+        d = ec_group_order(E.reduction(ell))
+        assume(d % ell != 0 and d <= 20)
+        P = ec_scalar_mul(k, Point(x, y), E)
+        cls = local_class(P, E, ell)
+        assert cls.d == d
+        assert cls.c == exact_class(P, E, ell)
+
+    def test_not_in_the_kernel_after_d(self):
+        # an off-curve point: d*P does not reduce to O
+        with pytest.raises(VerificationFailed):
+            local_class(Point(1, 1), Curve(0, 3, ("rational",)), 13)
 
     def test_quadratic_point_needs_place(self):
         K = RealQuadField(22)
