@@ -315,13 +315,14 @@ def dl_from_signature(a: int, g: int, p: int, ell: int, sig_oracle,
 
 def _beta_attempt(instance: CharSignatureInstance, base: FactorBase,
                   columns: dict, alpha_res_v: int, alpha_res_u: int,
-                  seed: int, index: int, height_span: int) -> Relation | None:
+                  seed: int, index: int, height_span: int) -> Relation | str:
     """Pure sampling attempt: one candidate beta = r*alpha + s_int.
 
     beta is forced to reduce to g at v (shifting either component by
     multiples of p preserves the residue), kept a unit at u, and
     accepted when its norm factors over the base places together with
-    the dedicated conjugate columns.  Returns the relation row.
+    the dedicated conjugate columns.  Returns the relation row, or the
+    reason for rejecting the candidate.
     """
     p, ell = instance.p, instance.ell
     rng = rng_for(seed, "beta", index)
@@ -329,11 +330,11 @@ def _beta_attempt(instance: CharSignatureInstance, base: FactorBase,
     r = rng.randrange(1, p) + p * rng.randrange(0, span)
     s_int = (instance.g - r * alpha_res_v) % p + p * rng.randrange(-span, span + 1)
     if (r * alpha_res_u + s_int) % ell == 0:
-        return None  # not a unit at u
+        return "not_unit_at_u"
     beta = r * instance.alpha + instance.K.element(s_int, 0)
     norm = abs(beta.norm())
     if norm == 0:
-        return None
+        return "zero_norm"
     e_ell = 0
     while norm % ell == 0:
         norm //= ell
@@ -343,13 +344,13 @@ def _beta_attempt(instance: CharSignatureInstance, base: FactorBase,
         norm //= p
         e_p += 1
     if smooth_cofactor(norm, base.bound) > 1:
-        return None
+        return "not_smooth"
     exponents = dict(factor_smooth(norm, base.bound))
     coeffs: dict[str, int] = {SIGNATURE_COLUMN: teichmuller(
         embed(beta, instance.place_u, 2).value, ell).y}
     for place, e in place_valuations(beta, exponents):
         if place not in columns:
-            return None  # support at a place outside the base (inert > sqrt(B))
+            return "outside_base"  # support at an inert place > sqrt(B)
         coeffs[columns[place]] = coeffs.get(columns[place], 0) + e
     if e_ell:
         coeffs[columns[instance.place_u_conj]] = e_ell
@@ -385,12 +386,18 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     target = len(columns) + 9
     relations: list[Relation] = []
     seen: set = set()
+    counters = {"not_unit_at_u": 0, "zero_norm": 0, "not_smooth": 0,
+                "outside_base": 0, "duplicate": 0}
     index = 0
     while index < max_attempts:
         rel = _beta_attempt(instance, base, columns, alpha_res_v, alpha_res_u,
                             seed, index, height_span)
         index += 1
-        if rel is None or rel.coeffs in seen:
+        if isinstance(rel, str):
+            counters[rel] += 1
+            continue
+        if rel.coeffs in seen:
+            counters["duplicate"] += 1
             continue
         seen.add(rel.coeffs)
         relations.append(rel)
@@ -408,7 +415,7 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     if relations:
         raise RankDeficient([SIGNATURE_COLUMN],
                             "relation budget exhausted before full rank")
-    raise BudgetExhausted(max_attempts, {"not_smooth": max_attempts})
+    raise BudgetExhausted(max_attempts, counters)
 
 
 # ---------------------------------------------------------------------------

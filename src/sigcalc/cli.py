@@ -33,7 +33,14 @@ from .ecsig import (
     signature_from_ecdl,
 )
 from .ecurve import Curve, Point, curve_group_ops, ec_scalar_mul, h1_local_dim
-from .errors import BadInput, ConditionFailure, InvariantError, OutOfScope, SigcalcError
+from .errors import (
+    BadInput,
+    BudgetExhausted,
+    ConditionFailure,
+    InvariantError,
+    OutOfScope,
+    SigcalcError,
+)
 from .indexcalc import index_calculus_dlog, rational_character_pairing
 from .quadfield import RealQuadField, ray_class_ell_rank, split_places
 from .seeds import rng_for
@@ -130,10 +137,24 @@ def cmd_dlog(args) -> int:
 # signature (multiplicative)
 
 
+def _read_instance(path: str, parse):
+    """parse(text) of an instance file; an unreadable or malformed file
+    is BadInput, whatever the parser tripped on."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise BadInput(f"cannot read instance file {path!r}: {exc.strerror}") from None
+    try:
+        return parse(text)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # ValueError covers bad JSON and bad numbers
+        raise BadInput(f"malformed instance file {path!r}: {exc!r}") from None
+
+
 def _load_char_instance(args):
     if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            instance = instance_from_json(fh.read())
+        instance = _read_instance(args.instance, instance_from_json)
         report = instance.condition_report
         if not report.all_ok:
             raise ConditionFailure(report)
@@ -210,8 +231,7 @@ def _lift_fixture(name: str, seed: int):
 
 def _ec_instance_from_args(args):
     if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            return ec_instance_from_json(fh.read())
+        return _read_instance(args.instance, ec_instance_from_json)
     return _lift_fixture(args.fixture, args.seed)
 
 
@@ -494,6 +514,8 @@ def main(argv=None) -> int:
             doc = _stringify({"error": "ConditionFailure", "report": exc.report.as_dict()})
         else:
             doc = {"error": type(exc).__name__, "detail": str(exc)}
+            if isinstance(exc, BudgetExhausted):
+                doc["counters"] = _stringify(exc.counters)
         print(json.dumps(doc, sort_keys=True), file=sys.stderr)
         return exc.exit_code
 

@@ -99,8 +99,7 @@ class BudgetExhausted(BudgetError):
                  message: str | None = None):
         detail = f"budget exhausted after {attempts} attempts"
         if counters:
-            worst = max(counters, key=counters.get)
-            detail += f" (most frequent rejection: {worst} x{counters[worst]})"
+            detail += " (" + ", ".join(f"{k} x{v}" for k, v in sorted(counters.items())) + ")"
         super().__init__(message or detail)
         self.attempts = attempts
         self.counters = dict(counters or {})

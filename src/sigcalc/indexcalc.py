@@ -1,16 +1,19 @@
 """Classical index calculus over F_p^* and shared F_ell linear algebra.
 
 Relations between discrete logs of factor-base primes are harvested
-from smooth powers of the generator and solved by the shared sparse
-Gauss-Jordan eliminator mod ell.  The rational character pairing realises the
-degree-ell character of Q ramified only at p, whose local values
-reproduce exactly this relation machinery.
+from powers of the generator written as ratios +-u/v of two numbers
+below sqrt(p), pruned of singleton columns and solved by the shared
+sparse Gauss-Jordan eliminator mod ell.  The rational character
+pairing realises the degree-ell character of Q ramified only at p,
+whose local values reproduce exactly this relation machinery.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from .arith import (
     bsgs_dlog,
@@ -26,7 +29,6 @@ from .errors import (
     BadInput,
     BadSupport,
     BudgetExhausted,
-    NotSmooth,
     RankDeficient,
     VerificationFailed,
 )
@@ -35,7 +37,10 @@ from .seeds import rng_for
 __all__ = [
     "Relation",
     "FactorBase",
+    "RelationSearch",
+    "half_split",
     "collect_relations",
+    "prune_singletons",
     "solve_linear_mod_ell",
     "SolveResult",
     "index_calculus_dlog",
@@ -100,48 +105,112 @@ class FactorBase:
         return cls(bound, tuple(sorted(places, key=lambda w: w.sort_key())))
 
 
-def _relation_attempt(p: int, ell: int, g: int, base: FactorBase,
-                      seed: int, index: int):
-    """Pure attempt: (seed, index) -> (r, Relation) or None.
+def half_split(x: int, p: int) -> tuple[int, int, int]:
+    """(u, v, sigma) with x = (-1)^sigma * u / v mod p, u^2 < p, v^2 <= p.
 
-    Defined per-index so attempts can be fanned out and merged back in
-    index order without changing the result.
+    The extended Euclidean algorithm on (p, x) keeps r_i = t_i * x mod p
+    and stops at the first remainder below sqrt(p); its cofactor obeys
+    |t_i| <= p / r_(i-1) <= sqrt(p) (Blake, Fuji-Hara, Mullin and
+    Vanstone 1984).  u and v are coprime.  x must be a unit mod p.
     """
-    r = rng_for(seed, "relation", index).randrange(1, p - 1)
-    value = pow(g, r, p)
-    if smooth_cofactor(value, base.bound) > 1:
+    r0, r1, t0, t1 = p, x, 0, 1
+    while r1 * r1 >= p:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return r1, abs(t1), int(t1 < 0)
+
+
+def _split_smooth(x: int, p: int, bound: int):
+    """(sigma, {q: e}) with x = (-1)^sigma * prod q^e mod p, read off
+    the half-size split x = +-u/v; None when u*v is not bound-smooth."""
+    u, v, sigma = half_split(x, p)
+    uv = u * v
+    if smooth_cofactor(uv, bound) > 1:
         return None
-    exponents = factor_smooth(value, base.bound)
-    rel = Relation.make({theta_column(q): e for q, e in exponents.items()}, r, ell)
-    if rel.is_trivial():
-        return None
-    return r, rel
+    # u and v are coprime, so each prime of u*v belongs to one of them
+    return sigma, {q: -e if v % q == 0 else e for q, e in factor_smooth(uv, bound).items()}
+
+
+@dataclass
+class RelationSearch:
+    """Where a relation search stands, so that a later call resumes it:
+    the next attempt index and the exponents r already drawn."""
+
+    next_index: int = 0
+    drawn: set[int] = field(default_factory=set)
+
+    def exhausted(self, p: int) -> bool:
+        """Every exponent r in [1, p-2] has been drawn."""
+        return len(self.drawn) == p - 2
 
 
 def collect_relations(p: int, ell: int, g: int, base: FactorBase, count: int,
-                      seed: int, budget_factor: int = 10_000) -> list[Relation]:
-    """Harvest `count` factor-base relations from smooth powers g^r.
+                      seed: int, budget_factor: int = 10_000,
+                      search: RelationSearch | None = None) -> list[Relation]:
+    """Harvest `count` new factor-base relations from half-size splits of g^r.
 
-    Each smooth g^r = prod q^e_q yields sum e_q * theta(q) = r mod ell.
-    Duplicate r values are discarded.  Deterministic in (inputs, seed).
+    Attempt i draws r from rng_for(seed, "relation", i) and splits
+    g^r = (-1)^sigma * u/v with u, v <= sqrt(p) (`half_split`).  When
+    u*v is smooth over the base, sum_q (e_q(u) - e_q(v)) * theta(q) =
+    r - sigma*(p-1)/2 mod ell, as log(-1) = (p-1)/2.  Trivial rows and
+    repeated r are discarded.  Passing a `search` resumes it at its next
+    index; the call stops early, with what it has, once every r in
+    [1, p-2] has been drawn.  Raises BudgetExhausted after
+    budget_factor * count attempts, with a counter per outcome that
+    sums to the attempts made.  Deterministic in (inputs, seed).
     """
     if (p - 1) % ell != 0:
         raise BadInput(f"{ell} must divide p - 1")
+    if search is None:
+        search = RelationSearch()
+    drawn, half = search.drawn, (p - 1) // 2
+    start = index = search.next_index
+    stop = start + budget_factor * count
+    # only when every exponent can be drawn within budget is it worth
+    # remembering the rejected ones too; accepted r are always kept
+    remember_all = p - 2 <= stop - start
+    counters = {"not_smooth": 0, "trivial": 0, "duplicate": 0}
     relations: list[Relation] = []
-    seen_r: set[int] = set()
-    budget = budget_factor * count
-    for index in range(budget):
-        hit = _relation_attempt(p, ell, g, base, seed, index)
-        if hit is None:
+    while len(relations) < count and index < stop and len(drawn) < p - 2:
+        r = rng_for(seed, "relation", index).randrange(1, p - 1)
+        index += 1
+        if r in drawn:
+            counters["duplicate"] += 1
             continue
-        r, rel = hit
-        if r in seen_r:
+        if remember_all:
+            drawn.add(r)
+        split = _split_smooth(pow(g, r, p), p, base.bound)
+        if split is None:
+            counters["not_smooth"] += 1
             continue
-        seen_r.add(r)
+        sigma, exponents = split
+        rel = Relation.make({theta_column(q): e for q, e in exponents.items()},
+                            r - sigma * half, ell)
+        if rel.is_trivial():
+            counters["trivial"] += 1
+            continue
+        drawn.add(r)
         relations.append(rel)
-        if len(relations) == count:
-            return relations
-    raise BudgetExhausted(budget, {"not_smooth": budget - len(relations)})
+    search.next_index = index
+    if len(relations) == count or search.exhausted(p):
+        return relations
+    raise BudgetExhausted(index - start, {**counters, "accepted": len(relations)})
+
+
+def prune_singletons(relations: list[Relation]) -> list[Relation]:
+    """Drop, repeatedly, every relation holding a column that no other
+    relation holds (LaMacchia and Odlyzko, CRYPTO '90).
+
+    Such a row constrains no other column, so the values the solver
+    determines for the remaining columns are unchanged.
+    """
+    kept = relations
+    while True:
+        weight = Counter(col for rel in kept for col in rel.columns)
+        pruned = [rel for rel in kept if all(weight[col] > 1 for col in rel.columns)]
+        if len(pruned) == len(kept):
+            return kept
+        kept = pruned
 
 
 @dataclass
@@ -177,20 +246,28 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
                       rounds: int = 4) -> dict[int, int]:
     """Discrete logs mod ell of every determined factor-base prime.
 
-    Collects relations in growing batches until the factor-base system
-    pins down every theta that actually occurs in smooth values.
+    The base is the primes <= min(bound, sqrt(p)): no larger prime
+    divides the halves u, v of a split.  Each round resumes one relation
+    search for a larger batch, prunes singleton columns and solves, until
+    every column left in the pruned system is determined.  Once every
+    exponent r has been drawn no round can add a relation, and the
+    determined part of the table is returned as it stands.
     """
-    base = FactorBase.rational(bound)
+    base = FactorBase.rational(max(2, min(bound, isqrt(p))))
     # at most p-2 distinct exponents exist; never ask for more
     count = min(len(base.entries) + 16, p - 2)
+    search = RelationSearch()
+    relations: list[Relation] = []
     seen: set[str] = set()
     solved = SolveResult({}, 0, 0)
     for attempt in range(1, rounds + 1):
-        relations = collect_relations(p, ell, g, base,
-                                      min(count * attempt, p - 2), seed)
-        solved = solve_linear_mod_ell(relations, [], ell)
-        seen = {col for rel in relations for col in rel.columns}
-        if seen and all(col in solved.values for col in seen):
+        relations += collect_relations(p, ell, g, base,
+                                       min(count * attempt, p - 2) - len(relations),
+                                       seed, search=search)
+        kept = prune_singletons(relations)
+        solved = solve_linear_mod_ell(kept, [], ell)
+        seen = {col for rel in kept for col in rel.columns}
+        if (seen and seen <= solved.values.keys()) or search.exhausted(p):
             return {
                 q: solved.values[theta_column(q)]
                 for q in base.entries
@@ -204,9 +281,12 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
                         descent_budget: int = 100_000) -> int:
     """m mod ell with a = g^m, by factor-base index calculus.
 
-    Solves the theta system (or reuses a prebuilt table), then finds s
-    with a*g^s smooth and reads m = sum e_q theta(q) - s.  The answer is
-    verified against a^((p-1)/ell) = (g^((p-1)/ell))^m before returning.
+    Solves the theta system (or reuses a prebuilt table), then splits
+    a*g^s = (-1)^sigma * u/v as the relations do, skipping s while u*v
+    is not smooth or holds, with an exponent nonzero mod ell, a prime
+    the table lacks, and reads m = sum e_q theta(q) + sigma*(p-1)/2 - s.
+    The answer is verified against a^((p-1)/ell) = (g^((p-1)/ell))^m
+    before returning.
     """
     if not is_prime(p) or not is_prime(ell):
         raise BadInput(f"p = {p} and ell = {ell} must be primes")
@@ -220,22 +300,26 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
     if theta is None:
         theta = build_theta_table(p, ell, g, bound, seed)
     rng = rng_for(seed, "descent", a)
+    counters = {"descent_not_smooth": 0, "descent_undetermined": 0}
     for _ in range(descent_budget):
         s = rng.randrange(0, p - 1)
-        value = a * pow(g, s, p) % p
-        if smooth_cofactor(value, bound) > 1:
+        split = _split_smooth(a * pow(g, s, p) % p, p, bound)
+        if split is None:
+            counters["descent_not_smooth"] += 1
             continue
-        exponents = factor_smooth(value, bound)
-        if any(q not in theta for q in exponents):
+        sigma, exponents = split
+        if any(e % ell and q not in theta for q, e in exponents.items()):
+            counters["descent_undetermined"] += 1
             continue
-        m = (sum(e * theta[q] for q, e in exponents.items()) - s) % ell
+        m = (sum(e * theta.get(q, 0) for q, e in exponents.items())
+             + sigma * ((p - 1) // 2) - s) % ell
         lhs = pow(a, (p - 1) // ell, p)
         rhs = pow(pow(g, (p - 1) // ell, p), m, p)
         if lhs != rhs:
             raise VerificationFailed(
                 "index-calculus answer failed the power-residue cross-check")
         return m
-    raise BudgetExhausted(descent_budget, {"descent_not_smooth": descent_budget})
+    raise BudgetExhausted(descent_budget, counters)
 
 
 def _as_fraction(a) -> Fraction:

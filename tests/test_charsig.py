@@ -197,6 +197,16 @@ class TestSignatureIndexCalculus:
         with pytest.raises((BudgetExhausted, RankDeficient)):
             signature_index_calculus(inst, 60, seed=0, max_attempts=20)
 
+    def test_budget_counters_sum_to_attempts(self):
+        from sigcalc.errors import BudgetExhausted
+
+        inst = lift_unit(17, 31, 5, seed=0)
+        with pytest.raises(BudgetExhausted) as exc:
+            signature_index_calculus(inst, 60, seed=0, max_attempts=20)
+        counters = exc.value.counters
+        assert sum(counters.values()) == exc.value.attempts == 20
+        assert counters["not_smooth"] and counters["not_unit_at_u"]
+
     def test_agrees_with_dl_oracle_path(self):
         inst = lift_unit(17, 31, 5, seed=0)
         s_dl = signature_from_dl(inst, bsgs_oracle(31)).s
@@ -284,8 +294,8 @@ class TestSignatureIndexCalculus:
         for index in range(300_000):
             rel = _beta_attempt(inst, base, columns, alpha_res_v, alpha_res_u,
                                 0, index, 4)
-            if rel is None:
-                continue
+            if isinstance(rel, str):
+                continue  # a rejection reason
             total = 1  # the theta_v(beta) = 1 contribution at v
             for col, coeff in rel.coeffs:
                 value = s_true if col == SIGNATURE_COLUMN else oracle_x[col]

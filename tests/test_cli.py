@@ -45,12 +45,15 @@ class TestDlog:
         assert json.loads(r.stdout)["cross_check"] is None
 
     def test_budget_exit_code(self):
-        # B = 2 leaves only three smooth powers mod 11: the relation
-        # collector cannot reach its quota and exits with the budget code
-        r = run_cli("dlog", "--p", "11", "--ell", "5", "--g", "2", "--a", "7",
+        # B = 2 at p ~ 1e7: about 46 of the 1e7 units split as +-2^i/2^j,
+        # so 170,000 attempts find fewer than the 17 relations wanted and
+        # the collector exits with the budget code and its full counters
+        r = run_cli("dlog", "--p", "10000019", "--ell", "7", "--g", "6", "--a", "7",
                     "--method", "index", "--B", "2", "--json")
         assert r.returncode == 3
-        assert "BudgetExhausted" in r.stderr
+        doc = json.loads(r.stderr)
+        assert doc["error"] == "BudgetExhausted"
+        assert sum(int(v) for v in doc["counters"].values()) == 170_000
 
     def test_composite_modulus_exit_code(self):
         r = run_cli("dlog", "--p", "1001", "--ell", "5", "--g", "3", "--a", "7",
@@ -191,6 +194,55 @@ class TestEc:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert json.loads(r.stderr)["error"] == "BadInput"
+
+
+class TestMalformedInstanceFile:
+    """Every broken instance file exits 2 through BadInput, never a traceback."""
+
+    SAVE = {
+        "signature": ("signature", "--lift", "31,5,3,17"),
+        "ec": ("ec", "coker", "--fixture", "f7l13"),
+    }
+    LOAD = {"signature": ("signature",), "ec": ("ec", "roundtrip")}
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        docs = {}
+        for kind, argv in self.SAVE.items():
+            path = tmp_path_factory.mktemp(kind) / "instance.json"
+            assert run_cli(*argv, "--save-instance", str(path)).returncode == 0
+            docs[kind] = json.loads(path.read_text())
+        return docs
+
+    def _load(self, kind, path):
+        r = run_cli(*self.LOAD[kind], "--instance", str(path), "--json")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stderr)["error"] == "BadInput"
+
+    @pytest.mark.parametrize("kind", ["signature", "ec"])
+    def test_missing_key(self, kind, saved, tmp_path):
+        doc = dict(saved[kind])
+        del doc["p"]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        self._load(kind, path)
+
+    @pytest.mark.parametrize("kind", ["signature", "ec"])
+    def test_bad_number(self, kind, saved, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**saved[kind], "D": "x"}))
+        self._load(kind, path)
+
+    @pytest.mark.parametrize("kind", ["signature", "ec"])
+    def test_bad_json(self, kind, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text("{")
+        self._load(kind, path)
+
+    @pytest.mark.parametrize("kind", ["signature", "ec"])
+    def test_missing_file(self, kind, tmp_path):
+        self._load(kind, tmp_path / "absent.json")
 
 
 class TestVerify:

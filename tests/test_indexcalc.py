@@ -1,16 +1,29 @@
 from fractions import Fraction
 
+from math import gcd
+
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from sigcalc.arith import bsgs_dlog, mult_group_ops
-from sigcalc.errors import BadInput, BadSupport, Inconsistent, RankDeficient
+from sigcalc.arith import bsgs_dlog, least_primitive_root, mult_group_ops
+from sigcalc.errors import (
+    BadInput,
+    BadSupport,
+    BudgetExhausted,
+    Inconsistent,
+    RankDeficient,
+    SigcalcError,
+)
 from sigcalc.indexcalc import (
     FactorBase,
     Relation,
+    RelationSearch,
     build_theta_table,
     collect_relations,
+    half_split,
     index_calculus_dlog,
+    prune_singletons,
     rational_character_pairing,
     solve_linear_mod_ell,
     theta_column,
@@ -68,6 +81,102 @@ class TestRelations:
         a = collect_relations(31, 5, 3, base, 10, seed=42)
         b = collect_relations(31, 5, 3, base, 10, seed=42)
         assert a == b
+
+
+class TestHalfSplit:
+    @given(st.integers(3, 10**30), st.integers(1, 10**40))
+    @settings(max_examples=300, deadline=None)
+    def test_split_is_a_half_size_ratio(self, n, x):
+        p = sympy.prevprime(n)
+        x %= p
+        assume(x != 0)
+        u, v, sigma = half_split(x, p)
+        assert u > 0 and v > 0 and gcd(u, v) == 1
+        assert u * u < p and v * v <= p
+        assert x * v % p == (-1) ** sigma * u % p
+
+    def test_worked_split(self):
+        # 3 = 1/(-2) mod 7: the remainders run 7, 3, 1 with cofactor -2
+        assert half_split(3, 7) == (1, 2, 1)
+        assert half_split(2, 31) == (2, 1, 0)
+
+
+class TestCollection:
+    def test_counters_sum_to_attempts(self):
+        with pytest.raises(BudgetExhausted) as exc:
+            collect_relations(1019, 509, 2, FactorBase.rational(3), 40, seed=0,
+                              budget_factor=1)
+        assert exc.value.attempts == 40
+        assert sum(exc.value.counters.values()) == 40
+        assert exc.value.counters["not_smooth"] > 0
+
+    def test_descent_counters_sum_to_attempts(self):
+        # an empty table leaves only the splits +-1 usable
+        with pytest.raises(BudgetExhausted) as exc:
+            index_calculus_dlog(10007, 5003, 5, 3, 200, seed=0, theta={},
+                                descent_budget=50)
+        assert sum(exc.value.counters.values()) == exc.value.attempts == 50
+        assert exc.value.counters["descent_undetermined"] > 0
+
+    def test_resumed_search_repeats_one_long_search(self):
+        base = FactorBase.rational(30)
+        search = RelationSearch()
+        first = collect_relations(1019, 509, 2, base, 10, seed=3, search=search)
+        second = collect_relations(1019, 509, 2, base, 10, seed=3, search=search)
+        assert first + second == collect_relations(1019, 509, 2, base, 20, seed=3)
+        assert search.next_index > 0
+
+    def test_stops_when_every_exponent_is_drawn(self):
+        # only 9 exponents exist mod 11: ask for more and get what there is
+        search = RelationSearch()
+        relations = collect_relations(11, 5, 2, FactorBase.rational(3), 50, seed=0,
+                                      search=search)
+        assert search.exhausted(11) and 0 < len(relations) < 9
+        assert collect_relations(11, 5, 2, FactorBase.rational(3), 50, seed=0,
+                                 search=search) == []
+
+
+class TestPruning:
+    def test_prunes_singletons_repeatedly(self):
+        ell = 7
+        rows = [Relation.make({"a": 1, "b": 1}, 1, ell),
+                Relation.make({"b": 1, "c": 1}, 2, ell),
+                Relation.make({"c": 1}, 3, ell),
+                Relation.make({"c": 1, "d": 1}, 4, ell),
+                Relation.make({"c": 2}, 6, ell)]
+        # a and d go first; that leaves b in one row, which goes next
+        kept = prune_singletons(rows)
+        assert kept == [rows[2], rows[4]]
+        assert prune_singletons(kept) == kept
+        assert solve_linear_mod_ell(kept, ["c"], ell).values == {"c": 3}
+        assert solve_linear_mod_ell(rows, ["c"], ell).values["c"] == 3
+
+    def test_a_lone_row_is_pruned(self):
+        assert prune_singletons([Relation.make({"x": 1}, 1, 5)]) == []
+
+
+def _small_grid():
+    for p in sympy.primerange(3, 150):
+        for ell in sympy.primefactors(p - 1):
+            for bound in (10, 50, 1000):
+                for a in sorted({2 % p, 3 % p, p - 1} - {0}):
+                    yield p, ell, bound, a
+
+
+class TestSmallPrimeGrid:
+    def test_matches_bsgs_or_raises_typed(self):
+        # ell = 2 makes the sign term (p-1)/2 count; B = 1000 exceeds sqrt(p)
+        failures = []
+        for p, ell, bound, a in _small_grid():
+            g = least_primitive_root(p)
+            want = bsgs_dlog(g, a, p - 1, **mult_group_ops(p)) % ell
+            try:
+                m = index_calculus_dlog(p, ell, g, a, bound, seed=0)
+            except SigcalcError:
+                failures.append((p, ell, bound, a))
+                continue
+            assert m == want, (p, ell, bound, a)
+        assert [case for case in failures if case[0] >= 29] == []
 
 
 class TestSolver:
