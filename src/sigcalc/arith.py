@@ -43,7 +43,25 @@ __all__ = [
     "jacobi",
     "row_reduce_mod",
     "rank_mod",
+    "parse_decimal",
+    "parse_pair",
 ]
+
+
+def parse_decimal(value) -> int:
+    """int(value) for a decimal string as str(n) writes it; any other
+    value (12, true, "+12", "012", " 12", "-0") raises ValueError, so a
+    file of such strings that loads re-saves byte for byte."""
+    if not isinstance(value, str) or str(int(value)) != value:
+        raise ValueError(f"not a canonical decimal string: {value!r}")
+    return int(value)
+
+
+def parse_pair(value, parse=parse_decimal) -> tuple:
+    """The parsed entries of a two-element list; ValueError otherwise."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"not a list of two entries: {value!r}")
+    return parse(value[0]), parse(value[1])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from .arith import (
     is_prime,
     jacobi,
     least_primitive_root,
+    parse_decimal,
+    parse_pair,
     smooth_cofactor,
     teichmuller,
 )
@@ -41,6 +43,7 @@ from .quadfield import (
     RealQuadField,
     _sqrtD_image,
     embed,
+    labelled_places,
     place_valuations,
     split_places,
     squarefree_kernel,
@@ -250,11 +253,12 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
         )
         report = check_conditions(instance)
         if not report.all_ok:
-            for name, ok in (("class_number", report.class_number_ok),
-                             ("unit_wild", report.unit_wild_everywhere),
-                             ("target_power", report.target_not_ell_power)):
-                if not ok:
-                    reject(f"condition_{name}")
+            # one count per attempt, under the first condition that fails
+            failed = next(name for name, ok in (
+                ("class_number", report.class_number_ok),
+                ("unit_wild", report.unit_wild_everywhere),
+                ("target_power", report.target_not_ell_power)) if not ok)
+            reject(f"condition_{failed}")
             continue
         if alpha.norm() != -1 or instance.residue_at_v() != a:
             raise VerificationFailed("lifted unit fails N(alpha) = -1 or alpha = a at v")
@@ -442,24 +446,17 @@ def instance_from_json(text: str) -> CharSignatureInstance:
     """Parse an instance file, holding it to the invariants of a lift:
     g generates F_p^*, N(alpha) = -1 and alpha reduces to a at v."""
     doc = json.loads(text)
-    p, ell = int(doc["p"]), int(doc["ell"])
-    K = RealQuadField(int(doc["D"]))
-    alpha = K.element(int(doc["alpha"][0]), int(doc["alpha"][1]))
-    u_places = split_places(ell, K)
-    v_places = split_places(p, K)
-    u_root, v_root = int(doc["u_root_label"]), int(doc["v_root_label"])
-    try:
-        ui = [w.root_label for w in u_places].index(u_root)
-        vi = [w.root_label for w in v_places].index(v_root)
-    except ValueError:
-        raise BadInput("root labels do not match the field's places") from None
-    g, a = int(doc["g"]), int(doc["a"])
+    p, ell = parse_decimal(doc["p"]), parse_decimal(doc["ell"])
+    K = RealQuadField(parse_decimal(doc["D"]))
+    alpha = K.element(*parse_pair(doc["alpha"]))
+    u, u_conj = labelled_places(ell, K, parse_decimal(doc["u_root_label"]))
+    v, v_conj = labelled_places(p, K, parse_decimal(doc["v_root_label"]))
+    g, a = parse_decimal(doc["g"]), parse_decimal(doc["a"])
     _validate_generator(g, p)
     instance = CharSignatureInstance(
         K=K, p=p, ell=ell, g=g, a=a, alpha=alpha,
-        place_u=u_places[ui], place_u_conj=u_places[1 - ui],
-        place_v=v_places[vi], place_v_conj=v_places[1 - vi],
-        seed=int(doc["seed"]),
+        place_u=u, place_u_conj=u_conj, place_v=v, place_v_conj=v_conj,
+        seed=parse_decimal(doc["seed"]),
     )
     if alpha.norm() != -1 or instance.residue_at_v() != a % p:
         raise BadInput("alpha must have norm -1 and reduce to a at v")

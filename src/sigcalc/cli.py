@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .arith import bsgs_dlog, factorint, is_prime, jacobi, mult_group_ops, primes_up_to
+from .arith import bsgs_dlog, is_prime, jacobi, mult_group_ops, primes_up_to
 from .charsig import (
     instance_from_json,
     instance_to_json,
@@ -42,7 +42,7 @@ from .errors import (
     SigcalcError,
 )
 from .indexcalc import index_calculus_dlog, rational_character_pairing
-from .quadfield import RealQuadField, ray_class_ell_rank, split_places
+from .quadfield import ray_class_ell_rank, rayrank_fields, split_places
 from .seeds import rng_for
 
 EXIT_OK = 0
@@ -316,49 +316,6 @@ def _suite_reciprocity(p: int, ell: int, trials: int, seed: int):
                 total += rational_character_pairing(p, ell, q, a)
         yield {"trial": i, "sum": total % ell, "ok": total % ell == 0,
                "exponents": {str(q): e for q, e in exponents.items()}}
-
-
-def rayrank_fields(ell_list, count: int):
-    """Deterministic search for fields meeting the one-place rank
-    hypotheses: ell splits, ell does not divide h, the fundamental unit
-    is wild at both places over ell and a non-ell-th power at a split
-    degree-1 place over some p = 1 mod ell."""
-    from .arith import ell_power_residue_test, teichmuller
-    from .quadfield import embed
-
-    found = []
-    for ell in ell_list:
-        for D in range(2, 2000):
-            if len(found) >= count:
-                return found
-            if any(e > 1 for e in factorint(D).values()):
-                continue
-            if D % ell == 0 or jacobi(D % ell, ell) != 1:
-                continue
-            K = RealQuadField(D)
-            if K.class_number % ell == 0:
-                continue
-            eps = K.fundamental_unit
-            u_places = split_places(ell, K)
-            ys = [teichmuller(embed(eps, w, 2).value, ell).y for w in u_places]
-            if 0 in ys:
-                continue
-            p = None
-            candidate = 2 * ell + 1
-            while candidate < 60 * ell:
-                if is_prime(candidate) and candidate % ell == 1 \
-                        and D % candidate != 0 \
-                        and jacobi(D % candidate, candidate) == 1:
-                    v = split_places(candidate, K)[0]
-                    residue = embed(eps, v, 1).value
-                    if not ell_power_residue_test(residue, candidate, ell):
-                        p = candidate
-                        break
-                candidate += 2 * ell
-            if p is None:
-                continue
-            found.append((K, ell, p))
-    return found
 
 
 def _suite_rayrank(trials: int, seed: int):

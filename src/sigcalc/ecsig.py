@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arith import bsgs_dlog, is_prime, jacobi, rank_mod
+from .arith import bsgs_dlog, is_prime, jacobi, parse_decimal, parse_pair, rank_mod
 from .errors import (
     AssumptionViolated,
     BadInput,
@@ -24,7 +24,6 @@ from .errors import (
 from .ecurve import (
     Curve,
     INFINITY,
-    LocalClass,
     Point,
     curve_group_ops,
     ec_group_order,
@@ -33,9 +32,9 @@ from .ecurve import (
 )
 from .quadfield import (
     Place,
-    QuadInt,
     RealQuadField,
     embed,
+    labelled_places,
     split_places,
     squarefree_kernel,
 )
@@ -60,10 +59,11 @@ class EcSignatureInstance:
     The lifted curve E: y^2 = x^3 + a x + b_r has integer coefficients,
     good reduction at ell, and reduces to the base curve mod p.  Q is
     rational, R has coordinates in K = Q(sqrt(D)).  The independence
-    certificate is the 2x2 matrix of local classes of (Q, R) at the two
-    places over ell; it must be invertible.  The triviality of the
-    ell-part of the everywhere-locally-trivial classes is an assumption
-    flag, never computed.
+    certificate is the 2x2 matrix of local classes of Q (row 0) and R
+    (row 1) at place_u and place_u_conj (columns 0 and 1); it must be
+    invertible, and it is the one source of the classes at u and u'.
+    The triviality of the ell-part of the everywhere-locally-trivial
+    classes is an assumption flag, never computed.
     """
 
     p: int
@@ -119,13 +119,9 @@ def _require_prime_order_base(curve: Curve, ell: int):
         raise BadInput(f"base curve order {order} must equal the prime ell={ell}")
 
 
-def _reduce_point(point: Point, place: Place, q: int) -> Point | None:
+def _reduce_point(point: Point, place: Place) -> Point:
     """Reduction of an integral global point at a degree-1 place."""
-    coords = []
-    for c in (point.x, point.y):
-        coords.append(embed(c, place, 1).value if isinstance(c, (int, QuadInt))
-                      else int(c) % q)
-    return Point(coords[0], coords[1])
+    return Point(embed(point.x, place, 1).value, embed(point.y, place, 1).value)
 
 
 def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
@@ -138,7 +134,9 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
     ell-divisible reduction at ell.  R lifts Rt into E(K) with
     K = Q(sqrt(squarefree kernel of the cubic value)); the sweep keeps
     retrying until ell splits in K and the independence certificate is
-    invertible.  Deterministic given (inputs, seed).
+    invertible.  Deterministic given (inputs, seed).  budget bounds the
+    attempts, each a rejected Q-lift or one R-lift tried on an accepted
+    one, and each rejection counts once under its reason.
     """
     base = Curve(base_a % p, base_b % p, ("fp", p))
     _require_prime_order_base(base, ell)
@@ -149,12 +147,14 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
     x0, y0 = Qt.x % p, Qt.y % p
     mu0, nu0 = Rt.x % p, Rt.y % p
     counters: dict[str, int] = {}
+    attempts = 0
 
     def reject(reason: str) -> None:
+        nonlocal attempts
+        attempts += 1
         counters[reason] = counters.get(reason, 0) + 1
 
     a = base_a % p
-    attempts = 0
     for r in range(budget):
         if attempts >= budget:
             break
@@ -162,7 +162,6 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
         b_r = y_lift * y_lift - (x0**3 + a * x0)
         E = Curve(a, b_r, ("rational",))
         Q = Point(x0, y_lift)
-        attempts += 1
         if E.discriminant() % ell == 0:
             reject("bad_reduction_at_ell")
             continue
@@ -175,7 +174,6 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
             reject("Q_trivial_at_ell")
             continue
         for r2 in range(min(32, budget - attempts)):
-            attempts += 1
             mu = mu0 + r2 * p
             w = mu**3 + a * mu + b_r
             if w <= 0:
@@ -222,28 +220,22 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 place_v=v_places[vi], place_v_conj=v_places[1 - vi],
                 d_ell=d_ell, certificate=certificate, seed=seed,
             )
-            if (_reduce_point(Q, instance.place_v, p) != instance.Qt
-                    or _reduce_point(R, instance.place_v, p) != instance.Rt):
+            if (_reduce_point(Q, instance.place_v) != instance.Qt
+                    or _reduce_point(R, instance.place_v) != instance.Rt):
                 raise VerificationFailed("lifted points do not reduce to Qt, Rt at v")
             return instance
     raise BudgetExhausted(attempts, counters)
 
 
-def _local_coordinates(instance: EcSignatureInstance, point: Point,
-                       place: Place) -> int:
-    """Coordinate of a global point in E(K_w)/ell = F_ell at a place.
-
-    Places over ell use the formal-group class; places over p use the
-    discrete log of the reduction against the reduction of Q (a
-    generator, the reduced curve having prime order ell).
-    """
+def _local_coordinates(instance: EcSignatureInstance, place: Place) -> tuple[int, int]:
+    """Coordinates of Q and R in E(K_w)/ell = F_ell at a place away from
+    ell: the discrete logs of their reductions against the reduction of
+    Q (a generator, the reduced curve having prime order ell)."""
     ell = instance.ell
-    if place.q == ell:
-        return local_class(point, instance.lifted_curve, ell, place=place).c
-    reduced_curve = instance.lifted_curve.reduction(place.q)
-    P_red = _reduce_point(point, place, place.q)
-    gen = _reduce_point(instance.Q, place, place.q)
-    return bsgs_dlog(gen, P_red, ell, **curve_group_ops(reduced_curve)) % ell
+    ops = curve_group_ops(instance.lifted_curve.reduction(place.q))
+    gen = _reduce_point(instance.Q, place)
+    return tuple(bsgs_dlog(gen, _reduce_point(P, place), ell, **ops) % ell
+                 for P in (instance.Q, instance.R))
 
 
 def signature_from_ecdl(instance: EcSignatureInstance, ecdl_oracle) -> EcSignature:
@@ -256,12 +248,7 @@ def signature_from_ecdl(instance: EcSignatureInstance, ecdl_oracle) -> EcSignatu
     """
     ell = instance.ell
     a_v, a_u = 1, 1
-    cQ_u = local_class(instance.Q, instance.lifted_curve, ell).c
-    cQ_uc = cQ_u  # Q is rational: identical images at both places over ell
-    cR_u = local_class(instance.R, instance.lifted_curve, ell,
-                       place=instance.place_u).c
-    cR_uc = local_class(instance.R, instance.lifted_curve, ell,
-                        place=instance.place_u_conj).c
+    (cQ_u, cQ_uc), (cR_u, cR_uc) = instance.certificate
     if cQ_u == 0 or cR_uc == 0:
         raise SingularSystem("reference points fail to generate locally")
     a_uc = cQ_uc * pow(cR_uc, -1, ell) % ell
@@ -286,10 +273,7 @@ def ecdl_from_signature(instance: EcSignatureInstance, sig_oracle) -> int:
     by scalar multiplication on the base curve before returning.
     """
     ell = instance.ell
-    cQ = local_class(instance.Q, instance.lifted_curve, ell,
-                     place=instance.place_u).c
-    cR = local_class(instance.R, instance.lifted_curve, ell,
-                     place=instance.place_u).c
+    (cQ, _), (cR, _) = instance.certificate
     if cQ == 0:
         raise SingularSystem("Q is locally trivial at u; instance invalid")
     n = cR * pow(cQ, -1, ell) % ell
@@ -324,9 +308,8 @@ def coker_dim(instance: EcSignatureInstance, extra_places=()) -> int:
     if not instance.sha_assumption:
         raise AssumptionViolated("instance built without the triviality flag")
     ell = instance.ell
-    columns_dim = 0
-    rows_q: list[int] = []
-    rows_r: list[int] = []
+    ell_columns = {instance.place_u: 0, instance.place_u_conj: 1}
+    columns: list[tuple[int, int]] = []  # the (Q, R) coordinates at each place
     disc = abs(instance.lifted_curve.discriminant())
     for place in [instance.place_u, instance.place_u_conj, *extra_places]:
         if place.degree != 1:
@@ -337,22 +320,22 @@ def coker_dim(instance: EcSignatureInstance, extra_places=()) -> int:
                     f"bad place {place} fails the local-vanishing proxy")
             continue  # contributes the zero group
         if place.q == ell:
-            local_dim = 1 if instance.d_ell % ell else 0
-        elif place.q == instance.p:
-            local_dim = 1  # reduced order is exactly ell
-        else:
+            # dimension 1, as ell does not divide d_ell; the classes are
+            # the certificate's
+            if place not in ell_columns:
+                raise BadInput(f"{place} is not a place of K over ell")
+            columns.append(tuple(row[ell_columns[place]] for row in instance.certificate))
+            continue
+        if place.q != instance.p:  # at p the reduced order is exactly ell
             order = ec_group_order(instance.lifted_curve.reduction(place.q))
-            local_dim = 1 if order % ell == 0 else 0
             if order % (ell * ell) == 0:
                 raise BadInput(f"ell^2 divides the reduced order at {place}")
-        if local_dim == 0:
-            continue
-        columns_dim += 1
-        rows_q.append(_local_coordinates(instance, instance.Q, place))
-        rows_r.append(_local_coordinates(instance, instance.R, place))
-    if columns_dim == 0:
+            if order % ell:
+                continue  # the local group is zero
+        columns.append(_local_coordinates(instance, place))
+    if not columns:
         return 0
-    return columns_dim - rank_mod([rows_q, rows_r], ell)
+    return len(columns) - rank_mod([list(row) for row in zip(*columns)], ell)
 
 
 def scan_torsion_places(curve: Curve, K: RealQuadField, ell: int,
@@ -409,36 +392,31 @@ def ec_instance_from_json(text: str) -> EcSignatureInstance:
     Q and R on the curve, a base curve of prime order ell, and an
     invertible independence certificate."""
     doc = json.loads(text)
-    p, ell = int(doc["p"]), int(doc["ell"])
-    a, b_r = int(doc["a"]), int(doc["b_r"])
-    K = RealQuadField(int(doc["D"]))
-    Q = Point(int(doc["Q"][0]), int(doc["Q"][1]))
-    R = Point(K.element(int(doc["R"][0][0]), int(doc["R"][0][1])),
-              K.element(int(doc["R"][1][0]), int(doc["R"][1][1])))
-    u_places = split_places(ell, K)
-    v_places = split_places(p, K)
-    try:
-        ui = [w.root_label for w in u_places].index(int(doc["u_root_label"]))
-        vi = [w.root_label for w in v_places].index(int(doc["v_root_label"]))
-    except ValueError:
-        raise BadInput("root labels do not match the field's places") from None
+    p, ell = parse_decimal(doc["p"]), parse_decimal(doc["ell"])
+    a, b_r = parse_decimal(doc["a"]), parse_decimal(doc["b_r"])
+    K = RealQuadField(parse_decimal(doc["D"]))
+    Q = Point(*parse_pair(doc["Q"]))
+    Rx, Ry = parse_pair(doc["R"], parse_pair)
+    R = Point(K.element(*Rx), K.element(*Ry))
+    sha_assumption = doc["sha_assumption"]
+    if not isinstance(sha_assumption, bool):
+        raise BadInput("sha_assumption must be true or false")
+    u, u_conj = labelled_places(ell, K, parse_decimal(doc["u_root_label"]))
+    v, v_conj = labelled_places(p, K, parse_decimal(doc["v_root_label"]))
     E = Curve(a, b_r, ("rational",))
     if not E.contains(Q) or not Curve(a, b_r, ("quad", K.D)).contains(R):
         raise BadInput("Q and R must lie on y^2 = x^3 + a*x + b_r")
     _require_prime_order_base(Curve(a % p, b_r % p, ("fp", p)), ell)
     d_ell = ec_group_order(E.reduction(ell))
-    Qt = _reduce_point(Q, v_places[vi], p)
-    Rt = _reduce_point(R, v_places[vi], p)
     cQ = local_class(Q, E, ell).c
-    cR_u = local_class(R, E, ell, place=u_places[ui]).c
-    cR_uc = local_class(R, E, ell, place=u_places[1 - ui]).c
+    cR_u = local_class(R, E, ell, place=u).c
+    cR_uc = local_class(R, E, ell, place=u_conj).c
     instance = EcSignatureInstance(
-        p=p, ell=ell, base_a=a % p, base_b=b_r % p, Qt=Qt, Rt=Rt,
-        a=a, b_r=b_r, Q=Q, R=R, K=K,
-        place_u=u_places[ui], place_u_conj=u_places[1 - ui],
-        place_v=v_places[vi], place_v_conj=v_places[1 - vi],
+        p=p, ell=ell, base_a=a % p, base_b=b_r % p, Qt=_reduce_point(Q, v),
+        Rt=_reduce_point(R, v), a=a, b_r=b_r, Q=Q, R=R, K=K,
+        place_u=u, place_u_conj=u_conj, place_v=v, place_v_conj=v_conj,
         d_ell=d_ell, certificate=((cQ, cQ), (cR_u, cR_uc)),
-        seed=int(doc["seed"]), sha_assumption=bool(doc["sha_assumption"]),
+        seed=parse_decimal(doc["seed"]), sha_assumption=sha_assumption,
     )
     if instance.certificate_det() == 0:
         raise SingularSystem("the independence certificate is singular")

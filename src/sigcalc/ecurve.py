@@ -1,15 +1,16 @@
 """Elliptic curves y^2 = x^3 + ax + b over prime fields, the rationals,
 quadratic fields, and ell-adic completions.
 
-Provides the chord-tangent group law, deterministic point counting,
-the one-place cohomology dimension formula, and the normalised
-formal-group coordinate on the kernel of reduction that turns
-E(Q_ell)/ell into explicit F_ell values.
+Provides the chord-tangent group law over F_q, deterministic point
+counting, the one-place cohomology dimension formula, and the
+normalised formal-group coordinate on the kernel of reduction that
+turns E(Q_ell)/ell into explicit F_ell values.
 
-Over F_q the group law is one affine law on plain ints: internally a
-point is an (x, y) tuple of residues and None is O, and the public
-functions wrap it in Points.  The rational and quadratic bases keep an
-exact law on Fractions and QuadRats.  #E(F_q) comes from a table of
+The group law runs over F_q only, as one affine law on plain ints:
+internally a point is an (x, y) tuple of residues and None is O, and
+the public functions wrap it in Points.  Over Q and Q(sqrt D) a curve
+only tests membership, exactly; global points enter arithmetic through
+their images mod ell^2 at a place.  #E(F_q) comes from a table of
 square-root counts mod q (one bytearray, built in O(q)) up to
 ENUMERATION_LIMIT, and from point orders found by baby-step giant-step
 in the Hasse interval above it.
@@ -38,7 +39,7 @@ from .errors import (
     Singular,
     VerificationFailed,
 )
-from .quadfield import Place, QuadInt, embed
+from .quadfield import Place, QuadInt, RealQuadField, embed
 
 __all__ = [
     "Curve",
@@ -74,7 +75,8 @@ class Curve:
     base is ("fp", p), ("rational",) or ("quad", D); coefficients are
     exact (ints, Fractions, or QuadInts for the quadratic case).  The
     scaled discriminant 16(4a^3 + 27b^2) is tracked exactly and must
-    not vanish.
+    not vanish.  The group law needs an ("fp", p) base; over Q and K the
+    curve tests membership only.
     """
 
     a: object
@@ -91,13 +93,20 @@ class Curve:
         return disc == 0
 
     def contains(self, point) -> bool:
+        """y^2 = x^3 + ax + b: mod p over F_p, exactly in Fraction
+        arithmetic over Q and in QuadInt arithmetic over K."""
         if point is INFINITY:
             return True
-        if self.base[0] == "fp":
-            p = self.base[1]
-            return (point.y**2 - (point.x**3 + self.a * point.x + self.b)) % p == 0
-        x, y = _coerce(self, point.x), _coerce(self, point.y)
-        a, b = _coerce(self, self.a), _coerce(self, self.b)
+        x, y, a, b = point.x, point.y, self.a, self.b
+        kind = self.base[0]
+        if kind == "fp":
+            return (y * y - (x * x * x + a * x + b)) % self.base[1] == 0
+        if kind == "quad":
+            K = RealQuadField(self.base[1])
+            x, y, a, b = (c if isinstance(c, QuadInt) else K.element(c, 0)
+                          for c in (x, y, a, b))
+        elif kind != "rational":
+            raise BadInput(f"unknown base {self.base}")
         return y * y == x * x * x + a * x + b
 
     def reduction(self, q: int) -> "Curve":
@@ -162,128 +171,36 @@ def _fp_point_add(P, Q, a: int, q: int):
     return INFINITY if R is None else Point(*R)
 
 
-# ---------------------------------------------------------------------------
-# exact group law over the rationals and quadratic fields
-
-
-@dataclass(frozen=True)
-class QuadRat:
-    """Element x + y*sqrt(D) of K with Fraction coordinates."""
-
-    D: int
-    x: Fraction
-    y: Fraction
-
-    def __add__(self, o):
-        return QuadRat(self.D, self.x + o.x, self.y + o.y)
-
-    def __sub__(self, o):
-        return QuadRat(self.D, self.x - o.x, self.y - o.y)
-
-    def __neg__(self):
-        return QuadRat(self.D, -self.x, -self.y)
-
-    def __mul__(self, o):
-        return QuadRat(self.D, self.x * o.x + self.y * o.y * self.D,
-                       self.x * o.y + self.y * o.x)
-
-    def __truediv__(self, o):
-        n = o.x * o.x - o.y * o.y * self.D
-        return self * QuadRat(self.D, o.x / n, -o.y / n)
-
-    @classmethod
-    def from_quadint(cls, z: QuadInt) -> "QuadRat":
-        x, y = z.sqrt_coords()
-        return cls(z.field.D, x, y)
-
-    @classmethod
-    def integer(cls, D: int, n) -> "QuadRat":
-        return cls(D, Fraction(n), Fraction(0))
-
-
-def _coerce(curve: Curve, value):
-    """An exact-base coordinate as a Fraction or QuadRat."""
-    kind = curve.base[0]
-    if kind == "rational":
-        return Fraction(value) if isinstance(value, int) else value
-    if kind == "quad":
-        if isinstance(value, QuadInt):
-            return QuadRat.from_quadint(value)
-        if isinstance(value, int):
-            return QuadRat.integer(curve.base[1], value)
-        return value
-    raise BadInput(f"unknown base {curve.base}")
-
-
-def _exact_add(P, Q, curve: Curve):
-    x1, y1 = _coerce(curve, P.x), _coerce(curve, P.y)
-    x2, y2 = _coerce(curve, Q.x), _coerce(curve, Q.y)
-    zero = _coerce(curve, 0)
-    if x1 == x2:
-        if y1 + y2 == zero:
-            return INFINITY
-        # tangent: lambda = (3x^2 + a) / (2y)
-        num = _coerce(curve, 3) * (x1 * x1) + _coerce(curve, curve.a)
-        den = _coerce(curve, 2) * y1
-    else:
-        num, den = y2 - y1, x2 - x1
-    if den == zero:
-        raise NonInvertibleDenominator("division by zero")
-    lam = num / den
-    x3 = lam * lam - x1 - x2
-    return Point(x3, lam * (x1 - x3) - y1)
-
-
-# ---------------------------------------------------------------------------
-# public group law
+def _fp_modulus(curve: Curve) -> int:
+    """q for a curve over F_q; the group law runs on no other base."""
+    if curve.base[0] != "fp":
+        raise BadInput(f"the group law runs over F_q only, not over {curve.base}")
+    return curve.base[1]
 
 
 def ec_neg(P, curve: Curve):
-    if P is INFINITY:
-        return INFINITY
-    if curve.base[0] == "fp":
-        q = curve.base[1]
-        return Point(P.x % q, -P.y % q)
-    return Point(_coerce(curve, P.x), -_coerce(curve, P.y))
+    q = _fp_modulus(curve)
+    return INFINITY if P is INFINITY else Point(P.x % q, -P.y % q)
 
 
 def ec_add(P, Q, curve: Curve):
-    """Chord-tangent sum: int-only over F_q, exact field inversions over
-    the rational and quadratic bases."""
-    if curve.base[0] == "fp":
-        return _fp_point_add(P, Q, curve.a, curve.base[1])
-    if P is INFINITY:
-        return Q
-    if Q is INFINITY:
-        return P
-    return _exact_add(P, Q, curve)
+    """Chord-tangent sum over F_q, on plain ints."""
+    return _fp_point_add(P, Q, curve.a, _fp_modulus(curve))
 
 
 def ec_scalar_mul(n: int, P, curve: Curve):
     """n*P by double-and-add (negative n through the inverse)."""
-    if n < 0:
-        return ec_scalar_mul(-n, ec_neg(P, curve), curve)
-    if curve.base[0] == "fp":
-        if P is INFINITY:
-            return INFINITY
-        q = curve.base[1]
-        R = _fp_mul(n, (P.x % q, P.y % q), curve.a, q)
-        return INFINITY if R is None else Point(*R)
-    result, base = INFINITY, P
-    while n:
-        if n & 1:
-            result = ec_add(result, base, curve)
-        base = ec_add(base, base, curve)
-        n >>= 1
-    return result
+    q = _fp_modulus(curve)
+    if P is INFINITY:
+        return INFINITY
+    y = P.y if n >= 0 else -P.y
+    R = _fp_mul(abs(n), (P.x % q, y % q), curve.a, q)
+    return INFINITY if R is None else Point(*R)
 
 
 def curve_group_ops(curve: Curve) -> dict:
     """Operation table of E(F_q) for bsgs_dlog (points must be Points/None)."""
-    if curve.base[0] == "fp":
-        op = partial(_fp_point_add, a=curve.a, q=curve.base[1])
-    else:
-        op = partial(ec_add, curve=curve)
+    op = partial(_fp_point_add, a=curve.a, q=_fp_modulus(curve))
     return {"op": op, "identity": INFINITY, "invert": partial(ec_neg, curve=curve)}
 
 
@@ -483,9 +400,7 @@ def local_class(point, curve: Curve, ell: int,
     by ell.  d*P lies in the kernel of reduction; it is computed exactly
     in E(Z/ell^2), and c = (z/ell) mod ell with z = -X/Y.
     """
-    if not isinstance(curve.a, int) or not isinstance(curve.b, int):
-        raise BadInput("local classes need an integral model")
-    reduced = curve.reduction(ell)
+    reduced = curve.reduction(ell)  # BadInput unless the model is integral
     if reduced.is_singular():
         raise BadReduction(f"bad reduction at {ell}")
     d = ec_group_order(reduced)

@@ -15,6 +15,7 @@ from math import isqrt
 from .arith import (
     PadicApprox,
     bsgs_dlog,
+    ell_power_residue_test,
     factorint,
     hensel_sqrt,
     integer_cbrt,
@@ -45,9 +46,11 @@ __all__ = [
     "fundamental_unit",
     "class_number",
     "split_places",
+    "labelled_places",
     "embed",
     "factor_principal",
     "ray_class_ell_rank",
+    "rayrank_fields",
     "squarefree_kernel",
 ]
 
@@ -431,6 +434,16 @@ def split_places(q: int, K: RealQuadField) -> list[Place]:
     return [Place(D, q, "split", r), Place(D, q, "split", q - r)]
 
 
+def labelled_places(q: int, K: RealQuadField, root_label: int) -> tuple[Place, Place]:
+    """The two split places over q, the one labelled root_label first;
+    BadInput when no split place over q carries that label."""
+    places = split_places(q, K)
+    labels = [w.root_label for w in places]
+    if len(places) != 2 or root_label not in labels:
+        raise BadInput(f"no split place over {q} has the root label {root_label}")
+    return (places[0], places[1]) if labels[0] == root_label else (places[1], places[0])
+
+
 def uniformizer(place: Place, K: RealQuadField):
     """A local uniformizer: rational q at unramified places, else a
     generator of the ramified prime."""
@@ -584,3 +597,43 @@ def ray_class_ell_rank(K: RealQuadField, ell: int,
         for u in (minus_one, eps)
     ]
     return len(modulus) - rank_mod(rows, ell)
+
+
+def rayrank_fields(ell_list, count: int):
+    """Deterministic search for fields meeting the one-place rank
+    hypotheses: ell splits, ell does not divide h, the fundamental unit
+    is wild at both places over ell and a non-ell-th power at a split
+    degree-1 place over some p = 1 mod ell."""
+    found = []
+    for ell in ell_list:
+        for D in range(2, 2000):
+            if len(found) >= count:
+                return found
+            if any(e > 1 for e in factorint(D).values()):
+                continue
+            if D % ell == 0 or jacobi(D % ell, ell) != 1:
+                continue
+            K = RealQuadField(D)
+            if K.class_number % ell == 0:
+                continue
+            eps = K.fundamental_unit
+            u_places = split_places(ell, K)
+            ys = [teichmuller(embed(eps, w, 2).value, ell).y for w in u_places]
+            if 0 in ys:
+                continue
+            p = None
+            candidate = 2 * ell + 1
+            while candidate < 60 * ell:
+                if is_prime(candidate) and candidate % ell == 1 \
+                        and D % candidate != 0 \
+                        and jacobi(D % candidate, candidate) == 1:
+                    v = split_places(candidate, K)[0]
+                    residue = embed(eps, v, 1).value
+                    if not ell_power_residue_test(residue, candidate, ell):
+                        p = candidate
+                        break
+                candidate += 2 * ell
+            if p is None:
+                continue
+            found.append((K, ell, p))
+    return found

@@ -27,7 +27,6 @@ from sigcalc.charsig import (
     signature_from_dl,
     signature_index_calculus,
 )
-from sigcalc.cli import rayrank_fields
 from sigcalc.ecsig import (
     coker_dim,
     lift_ec_instance,
@@ -51,7 +50,12 @@ from sigcalc.indexcalc import (
     index_calculus_dlog,
     rational_character_pairing,
 )
-from sigcalc.quadfield import RealQuadField, ray_class_ell_rank, split_places
+from sigcalc.quadfield import (
+    RealQuadField,
+    ray_class_ell_rank,
+    rayrank_fields,
+    split_places,
+)
 from sigcalc.seeds import rng_for
 
 EC_FIXTURES = [

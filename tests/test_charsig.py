@@ -72,6 +72,17 @@ class TestLiftUnit:
             assert inst.alpha.norm() == -1
             assert inst.residue_at_v() == a
 
+    def test_budget_counters_sum_to_attempts(self):
+        # three of the eight lifts fail two conditions at once; each
+        # attempt still counts once, under its first failed condition
+        from sigcalc.errors import BudgetExhausted
+
+        with pytest.raises(BudgetExhausted) as exc:
+            lift_unit(3, 100003, 7, 0, budget=8)
+        counters = exc.value.counters
+        assert sum(counters.values()) == exc.value.attempts == 8
+        assert counters == {"ell_not_split": 5, "condition_class_number": 3}
+
 
 class TestConditions:
     def test_ell_power_alpha_fails_condition_two(self):

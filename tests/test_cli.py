@@ -1,8 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from sigcalc.cli import main
 
 PY = [sys.executable, "-m", "sigcalc"]
 
@@ -243,6 +248,111 @@ class TestMalformedInstanceFile:
     @pytest.mark.parametrize("kind", ["signature", "ec"])
     def test_missing_file(self, kind, tmp_path):
         self._load(kind, tmp_path / "absent.json")
+
+
+DELETE = object()  # a mutation that removes the field
+
+# every field of a saved instance file, nested list entries included
+INSTANCE_FIELDS = {
+    "signature": [("D",), ("a",), ("alpha",), ("alpha", 0), ("alpha", 1), ("ell",),
+                  ("g",), ("p",), ("seed",), ("u_root_label",), ("v_root_label",)],
+    "ec": [("D",), ("Q",), ("Q", 0), ("Q", 1), ("R",), ("R", 0), ("R", 0, 0),
+           ("R", 0, 1), ("R", 1), ("R", 1, 0), ("R", 1, 1), ("a",), ("b_r",),
+           ("ell",), ("p",), ("seed",), ("sha_assumption",), ("u_root_label",),
+           ("v_root_label",)],
+}
+MUTANTS = st.one_of(
+    st.integers(-3, 3).map(lambda k: ("offset", k)),  # from the saved number
+    st.integers(-10**6, 10**6).map(str),
+    st.text(max_size=6),
+    st.sampled_from([None, True, False, 7, [], ["1"], ["1", "2"], {}]),
+    st.just(DELETE),
+)
+
+
+def _leaves(doc, path=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+
+
+class TestInstanceMutations:
+    """A saved instance with one field mutated either loads and re-saves
+    byte for byte, or exits through a typed error with JSON on stderr."""
+
+    SAVE = {
+        "signature": ["signature", "--lift", "31,5,3,17"],
+        "ec": ["ec", "roundtrip", "--fixture", "f7l13"],
+    }
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("mutations")
+        docs = {}
+        for kind, argv in self.SAVE.items():
+            path = work / f"{kind}.json"
+            assert self._main([*argv, "--save-instance", str(path)])[0] == 0
+            docs[kind] = path.read_text()
+        return work, docs
+
+    @staticmethod
+    def _main(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue()
+
+    def test_fields_cover_the_saved_files(self, saved):
+        _, docs = saved
+        for kind, text in docs.items():
+            assert sorted(_leaves(json.loads(text))) == INSTANCE_FIELDS[kind]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # each pins a mutant the loaders once accepted without re-saving it
+    # byte for byte: a non-canonical or non-string number, a non-boolean
+    # flag, or a two-character string unpacked as a pair
+    @example(field=("signature", ("seed",)), value="05")
+    @example(field=("signature", ("ell",)), value=" 5")
+    @example(field=("signature", ("alpha", 1)), value=True)
+    @example(field=("ec", ("Q",)), value="12")
+    @example(field=("ec", ("seed",)), value=5)
+    @example(field=("ec", ("Q", 0)), value=True)
+    @example(field=("ec", ("sha_assumption",)), value="1")
+    @example(field=("ec", ("p",)), value="+7")
+    @given(field=st.sampled_from([(kind, path) for kind, paths in INSTANCE_FIELDS.items()
+                                  for path in paths]),
+           value=MUTANTS)
+    def test_mutated_field(self, saved, field, value):
+        work, docs = saved
+        kind, path = field
+        doc = json.loads(docs[kind])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        if value is DELETE:
+            del parent[path[-1]]
+        elif isinstance(value, tuple):
+            if not isinstance(old, str):
+                return  # offsets apply to numbers only
+            parent[path[-1]] = str(int(old) + value[1])
+        else:
+            parent[path[-1]] = value
+        text = json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+        mutant, again = work / "mutant.json", work / "again.json"
+        mutant.write_text(text)
+        again.unlink(missing_ok=True)
+        load = self.SAVE[kind][:-2]
+        code, err = self._main([*load, "--instance", str(mutant),
+                                "--save-instance", str(again)])
+        if code == 0:
+            assert again.read_text() == text
+        else:
+            assert code in range(1, 6)
+            assert "error" in json.loads(err)
 
 
 class TestVerify:

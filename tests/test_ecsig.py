@@ -33,6 +33,10 @@ EXTRA_CURVES = [
 ]
 
 
+# f11003l11093: the shipped fixture with a 15-digit D
+F11003 = (11003, 1, 8, 11093, Point(1, 3943), Point(3833, 315))
+
+
 def fixture_instance(seed=0):
     return lift_ec_instance(FIXTURE["a"], FIXTURE["b"], FIXTURE["Qt"],
                             FIXTURE["Rt"], FIXTURE["p"], FIXTURE["ell"], seed)
@@ -86,6 +90,17 @@ class TestLift:
             lift_ec_instance(0, 3, Point(1, 2), Point(6, 3), 7, 13, 0,
                              budget=1)
         assert exc.value.attempts <= 1
+
+    def test_budget_counters_sum_to_attempts(self):
+        # the first Q-lift of f11003l11093 passes; the five R-lifts tried
+        # on it are the five attempts, each with its one rejection
+        from sigcalc.errors import BudgetExhausted
+
+        with pytest.raises(BudgetExhausted) as exc:
+            lift_ec_instance(*F11003[1:3], *F11003[4:], F11003[0], F11003[3], 0,
+                             budget=5)
+        assert sum(exc.value.counters.values()) == exc.value.attempts == 5
+        assert exc.value.counters == {"ell_not_split": 5}
 
     def test_rho_convention_holds(self):
         # R generates E(K_u')/ell and Q generates at u and v
@@ -165,6 +180,45 @@ class TestSignatureRoundTrip:
                               provenance="ecdl-oracle")
         with pytest.raises(VerificationFailed):
             ecdl_from_signature(inst, lambda _: bad)
+
+
+class TestCertificateIsTheSource:
+    @pytest.mark.parametrize("curve, expected", [
+        ((7, 0, 3, 13, Point(1, 2), Point(6, 3)), (1, 3, 2)),
+        (F11003, (8679, 7556, 5)),
+    ])
+    def test_no_local_class_after_the_lift(self, monkeypatch, curve, expected):
+        # every class at u and u' is read from the certificate; the
+        # expected values are the golden ec-roundtrip reports'
+        import sigcalc.ecsig as ecsig
+
+        p, a, b, ell, Qt, Rt = curve
+        inst = lift_ec_instance(a, b, Qt, Rt, p, ell, seed=0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("local_class called after the lift")
+
+        monkeypatch.setattr(ecsig, "local_class", forbidden)
+        sig = signature_from_ecdl(inst, ecdl_oracle_for(inst))
+        m = ecdl_from_signature(inst, lambda _: sig)
+        assert (sig.alpha, sig.beta, m) == expected
+        assert coker_dim(inst) == 0
+        assert coker_dim(inst, [inst.place_v]) == 1
+        assert coker_dim(inst, [inst.place_v, inst.place_v_conj]) == 2
+        assert coker_dim(inst, [inst.place_u]) == 1
+
+    def test_certificate_columns_are_the_places_over_ell(self):
+        inst = fixture_instance()
+        E, ell = inst.lifted_curve, inst.ell
+        assert inst.certificate == tuple(
+            tuple(local_class(P, E, ell, place=w).c
+                  for w in (inst.place_u, inst.place_u_conj))
+            for P in (inst.Q, inst.R))
+        # a place over ell of another field has no certificate column
+        from dataclasses import replace
+
+        with pytest.raises(BadInput):
+            coker_dim(inst, [replace(inst.place_u, D=inst.K.D + 1)])
 
 
 class TestCokerDim:

@@ -55,6 +55,35 @@ def random_point(curve: Curve, rng):
             return Point(x, rng.choice([y, q - y]))
 
 
+def rational_mul(n: int, P, a):
+    """n*P for n >= 0 on y^2 = x^3 + a*x + b over Q, by affine
+    double-and-add in Fraction arithmetic: the exact oracle for the
+    local classes, which sigcalc computes mod ell^2 instead."""
+
+    def add(U, V):
+        if U is INFINITY:
+            return V
+        if V is INFINITY:
+            return U
+        x1, y1, x2, y2 = (Fraction(c) for c in (U.x, U.y, V.x, V.y))
+        if x1 == x2:
+            if y1 + y2 == 0:
+                return INFINITY
+            lam = (3 * x1 * x1 + a) / (2 * y1)
+        else:
+            lam = (y2 - y1) / (x2 - x1)
+        x3 = lam * lam - x1 - x2
+        return Point(x3, lam * (x1 - x3) - y1)
+
+    result = INFINITY
+    while n:
+        if n & 1:
+            result = add(result, P)
+        P = add(P, P)
+        n >>= 1
+    return result
+
+
 class TestGroupLaw:
     def test_identity_and_inverse(self):
         c = Curve(0, 1, ("fp", 5))
@@ -84,22 +113,29 @@ class TestGroupLaw:
         c = Curve(0, Fraction(3), ("rational",))
         P = Point(Fraction(1), Fraction(2))
         assert c.contains(P)
-        twice = ec_scalar_mul(2, P, c)
-        assert c.contains(twice)
+        assert c.contains(rational_mul(2, P, 0))
+        assert not c.contains(Point(Fraction(1), Fraction(3)))
+        assert not c.contains(Point(Fraction(1, 2), 2))
+        # the group law runs over F_q only
+        with pytest.raises(BadInput):
+            ec_add(P, P, c)
+        with pytest.raises(BadInput):
+            ec_scalar_mul(2, P, c)
 
     def test_quadratic_base(self):
         K = RealQuadField(22)
         c = Curve(0, 3, ("quad", 22))
         R = Point(K.element(13, 0), K.from_sqrt_coords(0, 10))
         assert c.contains(R)
-        twice = ec_add(R, R, c)
-        assert c.contains(twice)
-        # associativity with a rational point on the same model
         P = Point(K.element(1, 0), K.element(2, 0))
         assert c.contains(P)
-        lhs = ec_add(ec_add(P, R, c), R, c)
-        rhs = ec_add(P, ec_add(R, R, c), c)
-        assert lhs == rhs
+        assert c.contains(Point(1, 2))
+        assert not c.contains(Point(K.element(13, 0), K.from_sqrt_coords(1, 10)))
+        assert not c.contains(Point(K.element(13, 1), K.from_sqrt_coords(0, 10)))
+        with pytest.raises(BadInput):
+            ec_add(R, P, c)
+        with pytest.raises(BadInput):
+            curve_group_ops(c)
 
 
 class TestGroupOrder:
@@ -316,7 +352,7 @@ def _neg(P, ell: int):
 def exact_class(P, curve: Curve, ell: int) -> int:
     """(z/ell) mod ell for z = -x/y of d*P, d*P computed over Q."""
     d = ec_group_order(curve.reduction(ell))
-    Q = ec_scalar_mul(d, P, Curve(curve.a, curve.b, ("rational",)))
+    Q = rational_mul(d, P, curve.a)
     if Q is INFINITY:
         return 0
     t = -Fraction(Q.x) / Fraction(Q.y) / ell
@@ -340,14 +376,14 @@ class TestLocalClass:
             # locally instead: c(kP) = k*c(P) must hold
             values[k] = local_class(P, base, ell).c * k % ell
         # direct check of c(2P) via the exact rational doubling
-        twoP = ec_scalar_mul(2, P, Curve(0, Fraction(3), ("rational",)))
+        twoP = rational_mul(2, P, 0)
         c2 = local_class(Point(twoP.x, twoP.y), base, ell).c
         assert c2 == values[2]
 
     def test_kills_ell_multiples(self):
         c = Curve(0, 3, ("rational",))
         ell = 13
-        ellP = ec_scalar_mul(ell, Point(1, 2), Curve(0, Fraction(3), ("rational",)))
+        ellP = rational_mul(ell, Point(1, 2), 0)
         assert local_class(ellP, c, ell).c == local_class(Point(1, 2), c, ell).c * ell % ell == 0
 
     def test_membership_oracle_cross_check(self):
@@ -364,9 +400,7 @@ class TestLocalClass:
         G_loc = _proj_mul(k, P_loc, a, b3, N)
         for m in range(1, 6):
             W = _proj_mul(m, P_loc, a, b3, N)
-            cW = local_class(ec_scalar_mul(m, Point(1, 2),
-                                           Curve(0, Fraction(3), ("rational",))),
-                             c, ell).c
+            cW = local_class(rational_mul(m, Point(1, 2), 0), c, ell).c
             # W - cW * G must be in ell*E
             minus = _proj_mul(cW, G_loc, a, b3, N)
             assert in_ell_E(_proj_add(W, _neg(minus, ell), a, b3, N), c, ell)
@@ -399,7 +433,7 @@ class TestLocalClass:
         assume(E.discriminant() % ell != 0)
         d = ec_group_order(E.reduction(ell))
         assume(d % ell != 0 and d <= 20)
-        P = ec_scalar_mul(k, Point(x, y), E)
+        P = rational_mul(k, Point(x, y), a)
         cls = local_class(P, E, ell)
         assert cls.d == d
         assert cls.c == exact_class(P, E, ell)

@@ -25,7 +25,7 @@ def test_library_has_no_assert_statements():
 
 
 def test_lift_ec_instance_checks_the_reductions(monkeypatch):
-    monkeypatch.setattr(ecsig, "_reduce_point", lambda point, place, q: Point(0, 0))
+    monkeypatch.setattr(ecsig, "_reduce_point", lambda point, place: Point(0, 0))
     with pytest.raises(VerificationFailed):
         ecsig.lift_ec_instance(0, 3, Point(1, 2), Point(6, 3), 7, 13, seed=0)
 
