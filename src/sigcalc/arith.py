@@ -41,10 +41,12 @@ __all__ = [
     "integer_cbrt",
     "sqrt_mod_prime",
     "jacobi",
+    "gauss_reduce",
     "row_reduce_mod",
     "rank_mod",
     "parse_decimal",
     "parse_pair",
+    "require_known_keys",
 ]
 
 
@@ -62,6 +64,16 @@ def parse_pair(value, parse=parse_decimal) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"not a list of two entries: {value!r}")
     return parse(value[0]), parse(value[1])
+
+
+def require_known_keys(doc, keys) -> None:
+    """BadInput when the JSON object doc holds a key outside keys: a
+    loader would drop it, so the file would not re-save byte for byte."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a JSON object: {doc!r}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise BadInput(f"unknown keys in instance file: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -492,6 +504,31 @@ def factor_smooth(n: int, bound: int) -> dict[int, int]:
                 e += 1
             factors[q] = e
     return factors
+
+
+def gauss_reduce(u: tuple[int, int], v: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Lagrange-Gauss reduction of a basis (u, v) of a lattice in Z^2.
+
+    Returns a basis (b1, b2) of the same lattice with |b1| <= |b2| and
+    |b1.b2| <= |b1|^2 / 2, so b1 is a shortest nonzero vector.  Each
+    size reduction subtracts the nearest integer multiple, rounded
+    exactly in integers.
+    """
+    if u[0] * v[1] - u[1] * v[0] == 0:
+        raise BadInput("the basis vectors must be independent")
+
+    def norm2(w):
+        return w[0] * w[0] + w[1] * w[1]
+
+    if norm2(u) > norm2(v):
+        u, v = v, u
+    while True:
+        n = norm2(u)
+        q = (2 * (u[0] * v[0] + u[1] * v[1]) + n) // (2 * n)
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        if norm2(v) >= n:
+            return u, v
+        u, v = v, u
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from math import isqrt
 
 from .arith import (
     ell_power_residue_test,
     factor_smooth,
     factorint,
+    gauss_reduce,
     is_prime,
     jacobi,
     least_primitive_root,
     parse_decimal,
     parse_pair,
+    require_known_keys,
     smooth_cofactor,
     teichmuller,
 )
@@ -317,62 +320,140 @@ def dl_from_signature(a: int, g: int, p: int, ell: int, sig_oracle,
     return m
 
 
-def _beta_attempt(instance: CharSignatureInstance, base: FactorBase,
-                  columns: dict, alpha_res_v: int, alpha_res_u: int,
-                  seed: int, index: int, height_span: int) -> Relation | str:
-    """Pure sampling attempt: one candidate beta = r*alpha + s_int.
+def _nearest(n: int, d: int) -> int:
+    """The integer nearest n/d (halves round up), exactly."""
+    if d < 0:
+        n, d = -n, -d
+    return (2 * n + d) // (2 * d)
 
-    beta is forced to reduce to g at v (shifting either component by
-    multiples of p preserves the residue), kept a unit at u, and
-    accepted when its norm factors over the base places together with
-    the dedicated conjugate columns.  Returns the relation row, or the
-    reason for rejecting the candidate.
+
+def _shell_point(index: int, key: int) -> tuple[int, int]:
+    """The index-th point of Z^2 taken by square shells.
+
+    Shell k holds the 8k points with max(|a|, |b|) = k, so indices
+    below (2k+1)^2 cover the square [-k, k]^2 exactly once.  Within a
+    shell the points run round the square's boundary, starting at an
+    offset that the key sets.
     """
-    p, ell = instance.p, instance.ell
-    rng = rng_for(seed, "beta", index)
-    span = height_span + index // 2000  # widen the height cap as attempts mount
-    r = rng.randrange(1, p) + p * rng.randrange(0, span)
-    s_int = (instance.g - r * alpha_res_v) % p + p * rng.randrange(-span, span + 1)
-    if (r * alpha_res_u + s_int) % ell == 0:
-        return "not_unit_at_u"
-    beta = r * instance.alpha + instance.K.element(s_int, 0)
-    norm = abs(beta.norm())
-    if norm == 0:
-        return "zero_norm"
-    e_ell = 0
-    while norm % ell == 0:
-        norm //= ell
-        e_ell += 1
-    e_p = 0
-    while norm % p == 0:
-        norm //= p
-        e_p += 1
-    if smooth_cofactor(norm, base.bound) > 1:
-        return "not_smooth"
-    exponents = dict(factor_smooth(norm, base.bound))
-    coeffs: dict[str, int] = {SIGNATURE_COLUMN: teichmuller(
-        embed(beta, instance.place_u, 2).value, ell).y}
-    for place, e in place_valuations(beta, exponents):
-        if place not in columns:
-            return "outside_base"  # support at an inert place > sqrt(B)
-        coeffs[columns[place]] = coeffs.get(columns[place], 0) + e
-    if e_ell:
-        coeffs[columns[instance.place_u_conj]] = e_ell
-    if e_p:
-        coeffs[columns[instance.place_v_conj]] = e_p
-    return Relation.make(coeffs, -1, ell)
+    k = (isqrt(index) + 1) // 2
+    if k == 0:
+        return 0, 0
+    side, t = divmod((index - (2 * k - 1) ** 2 + key) % (8 * k), 2 * k)
+    if side == 0:
+        return k, t - k
+    if side == 1:
+        return k - t, k
+    if side == 2:
+        return -k, k - t
+    return t - k, -k
+
+
+@dataclass(frozen=True)
+class _BetaSearch:
+    """Candidates beta = r*alpha + s for one signature search.
+
+    beta = g at v says r*a_v + s = g mod p, which holds exactly on a
+    coset of the determinant-p lattice L = {(r, s) : r*a_v + s = 0 mod p}.
+    Both vectors of a Gauss-reduced basis b1, b2 of L are about sqrt(p)
+    long, so attempt i takes (r, s) = center + a*b1 + b*b2 for the i-th
+    point (a, b) of the square shells of Z^2: on shell k, |r| and |s|
+    are about k*sqrt(p) and |N(beta)| = |s^2 + Tr(alpha)*r*s +
+    N(alpha)*r^2| about Tr(alpha)*k^2*p (Pollard's lattice sieve on the
+    norm form).  center is the coset point that rounding (0, g) to L
+    leaves, and the key, drawn once from the seed, rotates each shell.
+    """
+
+    instance: CharSignatureInstance
+    bound: int
+    columns: dict  # base place -> column name, u' and v' included
+    center: tuple[int, int]
+    b1: tuple[int, int]
+    b2: tuple[int, int]
+    key: int
+    alpha_res_u: int
+    alpha_trace: int
+    alpha_norm: int
+
+    @classmethod
+    def start(cls, instance: CharSignatureInstance, bound: int, seed: int) -> "_BetaSearch":
+        base = FactorBase.quadratic(
+            instance.K, bound, exclude=(instance.place_u, instance.place_v))
+        columns = {place: pairing_column(place) for place in base.entries}
+        for place in (instance.place_u_conj, instance.place_v_conj):
+            columns.setdefault(place, pairing_column(place))
+        p, g = instance.p, instance.g
+        b1, b2 = gauss_reduce((1, -instance.residue_at_v() % p), (0, p))
+        det = b1[0] * b2[1] - b1[1] * b2[0]
+        c1, c2 = _nearest(-g * b2[0], det), _nearest(g * b1[0], det)
+        center = (-c1 * b1[0] - c2 * b2[0], g - c1 * b1[1] - c2 * b2[1])
+        alpha = instance.alpha
+        return cls(instance, bound, columns, center, b1, b2,
+                   key=rng_for(seed, "beta").getrandbits(64),
+                   alpha_res_u=embed(alpha, instance.place_u, 1).value,
+                   alpha_trace=alpha.trace(), alpha_norm=alpha.norm())
+
+    def pair(self, index: int) -> tuple[int, int]:
+        """(r, s) of attempt `index`; r*a_v + s = g mod p."""
+        a, b = _shell_point(index, self.key)
+        (r0, s0), (r1, s1), (r2, s2) = self.center, self.b1, self.b2
+        return r0 + a * r1 + b * r2, s0 + a * s1 + b * s2
+
+    def attempt(self, index: int) -> Relation | str:
+        """Pure attempt: the relation of beta = r*alpha + s, or the reason
+        for rejecting it.
+
+        beta is kept a unit at u and accepted when its norm factors over
+        the base places together with the dedicated conjugate columns.
+        The norm is screened in plain integers; beta itself is built
+        only for a smooth candidate.
+        """
+        instance = self.instance
+        p, ell = instance.p, instance.ell
+        r, s_int = self.pair(index)
+        if (r * self.alpha_res_u + s_int) % ell == 0:
+            return "not_unit_at_u"
+        norm = abs(s_int * s_int + self.alpha_trace * r * s_int + self.alpha_norm * r * r)
+        if norm == 0:
+            return "zero_norm"
+        e_ell = 0
+        while norm % ell == 0:
+            norm //= ell
+            e_ell += 1
+        e_p = 0
+        while norm % p == 0:
+            norm //= p
+            e_p += 1
+        if smooth_cofactor(norm, self.bound) > 1:
+            return "not_smooth"
+        beta = r * instance.alpha + instance.K.element(s_int, 0)
+        exponents = factor_smooth(norm, self.bound)
+        columns = self.columns
+        coeffs: dict[str, int] = {SIGNATURE_COLUMN: teichmuller(
+            embed(beta, instance.place_u, 2).value, ell).y}
+        for place, e in place_valuations(beta, exponents):
+            if place not in columns:
+                return "outside_base"  # support at an inert place > sqrt(B)
+            coeffs[columns[place]] = coeffs.get(columns[place], 0) + e
+        if e_ell:
+            coeffs[columns[instance.place_u_conj]] = e_ell
+        if e_p:
+            coeffs[columns[instance.place_v_conj]] = e_p
+        return Relation.make(coeffs, -1, ell)
 
 
 def signature_index_calculus(instance: CharSignatureInstance, bound: int,
-                             seed: int, max_attempts: int = 500_000,
-                             height_span: int = 4) -> CharSignature:
+                             seed: int, max_attempts: int = 500_000) -> CharSignature:
     """Ramification signature by relation collection over field places.
 
-    Random beta = r*alpha + s with beta = g at v and beta a local unit
-    at u satisfy 1 + y_beta*s + sum_w e_w*x_w = 0 over F_ell, where the
-    x_w are the (unknown, normalised) unramified pairing values at the
-    base places and at the dedicated conjugate places u', v'.  Solving
-    the system pins the signature unknown s.
+    Candidates beta = r*alpha + s with beta = g at v and beta a local
+    unit at u (`_BetaSearch`) satisfy 1 + y_beta*s + sum_w e_w*x_w = 0
+    over F_ell, where the x_w are the (unknown, normalised) unramified
+    pairing values at the base places and at the dedicated conjugate
+    places u', v'.  Solving the system pins the signature unknown s.
+    Raises BudgetExhausted after max_attempts attempts, with one
+    counter per outcome that sums to the attempts made: a rejection
+    reason, "accepted", or "rank_deficient_solves" for a relation whose
+    solve left s undetermined.
     """
     if bound < 2:
         raise BadInput("bound must be >= 2")
@@ -380,23 +461,15 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     if not report.all_ok:
         raise BadInput(f"instance fails its conditions: {report.as_dict()}")
     ell = instance.ell
-    base = FactorBase.quadratic(
-        instance.K, bound, exclude=(instance.place_u, instance.place_v))
-    columns = {place: pairing_column(place) for place in base.entries}
-    columns.setdefault(instance.place_u_conj, pairing_column(instance.place_u_conj))
-    columns.setdefault(instance.place_v_conj, pairing_column(instance.place_v_conj))
-    alpha_res_v = instance.residue_at_v()
-    alpha_res_u = embed(instance.alpha, instance.place_u, 1).value
-    target = len(columns) + 9
+    search = _BetaSearch.start(instance, bound, seed)
+    target = len(search.columns) + 9
     relations: list[Relation] = []
     seen: set = set()
     counters = {"not_unit_at_u": 0, "zero_norm": 0, "not_smooth": 0,
-                "outside_base": 0, "duplicate": 0}
-    index = 0
-    while index < max_attempts:
-        rel = _beta_attempt(instance, base, columns, alpha_res_v, alpha_res_u,
-                            seed, index, height_span)
-        index += 1
+                "outside_base": 0, "duplicate": 0, "accepted": 0,
+                "rank_deficient_solves": 0}
+    for index in range(max_attempts):
+        rel = search.attempt(index)
         if isinstance(rel, str):
             counters[rel] += 1
             continue
@@ -406,24 +479,26 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
         seen.add(rel.coeffs)
         relations.append(rel)
         if len(relations) < target:
+            counters["accepted"] += 1
             continue
         try:
             solved = solve_linear_mod_ell(relations, [SIGNATURE_COLUMN], ell)
         except RankDeficient:
-            target += max(4, len(columns) // 4)
+            counters["rank_deficient_solves"] += 1
+            target += max(4, len(search.columns) // 4)
             continue
         s = solved.values[SIGNATURE_COLUMN]
         if s == 0:
             raise VerificationFailed("signature must be nonzero")
         return CharSignature(s=s, provenance="index-calculus")
-    if relations:
-        raise RankDeficient([SIGNATURE_COLUMN],
-                            "relation budget exhausted before full rank")
     raise BudgetExhausted(max_attempts, counters)
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+INSTANCE_KEYS = ("D", "a", "alpha", "ell", "g", "p", "seed", "u_root_label", "v_root_label")
 
 
 def instance_to_json(instance: CharSignatureInstance) -> str:
@@ -446,6 +521,7 @@ def instance_from_json(text: str) -> CharSignatureInstance:
     """Parse an instance file, holding it to the invariants of a lift:
     g generates F_p^*, N(alpha) = -1 and alpha reduces to a at v."""
     doc = json.loads(text)
+    require_known_keys(doc, INSTANCE_KEYS)
     p, ell = parse_decimal(doc["p"]), parse_decimal(doc["ell"])
     K = RealQuadField(parse_decimal(doc["D"]))
     alpha = K.element(*parse_pair(doc["alpha"]))

@@ -13,7 +13,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arith import bsgs_dlog, is_prime, jacobi, parse_decimal, parse_pair, rank_mod
+from .arith import (
+    bsgs_dlog,
+    is_prime,
+    jacobi,
+    parse_decimal,
+    parse_pair,
+    rank_mod,
+    require_known_keys,
+)
 from .errors import (
     AssumptionViolated,
     BadInput,
@@ -179,6 +187,11 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
             if w <= 0:
                 reject("cubic_value_not_positive")
                 continue
+            # w = f^2 * D, so when ell does not divide w the symbols of w
+            # and D at ell agree: reject before factoring w
+            if w % ell and jacobi(w % ell, ell) != 1:
+                reject("ell_not_split")
+                continue
             D, f = squarefree_kernel(w)
             if D == 1:
                 reject("cubic_value_square")
@@ -230,12 +243,12 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
 def _local_coordinates(instance: EcSignatureInstance, place: Place) -> tuple[int, int]:
     """Coordinates of Q and R in E(K_w)/ell = F_ell at a place away from
     ell: the discrete logs of their reductions against the reduction of
-    Q (a generator, the reduced curve having prime order ell)."""
+    Q (a generator, the reduced curve having prime order ell).  Q's is 1,
+    as its reduction is an affine point and so not the identity."""
     ell = instance.ell
     ops = curve_group_ops(instance.lifted_curve.reduction(place.q))
     gen = _reduce_point(instance.Q, place)
-    return tuple(bsgs_dlog(gen, _reduce_point(P, place), ell, **ops) % ell
-                 for P in (instance.Q, instance.R))
+    return 1, bsgs_dlog(gen, _reduce_point(instance.R, place), ell, **ops) % ell
 
 
 def signature_from_ecdl(instance: EcSignatureInstance, ecdl_oracle) -> EcSignature:
@@ -368,6 +381,10 @@ def scan_torsion_places(curve: Curve, K: RealQuadField, ell: int,
 # serialization
 
 
+EC_INSTANCE_KEYS = ("D", "Q", "R", "a", "b_r", "ell", "p", "seed", "sha_assumption",
+                    "u_root_label", "v_root_label")
+
+
 def ec_instance_to_json(instance: EcSignatureInstance) -> str:
     """Canonical JSON; numbers as decimal strings, flag as a boolean."""
     doc = {
@@ -392,6 +409,7 @@ def ec_instance_from_json(text: str) -> EcSignatureInstance:
     Q and R on the curve, a base curve of prime order ell, and an
     invertible independence certificate."""
     doc = json.loads(text)
+    require_known_keys(doc, EC_INSTANCE_KEYS)
     p, ell = parse_decimal(doc["p"]), parse_decimal(doc["ell"])
     a, b_r = parse_decimal(doc["a"]), parse_decimal(doc["b_r"])
     K = RealQuadField(parse_decimal(doc["D"]))

@@ -190,9 +190,6 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
     def sqrt_coords(self) -> tuple:
         """(x, y) with self = x + y*sqrt(D); halves possible for D=1 mod 4."""
         from fractions import Fraction
@@ -389,12 +386,6 @@ class Place:
     @property
     def degree(self) -> int:
         return 2 if self.splitting == "inert" else 1
-
-    def conjugate_root(self) -> int:
-        if self.splitting != "split":
-            raise BadInput("only split places have conjugate labels")
-        mod = 8 if self.q == 2 else self.q
-        return (-self.root_label) % mod
 
     def sort_key(self):
         return (self.norm, self.q, self.root_label if self.root_label is not None else -1)

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from sigcalc.arith import (
     ell_power_residue_test,
     factor_smooth,
     factorint,
+    gauss_reduce,
     hensel_sqrt,
     integer_cbrt,
     is_prime,
@@ -329,6 +331,42 @@ def sparse_systems(draw):
         dense.append(row)
     consts = [sum(c * t for c, t in zip(row, truth)) % ell for row in dense]
     return ell, ncols, truth, dense, consts
+
+
+class TestGaussReduce:
+    @staticmethod
+    def norm2(w):
+        return w[0] * w[0] + w[1] * w[1]
+
+    @given(st.integers(-60, 60), st.integers(-60, 60),
+           st.integers(-60, 60), st.integers(-60, 60))
+    def test_reduced_basis_of_the_same_lattice(self, a, b, c, d):
+        det = a * d - b * c
+        assume(det != 0)
+
+        def in_lattice(r, s):
+            return (r * d - s * c) % det == 0 and (a * s - b * r) % det == 0
+
+        b1, b2 = gauss_reduce((a, b), (c, d))
+        assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == abs(det)
+        assert in_lattice(*b1) and in_lattice(*b2)
+        n1 = self.norm2(b1)
+        assert n1 <= self.norm2(b2)
+        assert 2 * abs(b1[0] * b2[0] + b1[1] * b2[1]) <= n1
+        # no nonzero lattice vector is shorter than b1
+        box = isqrt(n1)
+        assert not any(in_lattice(r, s) and 0 < r * r + s * s < n1
+                       for r in range(-box, box + 1) for s in range(-box, box + 1))
+
+    def test_determinant_p_lattice(self):
+        # L = {(r, s) : 396*r + s = 0 mod 1009}: 28*396 + 11 = 11*1009 and
+        # 23*396 - 27 = 9*1009, two vectors near sqrt(1009) = 31.8 long
+        # spanning a lattice of determinant 28*(-27) - 11*23 = -1009
+        assert gauss_reduce((1, -396 % 1009), (0, 1009)) == ((28, 11), (23, -27))
+
+    def test_dependent_basis_rejected(self):
+        with pytest.raises(BadInput):
+            gauss_reduce((2, 4), (-1, -2))
 
 
 class TestSparseKernel:

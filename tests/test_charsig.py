@@ -3,9 +3,11 @@ from math import isqrt
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, assume, given, reject, settings, strategies as st
 
 from sigcalc.arith import bsgs_dlog, mult_group_ops, teichmuller
 from sigcalc.charsig import (
+    INSTANCE_KEYS,
     SIGNATURE_COLUMN,
     check_conditions,
     dl_from_signature,
@@ -15,12 +17,14 @@ from sigcalc.charsig import (
     pairing_column,
     signature_from_dl,
     signature_index_calculus,
-    _beta_attempt,
+    _BetaSearch,
+    _shell_point,
 )
 from sigcalc.errors import (
     BadInput,
     DegenerateTarget,
     OracleInconsistent,
+    SigcalcError,
     VerificationFailed,
 )
 from sigcalc.indexcalc import FactorBase
@@ -287,24 +291,22 @@ class TestSignatureIndexCalculus:
             return None
 
         oracle_x = {}
-        columns = {}
+        search = _BetaSearch.start(inst, bound, 0)
         base = FactorBase.quadratic(inst.K, bound,
                                     exclude=(inst.place_u, inst.place_v))
-        for place in (*base.entries, inst.place_u_conj, inst.place_v_conj):
-            columns[place] = pairing_column(place)
+        places = (*base.entries, inst.place_u_conj, inst.place_v_conj)
+        assert search.columns == {place: pairing_column(place) for place in places}
+        for place in places:
             xi = generator_of(place)
             if xi is None:
                 continue
-            oracle_x[columns[place]] = (-(y_u(xi) * s_true + theta_v(xi))) % ell
+            oracle_x[pairing_column(place)] = (-(y_u(xi) * s_true + theta_v(xi))) % ell
         # require the oracle to cover the base: h = 1 guarantees generators
-        assert len(oracle_x) == len(columns)
+        assert len(oracle_x) == len(search.columns)
 
-        alpha_res_v = inst.residue_at_v()
-        alpha_res_u = embed(inst.alpha, inst.place_u, 1).value
         rows = 0
         for index in range(300_000):
-            rel = _beta_attempt(inst, base, columns, alpha_res_v, alpha_res_u,
-                                0, index, 4)
+            rel = search.attempt(index)
             if isinstance(rel, str):
                 continue  # a rejection reason
             total = 1  # the theta_v(beta) = 1 contribution at v
@@ -330,6 +332,84 @@ def _integral_half(K, X, b):
     return K.from_sqrt_coords(X // 2, b // 2)
 
 
+# (p, ell) with ell | p - 1 at which 50 of 50 seeded generic lifts solved at
+# B = 200 within 20k attempts
+SMALL_PAIRS = [(31, 5), (61, 5), (71, 7), (101, 5), (131, 13), (151, 5), (181, 5), (211, 7)]
+
+
+@st.composite
+def small_lifts(draw):
+    """(instance, seed) for a uniform non-ell-th-power target at a small p."""
+    p, ell = draw(st.sampled_from(SMALL_PAIRS))
+    a = draw(st.integers(2, p - 2))
+    seed = draw(st.integers(0, 10**6))
+    assume(pow(a, (p - 1) // ell, p) != 1)
+    try:
+        return lift_unit(a, p, ell, seed), seed
+    except SigcalcError:
+        reject()
+
+
+class TestBetaSearch:
+    @given(key=st.integers(0, 2**64 - 1), k=st.integers(0, 15))
+    def test_shells_cover_each_square_once(self, key, k):
+        points = [_shell_point(i, key) for i in range((2 * k + 1) ** 2)]
+        assert sorted(points) == [(a, b) for a in range(-k, k + 1) for b in range(-k, k + 1)]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(lift=small_lifts(), k=st.integers(0, 12))
+    def test_pairs_lie_on_the_coset(self, lift, k):
+        inst, seed = lift
+        p, a_v = inst.p, inst.residue_at_v()
+        search = _BetaSearch.start(inst, 60, seed)
+        (r1, s1), (r2, s2) = search.b1, search.b2
+        assert abs(r1 * s2 - s1 * r2) == p
+        pairs = [search.pair(i) for i in range((2 * k + 1) ** 2)]
+        assert all((r * a_v + s - inst.g) % p == 0 for r, s in pairs)
+        assert len(set(pairs)) == len(pairs)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(lift=small_lifts())
+    def test_same_seed_same_relations(self, lift):
+        inst, seed = lift
+
+        def relations(seed):
+            search = _BetaSearch.start(inst, 200, seed)
+            return [rel for rel in map(search.attempt, range(400)) if not isinstance(rel, str)]
+
+        first = relations(seed)
+        assert first and relations(seed) == first
+
+    def test_seed_rotates_the_shells(self):
+        inst = lift_unit(17, 31, 5, seed=0)
+        orders = [[_BetaSearch.start(inst, 60, seed).pair(i) for i in range(25)]
+                  for seed in (0, 1)]
+        assert orders[0] != orders[1]
+        assert sorted(orders[0]) == sorted(orders[1])
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(lift=small_lifts())
+    def test_agrees_with_dl_oracle_on_generic_lifts(self, lift):
+        inst, seed = lift
+        s_dl = signature_from_dl(inst, bsgs_oracle(inst.p)).s
+        assert signature_index_calculus(inst, 200, seed, max_attempts=20_000).s == s_dl
+
+    @pytest.mark.parametrize("p, ell, g, a, seed", [
+        (1013, 11, 3, 200, 0),
+        (1093, 13, 5, 33, 1),
+    ])
+    def test_generic_lift_solves_at_b150(self, p, ell, g, a, seed):
+        # uniform targets of the benchmark's generic_targets(seed): draws
+        # of r, s up to (4 + i/2000)*p left both RankDeficient after 50k
+        # attempts; the lattice enumeration solves them in 4617 and 3828
+        inst = lift_unit(a, p, ell, seed, g=g)
+        s_dl = signature_from_dl(inst, bsgs_oracle(p)).s
+        assert signature_index_calculus(inst, 150, seed, max_attempts=50_000).s == s_dl
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         inst = lift_unit(17, 31, 5, seed=3)
@@ -341,6 +421,15 @@ class TestSerialization:
         assert again.place_u == inst.place_u
         assert again.place_v == inst.place_v
         assert again.condition_report.all_ok
+
+    def test_unknown_key_is_rejected(self):
+        import json
+
+        doc = json.loads(instance_to_json(lift_unit(17, 31, 5, seed=0)))
+        assert sorted(doc) == list(INSTANCE_KEYS)
+        doc["extra"] = "1"
+        with pytest.raises(BadInput, match="unknown keys"):
+            instance_from_json(json.dumps(doc))
 
     def test_numbers_are_decimal_strings(self):
         import json

@@ -240,6 +240,13 @@ class TestMalformedInstanceFile:
         self._load(kind, path)
 
     @pytest.mark.parametrize("kind", ["signature", "ec"])
+    def test_unknown_key(self, kind, saved, tmp_path):
+        # a key the loader does not know would be dropped on re-save
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**saved[kind], "extra": "1"}))
+        self._load(kind, path)
+
+    @pytest.mark.parametrize("kind", ["signature", "ec"])
     def test_bad_json(self, kind, tmp_path):
         path = tmp_path / "instance.json"
         path.write_text("{")

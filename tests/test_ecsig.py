@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sigcalc.arith import bsgs_dlog
+from sigcalc.arith import bsgs_dlog, jacobi
 from sigcalc.ecsig import (
+    EC_INSTANCE_KEYS,
     coker_dim,
     ec_instance_from_json,
     ec_instance_to_json,
@@ -20,7 +22,7 @@ from sigcalc.ecurve import (
     local_class,
 )
 from sigcalc.errors import BadInput, SingularSystem, VerificationFailed
-from sigcalc.quadfield import split_places
+from sigcalc.quadfield import split_places, squarefree_kernel
 from sigcalc.seeds import rng_for
 
 FIXTURE = dict(a=0, b=3, p=7, ell=13, Qt=Point(1, 2), Rt=Point(6, 3))
@@ -101,6 +103,28 @@ class TestLift:
                              budget=5)
         assert sum(exc.value.counters.values()) == exc.value.attempts == 5
         assert exc.value.counters == {"ell_not_split": 5}
+
+    def test_ell_not_split_rejected_before_factoring(self, monkeypatch):
+        # the five rejections above come from the symbol of the cubic
+        # value at ell; none of the five cubic values is factored
+        import sigcalc.ecsig as ecsig
+        from sigcalc.errors import BudgetExhausted
+
+        factored = []
+        monkeypatch.setattr(ecsig, "squarefree_kernel", factored.append)
+        with pytest.raises(BudgetExhausted):
+            lift_ec_instance(*F11003[1:3], *F11003[4:], F11003[0], F11003[3], 0,
+                             budget=5)
+        assert factored == []
+
+    @given(st.sampled_from((3, 5, 7, 11, 13, 10007, 11093)), st.integers(1, 10**15))
+    @settings(max_examples=200, deadline=None)
+    def test_cubic_value_and_kernel_share_the_symbol_at_ell(self, ell, w):
+        # the screen before squarefree_kernel rejects exactly what the
+        # check on D would: w = f^2 * D, with ell dividing neither
+        assume(w % ell)
+        D, _ = squarefree_kernel(w)
+        assert jacobi(w % ell, ell) == jacobi(D % ell, ell)
 
     def test_rho_convention_holds(self):
         # R generates E(K_u')/ell and Q generates at u and v
@@ -328,6 +352,15 @@ class TestSerialization:
         assert doc["p"] == "7" and doc["ell"] == "13"
         assert doc["sha_assumption"] is True
         assert isinstance(doc["Q"][0], str)
+
+    def test_unknown_key_is_rejected(self):
+        import json
+
+        doc = json.loads(ec_instance_to_json(fixture_instance()))
+        assert sorted(doc) == list(EC_INSTANCE_KEYS)
+        doc["extra"] = "1"
+        with pytest.raises(BadInput, match="unknown keys"):
+            ec_instance_from_json(json.dumps(doc))
 
     def test_point_off_the_curve_is_rejected(self):
         import json
