@@ -13,15 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arith import (
-    bsgs_dlog,
-    is_prime,
-    jacobi,
-    parse_decimal,
-    parse_pair,
-    rank_mod,
-    require_known_keys,
-)
+from .arith import is_prime, jacobi, parse_decimal, parse_pair, require_known_keys
 from .errors import (
     AssumptionViolated,
     BadInput,
@@ -33,9 +25,9 @@ from .ecurve import (
     Curve,
     INFINITY,
     Point,
-    curve_group_ops,
     ec_group_order,
     ec_scalar_mul,
+    hasse_interval,
     local_class,
 )
 from .quadfield import (
@@ -177,7 +169,7 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
         if d_ell % ell == 0:
             reject("ell_divides_reduced_order")
             continue
-        cQ = local_class(Q, E, ell).c
+        cQ = local_class(Q, E, ell, d=d_ell).c
         if cQ == 0:
             reject("Q_trivial_at_ell")
             continue
@@ -215,8 +207,8 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 reject("no_v_label")
                 continue
             vi = images.index(nu0)
-            cR_u = local_class(R, E, ell, place=u_places[0]).c
-            cR_uc = local_class(R, E, ell, place=u_places[1]).c
+            cR_u = local_class(R, E, ell, place=u_places[0], d=d_ell).c
+            cR_uc = local_class(R, E, ell, place=u_places[1], d=d_ell).c
             det = (cQ * cR_uc - cQ * cR_u) % ell
             if det == 0:
                 reject("certificate_singular")
@@ -238,17 +230,6 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 raise VerificationFailed("lifted points do not reduce to Qt, Rt at v")
             return instance
     raise BudgetExhausted(attempts, counters)
-
-
-def _local_coordinates(instance: EcSignatureInstance, place: Place) -> tuple[int, int]:
-    """Coordinates of Q and R in E(K_w)/ell = F_ell at a place away from
-    ell: the discrete logs of their reductions against the reduction of
-    Q (a generator, the reduced curve having prime order ell).  Q's is 1,
-    as its reduction is an affine point and so not the identity."""
-    ell = instance.ell
-    ops = curve_group_ops(instance.lifted_curve.reduction(place.q))
-    gen = _reduce_point(instance.Q, place)
-    return 1, bsgs_dlog(gen, _reduce_point(instance.R, place), ell, **ops) % ell
 
 
 def signature_from_ecdl(instance: EcSignatureInstance, ecdl_oracle) -> EcSignature:
@@ -315,14 +296,19 @@ def coker_dim(instance: EcSignatureInstance, extra_places=()) -> int:
 
     S is {u, u'} together with the extra places.  Assumes the recorded
     triviality flag and that (Q, R) generate E(K)/ell.  Good degree-1
-    places contribute the local dimension from the reduced group order;
-    bad places must pass the vanishing proxy and contribute 0.
+    places contribute the local dimension from the reduced group order,
+    1 or 0; bad places must pass the vanishing proxy and contribute 0.
+    The image is spanned by the coordinates of Q and R, and the
+    certificate's columns at u and u' already have rank 2, so the
+    cokernel has dimension (contributing places) - 2 and no coordinate
+    away from ell is computed.
     """
     if not instance.sha_assumption:
         raise AssumptionViolated("instance built without the triviality flag")
+    if instance.certificate_det() == 0:
+        raise SingularSystem("independence certificate violated")
     ell = instance.ell
-    ell_columns = {instance.place_u: 0, instance.place_u_conj: 1}
-    columns: list[tuple[int, int]] = []  # the (Q, R) coordinates at each place
+    contributing = 0
     disc = abs(instance.lifted_curve.discriminant())
     for place in [instance.place_u, instance.place_u_conj, *extra_places]:
         if place.degree != 1:
@@ -333,22 +319,17 @@ def coker_dim(instance: EcSignatureInstance, extra_places=()) -> int:
                     f"bad place {place} fails the local-vanishing proxy")
             continue  # contributes the zero group
         if place.q == ell:
-            # dimension 1, as ell does not divide d_ell; the classes are
-            # the certificate's
-            if place not in ell_columns:
+            # dimension 1, as ell does not divide d_ell
+            if place not in (instance.place_u, instance.place_u_conj):
                 raise BadInput(f"{place} is not a place of K over ell")
-            columns.append(tuple(row[ell_columns[place]] for row in instance.certificate))
-            continue
-        if place.q != instance.p:  # at p the reduced order is exactly ell
+        elif place.q != instance.p:  # at p the reduced order is exactly ell
             order = ec_group_order(instance.lifted_curve.reduction(place.q))
             if order % (ell * ell) == 0:
                 raise BadInput(f"ell^2 divides the reduced order at {place}")
             if order % ell:
                 continue  # the local group is zero
-        columns.append(_local_coordinates(instance, place))
-    if not columns:
-        return 0
-    return len(columns) - rank_mod([list(row) for row in zip(*columns)], ell)
+        contributing += 1
+    return contributing - 2
 
 
 def scan_torsion_places(curve: Curve, K: RealQuadField, ell: int,
@@ -356,8 +337,10 @@ def scan_torsion_places(curve: Curve, K: RealQuadField, ell: int,
     """Degree-1 good-reduction places w of norm <= bound, away from ell,
     where ell divides the reduced group order.
 
-    Empty whenever bound < (sqrt(ell)-1)^2: the Hasse interval keeps
-    ell-torsion away from small residue fields.
+    A prime q whose Hasse interval holds no multiple of ell is skipped
+    before its places are split or its curve counted.  So nothing is
+    counted, and the scan is empty, whenever bound < (sqrt(ell)-1)^2:
+    the Hasse interval keeps ell-torsion away from small residue fields.
     """
     from .arith import primes_up_to
 
@@ -368,6 +351,9 @@ def scan_torsion_places(curve: Curve, K: RealQuadField, ell: int,
     for q in primes_up_to(bound):
         if q == 2 or q == ell or disc % q == 0:
             continue
+        lo, hi = hasse_interval(q)
+        if hi // ell * ell < lo:
+            continue  # no multiple of ell can be #E(F_q)
         degree_one = [w for w in split_places(q, K) if w.degree == 1 and w.norm <= bound]
         if not degree_one:
             continue
@@ -426,9 +412,9 @@ def ec_instance_from_json(text: str) -> EcSignatureInstance:
         raise BadInput("Q and R must lie on y^2 = x^3 + a*x + b_r")
     _require_prime_order_base(Curve(a % p, b_r % p, ("fp", p)), ell)
     d_ell = ec_group_order(E.reduction(ell))
-    cQ = local_class(Q, E, ell).c
-    cR_u = local_class(R, E, ell, place=u).c
-    cR_uc = local_class(R, E, ell, place=u_conj).c
+    cQ = local_class(Q, E, ell, d=d_ell).c
+    cR_u = local_class(R, E, ell, place=u, d=d_ell).c
+    cR_uc = local_class(R, E, ell, place=u_conj, d=d_ell).c
     instance = EcSignatureInstance(
         p=p, ell=ell, base_a=a % p, base_b=b_r % p, Qt=_reduce_point(Q, v),
         Rt=_reduce_point(R, v), a=a, b_r=b_r, Q=Q, R=R, K=K,

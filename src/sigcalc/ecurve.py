@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .arith import bsgs_dlog, factorint, is_prime, jacobi, sqrt_mod_prime
 from .errors import (
@@ -50,6 +51,7 @@ __all__ = [
     "ec_neg",
     "ec_scalar_mul",
     "ec_group_order",
+    "hasse_interval",
     "curve_group_ops",
     "h1_local_dim",
     "local_class",
@@ -60,9 +62,9 @@ INFINITY = None  # the point at infinity
 ENUMERATION_LIMIT = 10**4  # point counting switches to BSGS above this
 
 
-@dataclass(frozen=True)
-class Point:
-    """Affine point; the point at infinity is the module constant None."""
+class Point(NamedTuple):
+    """Affine point, a tuple equal to the plain (x, y); the point at
+    infinity is the module constant None."""
 
     x: object
     y: object
@@ -244,6 +246,12 @@ def _point_order(P, a: int, q: int, lo: int, hi: int) -> int:
     return order
 
 
+def hasse_interval(q: int) -> tuple[int, int]:
+    """The integers lo, hi with lo <= #E(F_q) <= hi for every curve over
+    F_q: |#E(F_q) - (q + 1)| <= 2*sqrt(q)."""
+    return q + 1 - isqrt(4 * q), q + 1 + isqrt(4 * q)
+
+
 def ec_group_order(curve: Curve) -> int:
     """#E(F_q) for a prime q, deterministic.
 
@@ -267,8 +275,7 @@ def ec_group_order(curve: Curve) -> int:
     a, b = curve.a % q, curve.b % q
     if q <= ENUMERATION_LIMIT:
         return _enumerated_order(a, b, q)
-    lo = q + 1 - isqrt(4 * q)
-    hi = q + 1 + isqrt(4 * q)
+    lo, hi = hasse_interval(q)
     L = 1
     for count, P in enumerate(_first_points(a, b, q)):
         if count >= 40:
@@ -392,18 +399,20 @@ def _projective_mod(point, place: Place | None, ell: int):
                  for c in (x * scale, y * scale, scale))
 
 
-def local_class(point, curve: Curve, ell: int,
-                place: Place | None = None) -> LocalClass:
+def local_class(point, curve: Curve, ell: int, place: Place | None = None,
+                d: int | None = None) -> LocalClass:
     """The class of a point of E(Q_ell) in E(Q_ell)/ell as an F_ell value.
 
     Requires good reduction at ell with reduced order d not divisible
-    by ell.  d*P lies in the kernel of reduction; it is computed exactly
-    in E(Z/ell^2), and c = (z/ell) mod ell with z = -X/Y.
+    by ell; d is counted unless the caller already knows it.  d*P lies
+    in the kernel of reduction; it is computed exactly in E(Z/ell^2),
+    and c = (z/ell) mod ell with z = -X/Y.
     """
     reduced = curve.reduction(ell)  # BadInput unless the model is integral
     if reduced.is_singular():
         raise BadReduction(f"bad reduction at {ell}")
-    d = ec_group_order(reduced)
+    if d is None:
+        d = ec_group_order(reduced)
     if d % ell == 0:
         raise BadReduction(f"ell divides the reduced order {d}")
     N = ell * ell

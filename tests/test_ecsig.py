@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sigcalc.arith import bsgs_dlog, jacobi
+from sigcalc.arith import bsgs_dlog, jacobi, primes_up_to, rank_mod
 from sigcalc.ecsig import (
     EC_INSTANCE_KEYS,
     coker_dim,
@@ -22,7 +22,7 @@ from sigcalc.ecurve import (
     local_class,
 )
 from sigcalc.errors import BadInput, SingularSystem, VerificationFailed
-from sigcalc.quadfield import split_places, squarefree_kernel
+from sigcalc.quadfield import embed, split_places, squarefree_kernel
 from sigcalc.seeds import rng_for
 
 FIXTURE = dict(a=0, b=3, p=7, ell=13, Qt=Point(1, 2), Rt=Point(6, 3))
@@ -37,6 +37,16 @@ EXTRA_CURVES = [
 
 # f11003l11093: the shipped fixture with a 15-digit D
 F11003 = (11003, 1, 8, 11093, Point(1, 3943), Point(3833, 315))
+
+# the five shipped fixtures, by name
+FIXTURES = dict(zip(
+    ("f7l13", "f251l271", "f1009l967", "f4003l4111", "f11003l11093"),
+    ((7, 0, 3, 13, Point(1, 2), Point(6, 3)), *EXTRA_CURVES, F11003)))
+
+
+def lift_fixture(name, seed):
+    p, a, b, ell, Qt, Rt = FIXTURES[name]
+    return lift_ec_instance(a, b, Qt, Rt, p, ell, seed)
 
 
 def fixture_instance(seed=0):
@@ -125,6 +135,22 @@ class TestLift:
         assume(w % ell)
         D, _ = squarefree_kernel(w)
         assert jacobi(w % ell, ell) == jacobi(D % ell, ell)
+
+    def test_local_classes_take_the_counted_order(self, monkeypatch):
+        # the lift and the loader hand #E(F_ell) to local_class
+        import sigcalc.ecsig as ecsig
+
+        orders = []
+
+        def spy(*args, d=None, **kwargs):
+            orders.append(d)
+            return local_class(*args, d=d, **kwargs)
+
+        monkeypatch.setattr(ecsig, "local_class", spy)
+        inst = fixture_instance()
+        ec_instance_from_json(ec_instance_to_json(inst))
+        assert None not in orders
+        assert orders[-6:] == [inst.d_ell] * 6
 
     def test_rho_convention_holds(self):
         # R generates E(K_u')/ell and Q generates at u and v
@@ -245,6 +271,17 @@ class TestCertificateIsTheSource:
             coker_dim(inst, [replace(inst.place_u, D=inst.K.D + 1)])
 
 
+def bsgs_coordinates(instance, place):
+    """Coordinates of Q and R in E(K_w)/ell = F_ell at a place over p,
+    where the reduced curve is the base curve of prime order ell: the
+    discrete logs of their reductions against the reduction of Q."""
+    assert place.q == instance.p
+    gen, target = (Point(embed(P.x, place, 1).value, embed(P.y, place, 1).value)
+                   for P in (instance.Q, instance.R))
+    ops = curve_group_ops(instance.lifted_curve.reduction(place.q))
+    return 1, bsgs_dlog(gen, target, instance.ell, **ops) % instance.ell
+
+
 class TestCokerDim:
     def test_dimension_table(self):
         inst = fixture_instance()
@@ -288,6 +325,34 @@ class TestCokerDim:
                 if w.degree == 1:
                     assert _bad_place_proxy_ok(inst, w)
 
+    @pytest.mark.parametrize("q, order", [(67, 52), (97, 117)])
+    def test_ell_torsion_with_a_cofactor_contributes_one(self, q, order):
+        # #E(F_q) = k*ell with k > 1: the reduction of Q need not have
+        # order ell, and the local group is still one-dimensional
+        inst = fixture_instance()
+        assert ec_group_order(inst.lifted_curve.reduction(q)) == order
+        for w in split_places(q, inst.K):
+            assert coker_dim(inst, [w]) == 1
+
+    def test_singular_certificate_raises(self):
+        from dataclasses import replace
+
+        inst = replace(fixture_instance(), certificate=((1, 1), (1, 1)))
+        with pytest.raises(SingularSystem):
+            coker_dim(inst)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_rank_two_against_coordinates(self, name, seed):
+        # the coordinate matrix over S = {u, u', v, v'}: the certificate's
+        # columns at u and u', discrete logs at the places over p
+        inst = lift_fixture(name, seed)
+        columns = [*zip(*inst.certificate)]
+        columns += [bsgs_coordinates(inst, w) for w in (inst.place_v, inst.place_v_conj)]
+        rank = rank_mod([list(row) for row in zip(*columns)], inst.ell)
+        assert rank == 2
+        assert coker_dim(inst, [inst.place_v, inst.place_v_conj]) == 4 - rank
+
     def test_trivial_local_groups_do_not_contribute(self):
         inst = fixture_instance()
         # a good degree-1 place with order not divisible by ell adds nothing
@@ -325,6 +390,34 @@ class TestScan:
         hits = scan_torsion_places(inst.lifted_curve, inst.K, inst.ell, 500)
         bound = (inst.ell**0.5 - 1) ** 2
         assert all(w.norm >= bound for w, _ in hits)
+
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_screen_matches_an_unscreened_loop(self, name):
+        inst = lift_fixture(name, 0)
+        E, K, ell = inst.lifted_curve, inst.K, inst.ell
+        disc = abs(E.discriminant())
+        expected = []
+        for q in primes_up_to(1000):
+            if q in (2, ell) or disc % q == 0:
+                continue
+            degree_one = [w for w in split_places(q, K) if w.degree == 1 and w.norm <= 1000]
+            if degree_one:
+                order = ec_group_order(E.reduction(q))
+                if order % ell == 0:
+                    expected.extend((w, order) for w in degree_one)
+        assert scan_torsion_places(E, K, ell, 1000) == expected
+
+    @pytest.mark.parametrize("name", ["f4003l4111", "f11003l11093"])
+    def test_no_curve_counted_below_the_hasse_bound(self, monkeypatch, name):
+        import sigcalc.ecsig as ecsig
+
+        inst = lift_fixture(name, 0)
+
+        def forbidden(curve):
+            raise AssertionError("a curve was counted")
+
+        monkeypatch.setattr(ecsig, "ec_group_order", forbidden)
+        assert scan_torsion_places(inst.lifted_curve, inst.K, inst.ell, 1000) == []
 
     def test_small_bound_is_empty(self):
         inst = fixture_instance()
@@ -393,6 +486,6 @@ class TestSerialization:
 
         text = ec_instance_to_json(fixture_instance())
         monkeypatch.setattr(ecsig, "local_class",
-                            lambda point, curve, ell, place=None: LocalClass(1, place, 9))
+                            lambda point, curve, ell, place=None, d=None: LocalClass(1, place, 9))
         with pytest.raises(SingularSystem):
             ec_instance_from_json(text)

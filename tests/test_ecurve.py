@@ -15,6 +15,7 @@ from sigcalc.ecurve import (
     ec_neg,
     ec_scalar_mul,
     h1_local_dim,
+    hasse_interval,
     local_class,
     _proj_add,
     _proj_mul,
@@ -85,6 +86,11 @@ def rational_mul(n: int, P, a):
 
 
 class TestGroupLaw:
+    def test_point_is_a_tuple(self):
+        P = Point(2, 3)
+        assert (P.x, P.y) == P == (2, 3)
+        assert hash(P) == hash((2, 3))
+
     def test_identity_and_inverse(self):
         c = Curve(0, 1, ("fp", 5))
         P = Point(2, 3)
@@ -170,16 +176,15 @@ class TestGroupOrder:
             ec.ENUMERATION_LIMIT = old
 
     def test_hasse_interval(self):
-        from math import isqrt
-
+        assert hasse_interval(211) == (183, 241)  # 2*sqrt(211) = 29.05...
         rng = rng_for(8, "hasse")
         for _ in range(10):
             q = rng.choice([211, 223, 227])
             c = Curve(rng.randrange(q), rng.randrange(q), ("fp", q))
             if c.is_singular():
                 continue
-            n = ec_group_order(c)
-            assert q + 1 - isqrt(4 * q) <= n <= q + 1 + isqrt(4 * q)
+            lo, hi = hasse_interval(q)
+            assert lo <= ec_group_order(c) <= hi
 
 
 PRIMES_BELOW_3000 = [q for q in primes_up_to(3000) if q > 2]
@@ -437,6 +442,19 @@ class TestLocalClass:
         cls = local_class(P, E, ell)
         assert cls.d == d
         assert cls.c == exact_class(P, E, ell)
+
+    def test_known_order_is_not_recounted(self, monkeypatch):
+        E, P = Curve(0, 3, ("rational",)), Point(1, 2)
+        cls = local_class(P, E, 13)
+
+        def forbidden(curve):
+            raise AssertionError("the order was recounted")
+
+        monkeypatch.setattr(ecurve, "ec_group_order", forbidden)
+        assert local_class(P, E, 13, d=cls.d) == cls
+        # a wrong order leaves d*P outside the kernel of reduction
+        with pytest.raises(VerificationFailed):
+            local_class(P, E, 13, d=cls.d + 1)
 
     def test_not_in_the_kernel_after_d(self):
         # an off-curve point: d*P does not reduce to O
