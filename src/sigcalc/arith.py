@@ -29,6 +29,7 @@ __all__ = [
     "PadicApprox",
     "TeichmullerDecomp",
     "hensel_sqrt",
+    "lift_sqrt",
     "teichmuller",
     "bsgs_dlog",
     "mult_group_ops",
@@ -376,13 +377,19 @@ def hensel_sqrt(n: int, q: int, k: int) -> PadicApprox:
     r = sqrt_mod_prime(n0, q)
     if not 1 <= r <= (q - 1) // 2:
         r = q - r
-    x, prec = r, 1
+    return PadicApprox(q, k, lift_sqrt(n, r, q, k))
+
+
+def lift_sqrt(n: int, root: int, q: int, k: int) -> int:
+    """The square root of n mod q**k that reduces to `root` mod q, for
+    an odd prime q and root^2 = n != 0 mod q; k >= 1."""
+    x, prec = root % q, 1
     while prec < k:
         prec = min(2 * prec, k)
         mod = q**prec
         # Newton step x -> (x + n/x)/2 fixes the mod-q residue
         x = (x + (n % mod) * pow(x, -1, mod)) * pow(2, -1, mod) % mod
-    return PadicApprox(q, k, x % q**k)
+    return x
 
 
 def sqrt_2adic(n: int, k: int) -> int:

@@ -25,6 +25,7 @@ from .arith import (
     least_primitive_root,
     parse_decimal,
     parse_pair,
+    primes_up_to,
     require_known_keys,
     smooth_cofactor,
     teichmuller,
@@ -39,7 +40,7 @@ from .errors import (
     VerificationFailed,
     ZeroY,
 )
-from .indexcalc import FactorBase, Relation, solve_linear_mod_ell
+from .indexcalc import Relation, solve_linear_mod_ell
 from .quadfield import (
     Place,
     QuadInt,
@@ -47,9 +48,8 @@ from .quadfield import (
     _sqrtD_image,
     embed,
     labelled_places,
-    place_valuations,
     split_places,
-    squarefree_kernel,
+    sqrt_field,
 )
 from .seeds import rng_for
 
@@ -227,14 +227,9 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
         if wl == 0 or jacobi(wl, ell) != 1:
             reject("ell_not_split")
             continue
-        D, f = squarefree_kernel(w)
-        if D == 1 or f % p == 0 or D % p == 0:
+        K, f = sqrt_field(w)
+        if K is None or f % p == 0 or K.D % p == 0:
             reject("p_side_degenerate")
-            continue
-        try:
-            K = RealQuadField(D)
-        except TooLarge:
-            reject("field_too_large")
             continue
         u_places = split_places(ell, K)
         v_places = split_places(p, K)
@@ -348,6 +343,20 @@ def _shell_point(index: int, key: int) -> tuple[int, int]:
     return t - k, -k
 
 
+# alpha's image at a split place over q is first kept mod the least
+# power of q >= this: a norm divisible by that power, which would widen
+# it, turns up about once in as many norms
+_IMAGE_FLOOR = 1 << 20
+
+
+def _precision_at_least(q: int, floor: int) -> int:
+    """The least k >= 1 with q^k >= floor."""
+    k, power = 1, q
+    while power < floor:
+        k, power = k + 1, power * q
+    return k
+
+
 @dataclass(frozen=True)
 class _BetaSearch:
     """Candidates beta = r*alpha + s for one signature search.
@@ -361,6 +370,11 @@ class _BetaSearch:
     N(alpha)*r^2| about Tr(alpha)*k^2*p (Pollard's lattice sieve on the
     norm form).  center is the coset point that rounding (0, g) to L
     leaves, and the key, drawn once from the seed, rotates each shell.
+
+    beta's image at a split place w is r*alpha_w + s, so a relation is
+    read off in plain integers from alpha's images, which the search
+    keeps: at u mod ell^2, and at the first place over each split
+    q <= B, ell and p aside.
     """
 
     instance: CharSignatureInstance
@@ -370,27 +384,45 @@ class _BetaSearch:
     b1: tuple[int, int]
     b2: tuple[int, int]
     key: int
-    alpha_res_u: int
+    alpha_u2: int  # alpha's image at u mod ell^2
     alpha_trace: int
     alpha_norm: int
+    # prime q <= B, ell and p aside -> the columns of the places over q,
+    # the first split place first and None for a place off the base
+    over: dict
+    inert: frozenset  # the primes of `over` that stay inert
+    images: dict  # split q -> (first place, k, alpha's image there mod q^k)
 
     @classmethod
     def start(cls, instance: CharSignatureInstance, bound: int, seed: int) -> "_BetaSearch":
-        base = FactorBase.quadratic(
-            instance.K, bound, exclude=(instance.place_u, instance.place_v))
-        columns = {place: pairing_column(place) for place in base.entries}
+        K, p, ell, g, alpha = instance.K, instance.p, instance.ell, instance.g, instance.alpha
+        columns: dict = {}
+        over: dict = {}
+        inert = set()
+        images: dict = {}
+        for q in primes_up_to(bound):
+            if q in (ell, p):
+                continue  # the norm's ell- and p-parts go to u' and v'
+            places = split_places(q, K)
+            cols = tuple(pairing_column(w) if w.norm <= bound else None for w in places)
+            columns.update((w, col) for w, col in zip(places, cols) if col)
+            over[q] = cols
+            if places[0].splitting == "inert":
+                inert.add(q)
+            elif places[0].splitting == "split":
+                k = _precision_at_least(q, _IMAGE_FLOOR)
+                images[q] = (places[0], k, embed(alpha, places[0], k).value)
         for place in (instance.place_u_conj, instance.place_v_conj):
-            columns.setdefault(place, pairing_column(place))
-        p, g = instance.p, instance.g
+            columns[place] = pairing_column(place)
         b1, b2 = gauss_reduce((1, -instance.residue_at_v() % p), (0, p))
         det = b1[0] * b2[1] - b1[1] * b2[0]
         c1, c2 = _nearest(-g * b2[0], det), _nearest(g * b1[0], det)
         center = (-c1 * b1[0] - c2 * b2[0], g - c1 * b1[1] - c2 * b2[1])
-        alpha = instance.alpha
         return cls(instance, bound, columns, center, b1, b2,
                    key=rng_for(seed, "beta").getrandbits(64),
-                   alpha_res_u=embed(alpha, instance.place_u, 1).value,
-                   alpha_trace=alpha.trace(), alpha_norm=alpha.norm())
+                   alpha_u2=embed(alpha, instance.place_u, 2).value,
+                   alpha_trace=alpha.trace(), alpha_norm=alpha.norm(),
+                   over=over, inert=frozenset(inert), images=images)
 
     def pair(self, index: int) -> tuple[int, int]:
         """(r, s) of attempt `index`; r*a_v + s = g mod p."""
@@ -398,19 +430,36 @@ class _BetaSearch:
         (r0, s0), (r1, s1), (r2, s2) = self.center, self.b1, self.b2
         return r0 + a * r1 + b * r2, s0 + a * s1 + b * s2
 
+    def _first_place_valuation(self, q: int, e: int, r: int, s: int) -> int:
+        """beta's valuation at the first place over a split q, where q^e
+        exactly divides N(beta): that of r*alpha_w + s mod q^(e+1)."""
+        place, k, image = self.images[q]
+        if e >= k:  # past the image's precision: widen it, at least twofold
+            k = max(e + 1, 2 * k)
+            image = embed(self.instance.alpha, place, k).value
+            self.images[q] = (place, k, image)
+        x = (r * image + s) % q ** (e + 1)
+        v = 0
+        while x and x % q == 0:
+            x //= q
+            v += 1
+        return v
+
     def attempt(self, index: int) -> Relation | str:
-        """Pure attempt: the relation of beta = r*alpha + s, or the reason
-        for rejecting it.
+        """The relation of beta = r*alpha + s, or the reason for rejecting
+        it; the outcome depends on the index alone.
 
         beta is kept a unit at u and accepted when its norm factors over
         the base places together with the dedicated conjugate columns.
-        The norm is screened in plain integers; beta itself is built
-        only for a smooth candidate.
+        Everything is read in plain integers: the norm from the norm
+        form, and beta's images at u and at the places over the norm's
+        primes from alpha's, so no element of K is built.
         """
         instance = self.instance
         p, ell = instance.p, instance.ell
         r, s_int = self.pair(index)
-        if (r * self.alpha_res_u + s_int) % ell == 0:
+        beta_u = (r * self.alpha_u2 + s_int) % (ell * ell)
+        if beta_u % ell == 0:
             return "not_unit_at_u"
         norm = abs(s_int * s_int + self.alpha_trace * r * s_int + self.alpha_norm * r * r)
         if norm == 0:
@@ -425,24 +474,30 @@ class _BetaSearch:
             e_p += 1
         if smooth_cofactor(norm, self.bound) > 1:
             return "not_smooth"
-        beta = r * instance.alpha + instance.K.element(s_int, 0)
-        exponents = factor_smooth(norm, self.bound)
-        columns = self.columns
-        coeffs: dict[str, int] = {SIGNATURE_COLUMN: teichmuller(
-            embed(beta, instance.place_u, 2).value, ell).y}
-        for place, e in place_valuations(beta, exponents):
-            if place not in columns:
-                return "outside_base"  # support at an inert place > sqrt(B)
-            coeffs[columns[place]] = coeffs.get(columns[place], 0) + e
+        coeffs: dict[str, int] = {SIGNATURE_COLUMN: teichmuller(beta_u, ell).y}
+        for q, e in factor_smooth(norm, self.bound).items():
+            cols = self.over[q]
+            if len(cols) == 2:
+                v = self._first_place_valuation(q, e, r, s_int)
+                shares = ((cols[0], v), (cols[1], e - v))
+            else:  # the one place over q has norm q^2 when q stays inert
+                shares = ((cols[0], e // 2 if q in self.inert else e),)
+            for col, share in shares:
+                if not share:
+                    continue
+                if col is None:
+                    return "outside_base"  # support at an inert place > sqrt(B)
+                coeffs[col] = coeffs.get(col, 0) + share
         if e_ell:
-            coeffs[columns[instance.place_u_conj]] = e_ell
+            coeffs[self.columns[instance.place_u_conj]] = e_ell
         if e_p:
-            coeffs[columns[instance.place_v_conj]] = e_p
+            coeffs[self.columns[instance.place_v_conj]] = e_p
         return Relation.make(coeffs, -1, ell)
 
 
 def signature_index_calculus(instance: CharSignatureInstance, bound: int,
-                             seed: int, max_attempts: int = 500_000) -> CharSignature:
+                             seed: int, max_attempts: int = 500_000,
+                             counters: dict | None = None) -> CharSignature:
     """Ramification signature by relation collection over field places.
 
     Candidates beta = r*alpha + s with beta = g at v and beta a local
@@ -450,10 +505,11 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     over F_ell, where the x_w are the (unknown, normalised) unramified
     pairing values at the base places and at the dedicated conjugate
     places u', v'.  Solving the system pins the signature unknown s.
-    Raises BudgetExhausted after max_attempts attempts, with one
-    counter per outcome that sums to the attempts made: a rejection
-    reason, "accepted", or "rank_deficient_solves" for a relation whose
-    solve left s undetermined.
+    The search keeps one counter per outcome, summing to the attempts
+    made: a rejection reason, "accepted", or "rank_deficient_solves"
+    for a relation whose solve left s undetermined.  They are written
+    into `counters` when one is given, and carried by the
+    BudgetExhausted raised after max_attempts attempts.
     """
     if bound < 2:
         raise BadInput("bound must be >= 2")
@@ -465,9 +521,11 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     target = len(search.columns) + 9
     relations: list[Relation] = []
     seen: set = set()
-    counters = {"not_unit_at_u": 0, "zero_norm": 0, "not_smooth": 0,
-                "outside_base": 0, "duplicate": 0, "accepted": 0,
-                "rank_deficient_solves": 0}
+    if counters is None:
+        counters = {}
+    counters.update({"not_unit_at_u": 0, "zero_norm": 0, "not_smooth": 0,
+                     "outside_base": 0, "duplicate": 0, "accepted": 0,
+                     "rank_deficient_solves": 0})
     for index in range(max_attempts):
         rel = search.attempt(index)
         if isinstance(rel, str):
@@ -487,6 +545,7 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
             counters["rank_deficient_solves"] += 1
             target += max(4, len(search.columns) // 4)
             continue
+        counters["accepted"] += 1
         s = solved.values[SIGNATURE_COLUMN]
         if s == 0:
             raise VerificationFailed("signature must be nonzero")

@@ -193,7 +193,8 @@ def cmd_signature(args) -> int:
         outputs["m"] = sig.m
         outputs["y"] = sig.y
     if args.method in ("index", "both"):
-        sig_ic = signature_index_calculus(instance, args.B, args.seed)
+        sig_ic = signature_index_calculus(instance, args.B, args.seed,
+                                          counters=report.attempts)
         outputs["s_index"] = sig_ic.s
     if args.method == "both":
         agree = outputs["s_dl_oracle"] == outputs["s_index"]

@@ -36,7 +36,7 @@ from .quadfield import (
     embed,
     labelled_places,
     split_places,
-    squarefree_kernel,
+    sqrt_field,
 )
 
 __all__ = [
@@ -184,17 +184,17 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
             if w % ell and jacobi(w % ell, ell) != 1:
                 reject("ell_not_split")
                 continue
-            D, f = squarefree_kernel(w)
-            if D == 1:
+            K, f = sqrt_field(w)
+            if K is None:
                 reject("cubic_value_square")
                 continue
+            D = K.D
             if D % ell == 0 or jacobi(D % ell, ell) != 1:
                 reject("ell_not_split")
                 continue
             if f % p == 0 or D % p == 0:
                 reject("p_label_degenerate")
                 continue
-            K = RealQuadField(D)
             u_places = split_places(ell, K)
             v_places = split_places(p, K)
             if len(v_places) != 2:

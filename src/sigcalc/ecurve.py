@@ -201,9 +201,15 @@ def ec_scalar_mul(n: int, P, curve: Curve):
 
 
 def curve_group_ops(curve: Curve) -> dict:
-    """Operation table of E(F_q) for bsgs_dlog (points must be Points/None)."""
-    op = partial(_fp_point_add, a=curve.a, q=_fp_modulus(curve))
-    return {"op": op, "identity": INFINITY, "invert": partial(ec_neg, curve=curve)}
+    """Operation table of E(F_q) for bsgs_dlog, on the int-tuple law.
+
+    Points must be reduced mod q: (x, y) tuples or Points of residues in
+    [0, q), and None for O.  Results are plain tuples, equal to the
+    Points with the same coordinates.
+    """
+    q = _fp_modulus(curve)
+    return {"op": partial(_fp_add, a=curve.a % q, q=q), "identity": INFINITY,
+            "invert": partial(_fp_neg, q=q)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ whose local values reproduce exactly this relation machinery.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -80,7 +79,7 @@ class Relation:
 
 @dataclass(frozen=True)
 class FactorBase:
-    """Ordered factor base: rational primes <= B, or places of norm <= B."""
+    """Ordered factor base: the rational primes <= B."""
 
     bound: int
     entries: tuple
@@ -90,19 +89,6 @@ class FactorBase:
         if bound < 2:
             raise BadInput("bound must be >= 2")
         return cls(bound, tuple(primes_up_to(bound)))
-
-    @classmethod
-    def quadratic(cls, K, bound: int, exclude=()) -> "FactorBase":
-        from .quadfield import split_places
-
-        if bound < 2:
-            raise BadInput("bound must be >= 2")
-        places = []
-        for q in primes_up_to(bound):
-            for place in split_places(q, K):
-                if place.norm <= bound and place not in exclude:
-                    places.append(place)
-        return cls(bound, tuple(sorted(places, key=lambda w: w.sort_key())))
 
 
 def half_split(x: int, p: int) -> tuple[int, int, int]:
@@ -202,15 +188,29 @@ def prune_singletons(relations: list[Relation]) -> list[Relation]:
     relation holds (LaMacchia and Odlyzko, CRYPTO '90).
 
     Such a row constrains no other column, so the values the solver
-    determines for the remaining columns are unchanged.
+    determines for the remaining columns are unchanged.  One pass: the
+    rows of each column are indexed once, and dropping a row pushes
+    every column it leaves with weight 1 onto a stack.  Removal in any
+    order reaches the same rows, which keep their order.
     """
-    kept = relations
-    while True:
-        weight = Counter(col for rel in kept for col in rel.columns)
-        pruned = [rel for rel in kept if all(weight[col] > 1 for col in rel.columns)]
-        if len(pruned) == len(kept):
-            return kept
-        kept = pruned
+    rows_of: dict[str, list[int]] = {}
+    for i, rel in enumerate(relations):
+        for col, _ in rel.coeffs:
+            rows_of.setdefault(col, []).append(i)
+    weight = {col: len(rows) for col, rows in rows_of.items()}
+    alive = [True] * len(relations)
+    stack = [col for col, w in weight.items() if w == 1]
+    while stack:
+        col = stack.pop()
+        if weight[col] != 1:
+            continue  # its last row went with another column
+        i = next(i for i in rows_of[col] if alive[i])
+        alive[i] = False
+        for other, _ in relations[i].coeffs:
+            weight[other] -= 1
+            if weight[other] == 1:
+                stack.append(other)
+    return [rel for rel, keep in zip(relations, alive) if keep]
 
 
 @dataclass

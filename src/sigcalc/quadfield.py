@@ -17,11 +17,11 @@ from .arith import (
     bsgs_dlog,
     ell_power_residue_test,
     factorint,
-    hensel_sqrt,
     integer_cbrt,
     is_prime,
     jacobi,
     least_primitive_root,
+    lift_sqrt,
     mult_group_ops,
     factor_smooth,
     primes_up_to,
@@ -52,6 +52,7 @@ __all__ = [
     "ray_class_ell_rank",
     "rayrank_fields",
     "squarefree_kernel",
+    "sqrt_field",
 ]
 
 CLASS_NUMBER_DISC_BOUND = 10**8
@@ -69,6 +70,17 @@ def squarefree_kernel(n: int) -> tuple[int, int]:
     return d, f
 
 
+def sqrt_field(n: int) -> tuple["RealQuadField | None", int]:
+    """(K, f) with n = f**2 * D and K = Q(sqrt(D)) = Q(sqrt(n)), from one
+    factorisation of n; K is None when n is a square.  n > 0."""
+    D, f = squarefree_kernel(n)
+    if D == 1:
+        return None, f
+    K = RealQuadField.__new__(RealQuadField)
+    K._set_D(D)  # squarefree by construction: no second factorisation
+    return K, f
+
+
 class RealQuadField:
     """K = Q(sqrt(D)) for squarefree D > 1, with its maximal order.
 
@@ -83,6 +95,9 @@ class RealQuadField:
             raise BadInput("D must be > 1")
         if any(e > 1 for e in factorint(D).values()):
             raise NotSquarefree(f"{D} is not squarefree")
+        self._set_D(D)
+
+    def _set_D(self, D: int) -> None:
         self.D = D
         self.omega_is_half = D % 4 == 1
         self.discriminant = D if self.omega_is_half else 4 * D
@@ -453,10 +468,7 @@ def _sqrtD_image(place: Place, k: int) -> int:
         if place.root_label % 4 != 1:
             s = -s
         return s % (1 << (k + 3))
-    s = hensel_sqrt(D, q, k).value
-    if s % q != place.root_label % q:
-        s = q**k - s
-    return s
+    return lift_sqrt(D, place.root_label, q, k)
 
 
 def embed(x, place: Place, k: int) -> PadicApprox:

@@ -5,7 +5,8 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, reject, settings, strategies as st
 
-from sigcalc.arith import bsgs_dlog, mult_group_ops, teichmuller
+import sigcalc.charsig as charsig
+from sigcalc.arith import bsgs_dlog, factor_smooth, mult_group_ops, smooth_cofactor, teichmuller
 from sigcalc.charsig import (
     INSTANCE_KEYS,
     SIGNATURE_COLUMN,
@@ -27,8 +28,8 @@ from sigcalc.errors import (
     SigcalcError,
     VerificationFailed,
 )
-from sigcalc.indexcalc import FactorBase
-from sigcalc.quadfield import RealQuadField, embed, split_places
+from sigcalc.indexcalc import Relation
+from sigcalc.quadfield import RealQuadField, embed, place_valuations, split_places
 from sigcalc.seeds import rng_for
 
 
@@ -53,6 +54,17 @@ class TestLiftUnit:
         assert inst.alpha.norm() == -1
         assert inst.residue_at_v() == 17
         assert inst.condition_report.all_ok
+
+    def test_lifted_field_is_factored_once(self, monkeypatch):
+        # 1 + 65^2 = 4226 = D gives the field and f = 1 from one factorisation
+        import sigcalc.quadfield as quadfield
+
+        calls = []
+        factorint = quadfield.factorint
+        monkeypatch.setattr(quadfield, "factorint", lambda n: calls.append(n) or factorint(n))
+        inst = lift_unit(17, 31, 5, seed=0)
+        assert inst.K.D == 4226
+        assert calls == [4226]
 
     def test_degenerate_targets(self):
         with pytest.raises(DegenerateTarget):
@@ -292,9 +304,9 @@ class TestSignatureIndexCalculus:
 
         oracle_x = {}
         search = _BetaSearch.start(inst, bound, 0)
-        base = FactorBase.quadratic(inst.K, bound,
-                                    exclude=(inst.place_u, inst.place_v))
-        places = (*base.entries, inst.place_u_conj, inst.place_v_conj)
+        base = [w for q in sympy.primerange(2, bound + 1) for w in split_places(q, inst.K)
+                if w.norm <= bound and w not in (inst.place_u, inst.place_v)]
+        places = (*base, inst.place_u_conj, inst.place_v_conj)
         assert search.columns == {place: pairing_column(place) for place in places}
         for place in places:
             xi = generator_of(place)
@@ -350,6 +362,43 @@ def small_lifts(draw):
         reject()
 
 
+def element_route_attempt(search, index):
+    """An attempt read the way the search read it before it kept alpha's
+    images: beta built in K, its norm split over places by
+    place_valuations, and its image at u by embed.  Returns the outcome
+    and the (place, valuation) list of a smooth beta (None otherwise)."""
+    inst = search.instance
+    p, ell, alpha = inst.p, inst.ell, inst.alpha
+    r, s = search.pair(index)
+    if (r * embed(alpha, inst.place_u, 1).value + s) % ell == 0:
+        return "not_unit_at_u", None
+    norm = abs(s * s + alpha.trace() * r * s + alpha.norm() * r * r)
+    if norm == 0:
+        return "zero_norm", None
+    e_ell = e_p = 0
+    while norm % ell == 0:
+        norm //= ell
+        e_ell += 1
+    while norm % p == 0:
+        norm //= p
+        e_p += 1
+    if smooth_cofactor(norm, search.bound) > 1:
+        return "not_smooth", None
+    beta = r * alpha + inst.K.element(s, 0)
+    shares = place_valuations(beta, factor_smooth(norm, search.bound))
+    columns = search.columns
+    coeffs = {SIGNATURE_COLUMN: teichmuller(embed(beta, inst.place_u, 2).value, ell).y}
+    for place, e in shares:
+        if place not in columns:
+            return "outside_base", shares
+        coeffs[columns[place]] = coeffs.get(columns[place], 0) + e
+    if e_ell:
+        coeffs[columns[inst.place_u_conj]] = e_ell
+    if e_p:
+        coeffs[columns[inst.place_v_conj]] = e_p
+    return Relation.make(coeffs, -1, ell), shares
+
+
 class TestBetaSearch:
     @given(key=st.integers(0, 2**64 - 1), k=st.integers(0, 15))
     def test_shells_cover_each_square_once(self, key, k):
@@ -396,6 +445,46 @@ class TestBetaSearch:
         inst, seed = lift
         s_dl = signature_from_dl(inst, bsgs_oracle(inst.p)).s
         assert signature_index_calculus(inst, 200, seed, max_attempts=20_000).s == s_dl
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(lift=small_lifts(), bound=st.sampled_from((10, 30, 60, 200)),
+           first=st.integers(0, 5000), floor=st.sampled_from((2, 50, charsig._IMAGE_FLOOR)))
+    def test_attempts_match_the_element_route(self, lift, bound, first, floor):
+        # a low floor keeps alpha's images short, so that most prime
+        # powers in a norm widen one
+        inst, seed = lift
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charsig, "_IMAGE_FLOOR", floor)
+            search = _BetaSearch.start(inst, bound, seed)
+        for index in range(first, first + 300):
+            assert search.attempt(index) == element_route_attempt(search, index)[0]
+
+    def test_attempts_match_the_element_route_on_a3_pairs(self):
+        # the A3 pairs at the benchmark's bound, with the cases the integer
+        # read-out must get right: a prime power q^e, e >= 2, in a split
+        # norm, support at either place over a split q, a ramified or
+        # inert place, and an inert place outside the base
+        seen = set()
+        for p, ell in ((1021, 5), (1009, 7), (1013, 11), (1093, 13), (3011, 43)):
+            targets = [a for a in range(2, 60) if pow(a, (p - 1) // ell, p) != 1]
+            for seed, a in enumerate(targets[:2]):
+                inst = lift_unit(a, p, ell, seed)
+                search = _BetaSearch.start(inst, 150, seed)
+                for index in range(2500):
+                    outcome, shares = element_route_attempt(search, index)
+                    assert search.attempt(index) == outcome
+                    if outcome == "outside_base":
+                        seen.add("outside_base")
+                    for place, e in shares or ():
+                        if place.splitting != "split":
+                            seen.add(place.splitting)
+                            continue
+                        first, second = split_places(place.q, inst.K)
+                        seen.add("first" if place == first else "second")
+                        if e >= 2:
+                            seen.add("split_power")
+        assert seen >= {"first", "second", "split_power", "ramified", "outside_base"}
 
     @pytest.mark.parametrize("p, ell, g, a, seed", [
         (1013, 11, 3, 200, 0),

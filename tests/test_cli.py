@@ -81,6 +81,26 @@ class TestSignature:
         doc = json.loads(r.stdout)
         assert doc["cross_check"]["agree"] is True
 
+    @pytest.mark.parametrize("method", ["index", "both"])
+    def test_index_search_counters_in_the_report(self, method, monkeypatch):
+        # one counter per outcome, summing to the attempts the search made
+        from sigcalc.charsig import _BetaSearch
+
+        attempts = []
+        attempt = _BetaSearch.attempt
+        monkeypatch.setattr(_BetaSearch, "attempt",
+                            lambda self, i: attempts.append(i) or attempt(self, i))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["signature", "--lift", "1021,5,10,800", "--method", method,
+                         "--B", "80", "--json", "--seed", "11"])
+        assert code == 0
+        counters = {k: int(v) for k, v in json.loads(out.getvalue())["attempts"].items()}
+        assert set(counters) == {"not_unit_at_u", "zero_norm", "not_smooth", "outside_base",
+                                 "duplicate", "accepted", "rank_deficient_solves"}
+        assert sum(counters.values()) == len(attempts) == attempts[-1] + 1
+        assert counters["accepted"] > 0
+
     def test_instance_file_round_trip(self, tmp_path):
         path = tmp_path / "instance.json"
         r = run_cli("signature", "--lift", "31,5,3,17", "--json",

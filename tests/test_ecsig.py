@@ -121,7 +121,7 @@ class TestLift:
         from sigcalc.errors import BudgetExhausted
 
         factored = []
-        monkeypatch.setattr(ecsig, "squarefree_kernel", factored.append)
+        monkeypatch.setattr(ecsig, "sqrt_field", factored.append)
         with pytest.raises(BudgetExhausted):
             lift_ec_instance(*F11003[1:3], *F11003[4:], F11003[0], F11003[3], 0,
                              budget=5)
@@ -135,6 +135,22 @@ class TestLift:
         assume(w % ell)
         D, _ = squarefree_kernel(w)
         assert jacobi(w % ell, ell) == jacobi(D % ell, ell)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lifted_field_is_factored_once(self, monkeypatch, seed):
+        # each cubic value is factored once, and the accepted one's
+        # squarefree kernel D is not factored again to build the field
+        import sigcalc.quadfield as quadfield
+
+        calls = []
+        factorint = quadfield.factorint
+        monkeypatch.setattr(quadfield, "factorint", lambda n: calls.append(n) or factorint(n))
+        inst = fixture_instance(seed)
+        mu = inst.R.x.a
+        w = mu**3 + inst.a * mu + inst.b_r
+        assert calls[-1] == w
+        assert len(set(calls)) == len(calls)
+        assert inst.K.D not in calls[:-1]
 
     def test_local_classes_take_the_counted_order(self, monkeypatch):
         # the lift and the loader hand #E(F_ell) to local_class

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sigcalc.ecurve as ecurve
-from sigcalc.arith import hensel_sqrt, jacobi, primes_up_to, sqrt_mod_prime
+from sigcalc.arith import bsgs_dlog, hensel_sqrt, jacobi, primes_up_to, sqrt_mod_prime
+from sigcalc.cli import load_fixture
 from sigcalc.ecurve import (
     Curve,
     INFINITY,
@@ -142,6 +144,33 @@ class TestGroupLaw:
             ec_add(R, P, c)
         with pytest.raises(BadInput):
             curve_group_ops(c)
+
+
+def point_law_ops(curve: Curve) -> dict:
+    """The ECDL oracle's table on Points: ec_add and ec_neg, which reduce
+    both operands and build a Point on every step."""
+    return {"op": partial(ec_add, curve=curve), "identity": INFINITY,
+            "invert": partial(ec_neg, curve=curve)}
+
+
+@pytest.mark.parametrize("name", ["f7l13", "f251l271", "f1009l967", "f4003l4111",
+                                  "f11003l11093"])
+def test_ecdl_oracle_on_tuples_matches_the_point_law(name):
+    # curve_group_ops runs the int-tuple law; Points and plain tuples of
+    # residues give the answer that the Point law gives
+    doc = load_fixture(name)
+    q, ell = int(doc["p"]), int(doc["ell"])
+    base = Curve(int(doc["a"]), int(doc["b"]), ("fp", q))
+    Qt = Point(*(int(c) for c in doc["Qt"]))
+    Rt = Point(*(int(c) for c in doc["Rt"]))
+    ops = curve_group_ops(base)
+    targets = [Rt] + [ec_scalar_mul(m, Qt, base) for m in (0, 1, 2, ell // 2, ell - 1)]
+    for target in targets:
+        want = bsgs_dlog(Qt, target, ell, **point_law_ops(base))
+        assert ec_scalar_mul(want, Qt, base) == target
+        assert bsgs_dlog(Qt, target, ell, **ops) == want
+        plain = None if target is INFINITY else (target.x, target.y)
+        assert bsgs_dlog((Qt.x, Qt.y), plain, ell, **ops) == want
 
 
 class TestGroupOrder:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 from math import gcd
@@ -153,6 +154,25 @@ class TestPruning:
 
     def test_a_lone_row_is_pruned(self):
         assert prune_singletons([Relation.make({"x": 1}, 1, 5)]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from("abcdefghij"), st.integers(1, 6),
+                                    max_size=4), max_size=25))
+    def test_one_pass_matches_the_fixed_point_loop(self, rows):
+        relations = [Relation.make(coeffs, i, 7) for i, coeffs in enumerate(rows)]
+        assert prune_singletons(relations) == fixed_point_prune(relations)
+
+
+def fixed_point_prune(relations):
+    """Singleton pruning as rounds that each recount every column, until
+    a round drops nothing."""
+    kept = relations
+    while True:
+        weight = Counter(col for rel in kept for col in rel.columns)
+        pruned = [rel for rel in kept if all(weight[col] > 1 for col in rel.columns)]
+        if len(pruned) == len(kept):
+            return kept
+        kept = pruned
 
 
 def _small_grid():

@@ -22,6 +22,7 @@ from sigcalc.quadfield import (
     fundamental_unit,
     ray_class_ell_rank,
     split_places,
+    sqrt_field,
     squarefree_kernel,
 )
 from sigcalc.seeds import rng_for
@@ -318,6 +319,16 @@ def test_squarefree_kernel():
     assert squarefree_kernel(2200) == (22, 10)
     assert squarefree_kernel(1) == (1, 1)
     assert squarefree_kernel(4226) == (4226, 1)
+
+
+def test_sqrt_field():
+    K, f = sqrt_field(2200)
+    assert (K, f) == (RealQuadField(22), 10)
+    assert (K.omega_is_half, K.discriminant) == (False, 88)
+    assert sqrt_field(49) == (None, 7)
+    # the field of a non-squarefree D given directly is still refused
+    with pytest.raises(NotSquarefree):
+        RealQuadField(2200)
 
 
 def test_uniformizers_have_valuation_one():
