@@ -1,7 +1,7 @@
 """Exact modular and p-adic arithmetic primitives.
 
 Primality, factorisation and least primitive roots, Hensel lifting of
-square roots, Teichmuller decomposition of units modulo ell^2, a
+square roots, the 1-unit exponent of a unit modulo ell^2, a
 generic baby-step giant-step discrete log, power residue tests,
 smoothness factoring, and the one sparse Gauss-Jordan eliminator over
 F_ell that every module shares.  Everything is a pure function of its
@@ -11,7 +11,6 @@ inputs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -26,8 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "PadicApprox",
-    "TeichmullerDecomp",
     "hensel_sqrt",
     "lift_sqrt",
     "teichmuller",
@@ -75,47 +72,6 @@ def require_known_keys(doc, keys) -> None:
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise BadInput(f"unknown keys in instance file: {unknown}")
-
-
-@dataclass(frozen=True)
-class PadicApprox:
-    """Truncated q-adic integer: a residue mod q**k with exact valuation.
-
-    ``valuation`` is None when the residue is zero, i.e. the valuation is
-    >= k and cannot be resolved at this precision.
-    """
-
-    q: int
-    k: int
-    value: int
-    valuation: int | None = field(init=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise BadInput("precision k must be >= 1")
-        if not 0 <= self.value < self.q ** self.k:
-            raise BadInput("value must lie in [0, q^k)")
-        if self.value == 0:
-            v = None
-        else:
-            v, t = 0, self.value
-            while t % self.q == 0:
-                t //= self.q
-                v += 1
-        object.__setattr__(self, "valuation", v)
-
-    def unit_part(self) -> int:
-        if self.valuation is None:
-            raise BadInput("zero residue has no unit part")
-        return self.value // self.q ** self.valuation
-
-
-@dataclass(frozen=True)
-class TeichmullerDecomp:
-    """Unit x mod ell^2 written as xi * (1 + y*ell) with xi^(ell-1) = 1."""
-
-    xi: int
-    y: int
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -359,7 +315,7 @@ def sqrt_mod_prime(n: int, q: int) -> int:
     return x
 
 
-def hensel_sqrt(n: int, q: int, k: int) -> PadicApprox:
+def hensel_sqrt(n: int, q: int, k: int) -> int:
     """Square root of n mod q**k for an odd prime q not dividing n.
 
     Root selection is canonical: the returned root reduces mod q into
@@ -377,7 +333,7 @@ def hensel_sqrt(n: int, q: int, k: int) -> PadicApprox:
     r = sqrt_mod_prime(n0, q)
     if not 1 <= r <= (q - 1) // 2:
         r = q - r
-    return PadicApprox(q, k, lift_sqrt(n, r, q, k))
+    return lift_sqrt(n, r, q, k)
 
 
 def lift_sqrt(n: int, root: int, q: int, k: int) -> int:
@@ -409,8 +365,9 @@ def sqrt_2adic(n: int, k: int) -> int:
     return x % (1 << k)
 
 
-def teichmuller(x: int, ell: int) -> TeichmullerDecomp:
-    """Decompose a unit x mod ell**2 as xi*(1 + y*ell), xi^(ell-1) = 1.
+def teichmuller(x: int, ell: int) -> int:
+    """The 1-unit exponent y in [0, ell) of a unit x mod ell**2, written
+    as xi*(1 + y*ell) with xi^(ell-1) = 1.
 
     xi is obtained as the fixed point of repeated ell-th powering mod
     ell**2 (one powering already lands on the fixed point at this
@@ -423,8 +380,7 @@ def teichmuller(x: int, ell: int) -> TeichmullerDecomp:
     xi = pow(x, ell, m)
     while pow(xi, ell, m) != xi:
         xi = pow(xi, ell, m)
-    y = (x * pow(xi, -1, m) % m - 1) // ell
-    return TeichmullerDecomp(xi, y % ell)
+    return (x * pow(xi, -1, m) % m - 1) // ell
 
 
 def mult_group_ops(p: int) -> dict:

@@ -12,7 +12,8 @@ and can also be computed by an index calculus over the field's places.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 from .arith import (
@@ -45,7 +46,6 @@ from .quadfield import (
     Place,
     QuadInt,
     RealQuadField,
-    _sqrtD_image,
     embed,
     labelled_places,
     split_places,
@@ -92,10 +92,6 @@ class ConditionReport:
         return all(ok for _, ok in self.unit_wild_at)
 
     @property
-    def unit_wild_somewhere(self) -> bool:
-        return any(ok for _, ok in self.unit_wild_at)
-
-    @property
     def all_ok(self) -> bool:
         return self.class_number_ok and self.unit_wild_everywhere \
             and self.target_not_ell_power
@@ -128,13 +124,14 @@ class CharSignatureInstance:
     place_v: Place
     place_v_conj: Place
     seed: int
-    condition_report: ConditionReport | None = None
 
-    def with_report(self, report: ConditionReport) -> "CharSignatureInstance":
-        return replace(self, condition_report=report)
+    @cached_property
+    def condition_report(self) -> ConditionReport:
+        """check_conditions(self), run once on first read."""
+        return check_conditions(self)
 
     def residue_at_v(self) -> int:
-        return embed(self.alpha, self.place_v, 1).value
+        return embed(self.alpha, self.place_v, 1)
 
 
 @dataclass(frozen=True)
@@ -146,14 +143,13 @@ class CharSignature:
     """
 
     s: int
-    provenance: str  # "dl-oracle" | "index-calculus"
     m: int | None = None
     y: int | None = None
 
 
 def _unit_y(instance_or_alpha, place: Place, ell: int) -> int:
     alpha = getattr(instance_or_alpha, "alpha", instance_or_alpha)
-    return teichmuller(embed(alpha, place, 2).value, ell).y
+    return teichmuller(embed(alpha, place, 2), ell)
 
 
 def check_conditions(instance: CharSignatureInstance) -> ConditionReport:
@@ -237,7 +233,8 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
             reject("not_split")
             continue
         # gamma = f*sqrt(D) reduces to +-c; v is the place matching +c
-        gamma_images = [f * _sqrtD_image(w_, 1) % p for w_ in v_places]
+        gamma = K.from_sqrt_coords(0, f)
+        gamma_images = [embed(gamma, w_, 1) for w_ in v_places]
         if c not in gamma_images:
             reject("no_v_label")
             continue
@@ -249,7 +246,7 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
             place_v=v_places[v_index], place_v_conj=v_places[1 - v_index],
             seed=seed,
         )
-        report = check_conditions(instance)
+        report = instance.condition_report
         if not report.all_ok:
             # one count per attempt, under the first condition that fails
             failed = next(name for name, ok in (
@@ -260,7 +257,7 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
             continue
         if alpha.norm() != -1 or instance.residue_at_v() != a:
             raise VerificationFailed("lifted unit fails N(alpha) = -1 or alpha = a at v")
-        return instance.with_report(report)
+        return instance
     raise BudgetExhausted(budget, counters)
 
 
@@ -272,7 +269,7 @@ def signature_from_dl(instance: CharSignatureInstance, dl_oracle) -> CharSignatu
     y the 1-unit exponent of alpha at u, the defining relation
     y*sigma_u + m*sigma_v = 0 gives s = -m * y^-1 mod ell.
     """
-    report = instance.condition_report or check_conditions(instance)
+    report = instance.condition_report
     if not report.all_ok:
         raise BadInput(f"instance fails its conditions: {report.as_dict()}")
     p, ell = instance.p, instance.ell
@@ -287,7 +284,7 @@ def signature_from_dl(instance: CharSignatureInstance, dl_oracle) -> CharSignatu
     s = (-m * pow(y, -1, ell)) % ell
     if s == 0:
         raise VerificationFailed("signature must be nonzero")
-    return CharSignature(s=s, provenance="dl-oracle", m=m, y=y)
+    return CharSignature(s=s, m=m, y=y)
 
 
 def dl_from_signature(a: int, g: int, p: int, ell: int, sig_oracle,
@@ -411,7 +408,7 @@ class _BetaSearch:
                 inert.add(q)
             elif places[0].splitting == "split":
                 k = _precision_at_least(q, _IMAGE_FLOOR)
-                images[q] = (places[0], k, embed(alpha, places[0], k).value)
+                images[q] = (places[0], k, embed(alpha, places[0], k))
         for place in (instance.place_u_conj, instance.place_v_conj):
             columns[place] = pairing_column(place)
         b1, b2 = gauss_reduce((1, -instance.residue_at_v() % p), (0, p))
@@ -420,7 +417,7 @@ class _BetaSearch:
         center = (-c1 * b1[0] - c2 * b2[0], g - c1 * b1[1] - c2 * b2[1])
         return cls(instance, bound, columns, center, b1, b2,
                    key=rng_for(seed, "beta").getrandbits(64),
-                   alpha_u2=embed(alpha, instance.place_u, 2).value,
+                   alpha_u2=embed(alpha, instance.place_u, 2),
                    alpha_trace=alpha.trace(), alpha_norm=alpha.norm(),
                    over=over, inert=frozenset(inert), images=images)
 
@@ -436,7 +433,7 @@ class _BetaSearch:
         place, k, image = self.images[q]
         if e >= k:  # past the image's precision: widen it, at least twofold
             k = max(e + 1, 2 * k)
-            image = embed(self.instance.alpha, place, k).value
+            image = embed(self.instance.alpha, place, k)
             self.images[q] = (place, k, image)
         x = (r * image + s) % q ** (e + 1)
         v = 0
@@ -474,7 +471,7 @@ class _BetaSearch:
             e_p += 1
         if smooth_cofactor(norm, self.bound) > 1:
             return "not_smooth"
-        coeffs: dict[str, int] = {SIGNATURE_COLUMN: teichmuller(beta_u, ell).y}
+        coeffs: dict[str, int] = {SIGNATURE_COLUMN: teichmuller(beta_u, ell)}
         for q, e in factor_smooth(norm, self.bound).items():
             cols = self.over[q]
             if len(cols) == 2:
@@ -513,7 +510,7 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     """
     if bound < 2:
         raise BadInput("bound must be >= 2")
-    report = instance.condition_report or check_conditions(instance)
+    report = instance.condition_report
     if not report.all_ok:
         raise BadInput(f"instance fails its conditions: {report.as_dict()}")
     ell = instance.ell
@@ -549,7 +546,7 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
         s = solved.values[SIGNATURE_COLUMN]
         if s == 0:
             raise VerificationFailed("signature must be nonzero")
-        return CharSignature(s=s, provenance="index-calculus")
+        return CharSignature(s=s)
     raise BudgetExhausted(max_attempts, counters)
 
 
@@ -595,4 +592,4 @@ def instance_from_json(text: str) -> CharSignatureInstance:
     )
     if alpha.norm() != -1 or instance.residue_at_v() != a % p:
         raise BadInput("alpha must have norm -1 and reduce to a at v")
-    return instance.with_report(check_conditions(instance))
+    return instance

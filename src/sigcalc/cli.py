@@ -114,6 +114,7 @@ def cmd_dlog(args) -> int:
         {"p": p, "ell": ell, "g": g, "a": a, "method": args.method, "B": args.B},
         seed=args.seed,
     )
+    code = EXIT_OK
     if args.method == "bsgs":
         m = bsgs_dlog(g, a % p, p - 1, **mult_group_ops(p))
         report.outputs = {"m": m, "modulus": p - 1}
@@ -125,12 +126,10 @@ def cmd_dlog(args) -> int:
             ok = full % ell == m
             report.cross_check = {"bsgs_m": full, "agree": ok}
             if not ok:
-                report.wall_time_ms = 1000 * (time.perf_counter() - t0)
-                _emit(report, args)
-                return EXIT_INVARIANT
+                code = EXIT_INVARIANT
     report.wall_time_ms = 1000 * (time.perf_counter() - t0)
     _emit(report, args)
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------

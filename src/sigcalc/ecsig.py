@@ -110,7 +110,6 @@ class EcSignature:
 
     alpha: int
     beta: int
-    provenance: str
 
 
 def _require_prime_order_base(curve: Curve, ell: int):
@@ -121,7 +120,7 @@ def _require_prime_order_base(curve: Curve, ell: int):
 
 def _reduce_point(point: Point, place: Place) -> Point:
     """Reduction of an integral global point at a degree-1 place."""
-    return Point(embed(point.x, place, 1).value, embed(point.y, place, 1).value)
+    return Point(embed(point.x, place, 1), embed(point.y, place, 1))
 
 
 def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
@@ -202,7 +201,7 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 continue
             # R = (mu, f*sqrt(D)); v is the place where f*sqrt(D) = nu0
             R = Point(K.element(mu, 0), K.from_sqrt_coords(0, f))
-            images = [embed(R.y, w_, 1).value for w_ in v_places]
+            images = [embed(R.y, w_, 1) for w_ in v_places]
             if nu0 not in images:
                 reject("no_v_label")
                 continue
@@ -256,7 +255,7 @@ def signature_from_ecdl(instance: EcSignatureInstance, ecdl_oracle) -> EcSignatu
     inv = pow(det, -1, ell)
     alpha = (-(a_v * b_uc - a_uc * b_v)) * inv % ell
     beta = (-(a_u * b_v - b_u * a_v)) * inv % ell
-    return EcSignature(alpha=alpha, beta=beta, provenance="ecdl-oracle")
+    return EcSignature(alpha=alpha, beta=beta)
 
 
 def ecdl_from_signature(instance: EcSignatureInstance, sig_oracle) -> int:

@@ -393,7 +393,7 @@ def _projective_mod(point, place: Place | None, ell: int):
     if isinstance(x, QuadInt) or isinstance(y, QuadInt):
         if place is None:
             raise BadInput("quadratic coordinates need a place over ell")
-        return embed(x, place, 2).value, embed(y, place, 2).value, 1
+        return embed(x, place, 2), embed(y, place, 2), 1
     for c in (x, y):
         if not isinstance(c, (int, Fraction)):
             raise BadInput(f"cannot localise coordinate {type(c).__name__}")

@@ -35,7 +35,6 @@ from .seeds import rng_for
 
 __all__ = [
     "Relation",
-    "FactorBase",
     "RelationSearch",
     "half_split",
     "collect_relations",
@@ -77,20 +76,6 @@ class Relation:
         return not self.coeffs and self.const == 0
 
 
-@dataclass(frozen=True)
-class FactorBase:
-    """Ordered factor base: the rational primes <= B."""
-
-    bound: int
-    entries: tuple
-
-    @classmethod
-    def rational(cls, bound: int) -> "FactorBase":
-        if bound < 2:
-            raise BadInput("bound must be >= 2")
-        return cls(bound, tuple(primes_up_to(bound)))
-
-
 def half_split(x: int, p: int) -> tuple[int, int, int]:
     """(u, v, sigma) with x = (-1)^sigma * u / v mod p, u^2 < p, v^2 <= p.
 
@@ -130,14 +115,14 @@ class RelationSearch:
         return len(self.drawn) == p - 2
 
 
-def collect_relations(p: int, ell: int, g: int, base: FactorBase, count: int,
+def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
                       seed: int, budget_factor: int = 10_000,
                       search: RelationSearch | None = None) -> list[Relation]:
     """Harvest `count` new factor-base relations from half-size splits of g^r.
 
     Attempt i draws r from rng_for(seed, "relation", i) and splits
     g^r = (-1)^sigma * u/v with u, v <= sqrt(p) (`half_split`).  When
-    u*v is smooth over the base, sum_q (e_q(u) - e_q(v)) * theta(q) =
+    u*v is bound-smooth, sum_q (e_q(u) - e_q(v)) * theta(q) =
     r - sigma*(p-1)/2 mod ell, as log(-1) = (p-1)/2.  Trivial rows and
     repeated r are discarded.  Passing a `search` resumes it at its next
     index; the call stops early, with what it has, once every r in
@@ -165,7 +150,7 @@ def collect_relations(p: int, ell: int, g: int, base: FactorBase, count: int,
             continue
         if remember_all:
             drawn.add(r)
-        split = _split_smooth(pow(g, r, p), p, base.bound)
+        split = _split_smooth(pow(g, r, p), p, bound)
         if split is None:
             counters["not_smooth"] += 1
             continue
@@ -253,15 +238,16 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
     exponent r has been drawn no round can add a relation, and the
     determined part of the table is returned as it stands.
     """
-    base = FactorBase.rational(max(2, min(bound, isqrt(p))))
+    bound = max(2, min(bound, isqrt(p)))
+    base = primes_up_to(bound)
     # at most p-2 distinct exponents exist; never ask for more
-    count = min(len(base.entries) + 16, p - 2)
+    count = min(len(base) + 16, p - 2)
     search = RelationSearch()
     relations: list[Relation] = []
     seen: set[str] = set()
     solved = SolveResult({}, 0, 0)
     for attempt in range(1, rounds + 1):
-        relations += collect_relations(p, ell, g, base,
+        relations += collect_relations(p, ell, g, bound,
                                        min(count * attempt, p - 2) - len(relations),
                                        seed, search=search)
         kept = prune_singletons(relations)
@@ -270,7 +256,7 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
         if (seen and seen <= solved.values.keys()) or search.exhausted(p):
             return {
                 q: solved.values[theta_column(q)]
-                for q in base.entries
+                for q in base
                 if theta_column(q) in solved.values
             }
     raise RankDeficient(sorted(c for c in seen if c not in solved.values))

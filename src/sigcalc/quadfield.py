@@ -13,7 +13,6 @@ from functools import cached_property
 from math import isqrt
 
 from .arith import (
-    PadicApprox,
     bsgs_dlog,
     ell_power_residue_test,
     factorint,
@@ -402,9 +401,6 @@ class Place:
     def degree(self) -> int:
         return 2 if self.splitting == "inert" else 1
 
-    def sort_key(self):
-        return (self.norm, self.q, self.root_label if self.root_label is not None else -1)
-
     def __repr__(self):
         tag = f", root={self.root_label}" if self.root_label is not None else ""
         return f"Place(q={self.q}, {self.splitting}{tag} | D={self.D})"
@@ -450,16 +446,6 @@ def labelled_places(q: int, K: RealQuadField, root_label: int) -> tuple[Place, P
     return (places[0], places[1]) if labels[0] == root_label else (places[1], places[0])
 
 
-def uniformizer(place: Place, K: RealQuadField):
-    """A local uniformizer: rational q at unramified places, else a
-    generator of the ramified prime."""
-    if place.splitting != "ramified":
-        return place.q
-    if place.q == 2 and K.D % 4 == 3:
-        return K.from_sqrt_coords(1, 1)  # 1 + sqrt(D), norm 1 - D = 2 mod 4
-    return K.from_sqrt_coords(0, 1)  # sqrt(D)
-
-
 def _sqrtD_image(place: Place, k: int) -> int:
     """The image of sqrt(D) in the completion at a split place, mod q**k."""
     D, q = place.D, place.q
@@ -471,32 +457,36 @@ def _sqrtD_image(place: Place, k: int) -> int:
     return lift_sqrt(D, place.root_label, q, k)
 
 
-def embed(x, place: Place, k: int) -> PadicApprox:
-    """Image of x in the completion at a degree-1 place, mod q**k.
+def embed(x, place: Place, k: int) -> int:
+    """Image of x in the completion at a degree-1 place: its residue in
+    [0, q**k).
 
     Rational integers embed at every place; a QuadInt with nonzero
     omega-part needs a split place (ramified and inert completions are
     not modelled at finite precision here).
     """
+    if k < 1:
+        raise BadInput("precision k must be >= 1")
     q = place.q
     mod = q**k
     if isinstance(x, int):
-        return PadicApprox(q, k, x % mod)
+        return x % mod
     if not isinstance(x, QuadInt):
         raise BadInput(f"cannot embed {type(x).__name__}")
     if x.field.D != place.D:
         raise BadInput("element and place belong to different fields")
     if x.b == 0:
-        return PadicApprox(q, k, x.a % mod)
+        return x.a % mod
     if place.splitting != "split":
         raise Ramified(f"no degree-1 embedding at {place}")
-    if q == 2:
-        s = _sqrtD_image(place, k)
-        omega = ((1 + s) // 2) % mod if x.field.omega_is_half else s % mod
+    s = _sqrtD_image(place, k)
+    if not x.field.omega_is_half:
+        omega = s
+    elif q == 2:
+        omega = (1 + s) // 2
     else:
-        s = _sqrtD_image(place, k)
-        omega = (1 + s) * pow(2, -1, mod) % mod if x.field.omega_is_half else s
-    return PadicApprox(q, k, (x.a + x.b * omega) % mod)
+        omega = (1 + s) * pow(2, -1, mod)
+    return (x.a + x.b * omega) % mod
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +514,10 @@ def place_valuations(x: QuadInt, prime_exponents: dict[int, int]) -> list[tuple[
                 raise ArithmeticError("odd norm valuation at an inert prime")
             out.append((places[0], e // 2))
         else:
-            v1 = embed(x, places[0], e + 1).valuation or 0
-            v1 = min(v1, e)
+            residue, v1 = embed(x, places[0], e + 1), 0
+            while residue and residue % q == 0:  # so v1 <= e
+                residue //= q
+                v1 += 1
             if v1:
                 out.append((places[0], v1))
             if e - v1:
@@ -559,9 +551,8 @@ def _local_coordinate(x: QuadInt, place: Place, exponent: int, ell: int) -> int:
     """
     q = place.q
     if exponent == 2:
-        approx = embed(x, place, 2)
-        return teichmuller(approx.value, ell).y % ell
-    residue = embed(x, place, 1).value
+        return teichmuller(embed(x, place, 2), ell)
+    residue = embed(x, place, 1)
     if residue == 0:
         raise BadInput("element is not a unit at a modulus place")
     g = least_primitive_root(q)
@@ -621,7 +612,7 @@ def rayrank_fields(ell_list, count: int):
                 continue
             eps = K.fundamental_unit
             u_places = split_places(ell, K)
-            ys = [teichmuller(embed(eps, w, 2).value, ell).y for w in u_places]
+            ys = [teichmuller(embed(eps, w, 2), ell) for w in u_places]
             if 0 in ys:
                 continue
             p = None
@@ -631,7 +622,7 @@ def rayrank_fields(ell_list, count: int):
                         and D % candidate != 0 \
                         and jacobi(D % candidate, candidate) == 1:
                     v = split_places(candidate, K)[0]
-                    residue = embed(eps, v, 1).value
+                    residue = embed(eps, v, 1)
                     if not ell_power_residue_test(residue, candidate, ell):
                         p = candidate
                         break

@@ -103,9 +103,11 @@ class TestLiftUnit:
 class TestConditions:
     def test_ell_power_alpha_fails_condition_two(self):
         inst = lift_unit(17, 31, 5, seed=0)
-        powered = replace(inst, alpha=inst.alpha**5, condition_report=None)
-        report = check_conditions(powered)
-        assert not report.unit_wild_somewhere
+        assert inst.condition_report.unit_wild_everywhere
+        powered = replace(inst, alpha=inst.alpha**5)
+        # the replaced instance computes its own report, not the lift's
+        assert powered.condition_report == check_conditions(powered)
+        assert not any(ok for _, ok in powered.condition_report.unit_wild_at)
 
     def test_condition_three_worked_value(self):
         # alpha = 17 at v and 17^6 = 8 != 1 mod 31
@@ -131,9 +133,7 @@ class TestSignatureFromDl:
         # at the root-4 place alpha = 14 = 24*(1+5*2) mod 25, so y' = 2
         # and s' = -2 * 2^-1 = 4 mod 5
         inst = lift_unit(17, 31, 5, seed=0)
-        swapped = replace(inst, place_u=inst.place_u_conj,
-                          place_u_conj=inst.place_u, condition_report=None)
-        swapped = replace(swapped, condition_report=check_conditions(swapped))
+        swapped = replace(inst, place_u=inst.place_u_conj, place_u_conj=inst.place_u)
         sig = signature_from_dl(swapped, bsgs_oracle(31))
         assert (sig.s, sig.y) == (4, 2)
 
@@ -149,11 +149,9 @@ class TestSignatureFromDl:
         for k in (1, 2, 3, 4, 6):
             for sign in (1, -1):
                 alpha = inst.alpha**k * sign
-                variant = replace(inst, alpha=alpha, condition_report=None)
-                report = check_conditions(variant)
-                if not report.all_ok:
+                variant = replace(inst, alpha=alpha)
+                if not variant.condition_report.all_ok:
                     continue
-                variant = replace(variant, condition_report=report)
                 assert signature_from_dl(variant, bsgs_oracle(31)).s == s0
 
 
@@ -270,12 +268,12 @@ class TestSignatureIndexCalculus:
         s_true = signature_from_dl(inst, bsgs_oracle(p)).s
 
         def theta_v(x):
-            residue = embed(x, inst.place_v, 1).value
+            residue = embed(x, inst.place_v, 1)
             return bsgs_dlog(inst.g, residue, p - 1,
                              **mult_group_ops(p)) % ell
 
         def y_u(x):
-            return teichmuller(embed(x, inst.place_u, 2).value, ell).y
+            return teichmuller(embed(x, inst.place_u, 2), ell)
 
         def generator_of(place):
             # brute search xi = (X + b sqrt(D))/2 with |N(xi)| = norm(place)
@@ -297,8 +295,8 @@ class TestSignatureIndexCalculus:
                     assert abs(xi.norm()) == q
                     if place.splitting == "ramified":
                         return xi
-                    for cand in (xi, xi.conjugate()):
-                        if embed(cand, place, 2).valuation == 1:
+                    for cand in (xi, xi.conjugate()):  # |N| = q: v_w(cand) <= 1
+                        if embed(cand, place, 1) == 0:
                             return cand
             return None
 
@@ -370,7 +368,7 @@ def element_route_attempt(search, index):
     inst = search.instance
     p, ell, alpha = inst.p, inst.ell, inst.alpha
     r, s = search.pair(index)
-    if (r * embed(alpha, inst.place_u, 1).value + s) % ell == 0:
+    if (r * embed(alpha, inst.place_u, 1) + s) % ell == 0:
         return "not_unit_at_u", None
     norm = abs(s * s + alpha.trace() * r * s + alpha.norm() * r * r)
     if norm == 0:
@@ -387,7 +385,7 @@ def element_route_attempt(search, index):
     beta = r * alpha + inst.K.element(s, 0)
     shares = place_valuations(beta, factor_smooth(norm, search.bound))
     columns = search.columns
-    coeffs = {SIGNATURE_COLUMN: teichmuller(embed(beta, inst.place_u, 2).value, ell).y}
+    coeffs = {SIGNATURE_COLUMN: teichmuller(embed(beta, inst.place_u, 2), ell)}
     for place, e in shares:
         if place not in columns:
             return "outside_base", shares

@@ -38,6 +38,20 @@ class TestDlog:
         assert doc["outputs"]["m"] == "2"
         assert doc["cross_check"]["agree"] is True
 
+    def test_failed_cross_check_reports_and_exits_invariant(self, monkeypatch):
+        # 3^7 = 17 mod 31, so an index calculus answering 3 != 7 mod 5 is caught
+        import sigcalc.cli as cli
+
+        monkeypatch.setattr(cli, "index_calculus_dlog", lambda *args: 3)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["dlog", "--p", "31", "--ell", "5", "--g", "3", "--a", "17",
+                         "--method", "index", "--json"])
+        assert code == 1  # the invariant category
+        doc = json.loads(out.getvalue())
+        assert doc["outputs"]["m"] == "3"
+        assert doc["cross_check"] == {"bsgs_m": "7", "agree": False}
+
     def test_precondition_exit_code(self):
         r = run_cli("dlog", "--p", "31", "--ell", "7", "--g", "3", "--a", "17",
                     "--method", "index", "--json")
@@ -120,7 +134,7 @@ class TestSignature:
         u = split_places(3, K)[0]
         v = split_places(19, K)[0]
         doc = {
-            "p": "19", "ell": "3", "g": "2", "a": str(embed(alpha, v, 1).value),
+            "p": "19", "ell": "3", "g": "2", "a": str(embed(alpha, v, 1)),
             "D": "229", "alpha": ["7", "1"], "u_root_label": str(u.root_label),
             "v_root_label": str(v.root_label), "seed": "0",
         }

@@ -238,12 +238,11 @@ class TestSignatureRoundTrip:
         from sigcalc.ecsig import EcSignature
 
         inst = fixture_instance()
-        bad = EcSignature(alpha=1, beta=1, provenance="ecdl-oracle")
+        bad = EcSignature(alpha=1, beta=1)
         oracle = ecdl_oracle_for(inst)
         good = signature_from_ecdl(inst, oracle)
         if (bad.alpha, bad.beta) == (good.alpha, good.beta):
-            bad = EcSignature(alpha=good.alpha + 1, beta=good.beta,
-                              provenance="ecdl-oracle")
+            bad = EcSignature(alpha=good.alpha + 1, beta=good.beta)
         with pytest.raises(VerificationFailed):
             ecdl_from_signature(inst, lambda _: bad)
 
@@ -292,7 +291,7 @@ def bsgs_coordinates(instance, place):
     where the reduced curve is the base curve of prime order ell: the
     discrete logs of their reductions against the reduction of Q."""
     assert place.q == instance.p
-    gen, target = (Point(embed(P.x, place, 1).value, embed(P.y, place, 1).value)
+    gen, target = (Point(embed(P.x, place, 1), embed(P.y, place, 1))
                    for P in (instance.Q, instance.R))
     ops = curve_group_ops(instance.lifted_curve.reduction(place.q))
     return 1, bsgs_dlog(gen, target, instance.ell, **ops) % instance.ell

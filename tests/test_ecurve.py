@@ -368,7 +368,7 @@ def in_ell_E(W, curve: Curve, ell: int) -> bool:
             raise ValueError("lifting 2-torsion is not needed for these curves")
         # lift V_red to a local point: fix x, lift y by the square root
         f = V_red.x**3 + curve.a * V_red.x + curve.b
-        y = hensel_sqrt(f, ell, 2).value
+        y = hensel_sqrt(f, ell, 2)
         if y % ell != V_red.y:
             y = N - y
         EX, EY, EZ = _proj_mul(ell, (V_red.x, y, 1), a, b3, N)

@@ -17,7 +17,6 @@ from sigcalc.errors import (
     SigcalcError,
 )
 from sigcalc.indexcalc import (
-    FactorBase,
     Relation,
     RelationSearch,
     build_theta_table,
@@ -45,8 +44,8 @@ class TestRelations:
     def test_worked_relation_values(self):
         # 3^24 = 2 mod 31 (exhaustive powering), so theta(2) = 24 = 4 mod 5
         assert pow(3, 24, 31) == 2
-        base = FactorBase.rational(7)
-        relations = collect_relations(31, 5, 3, base, 15, seed=0)
+        bound = 7
+        relations = collect_relations(31, 5, 3, bound, 15, seed=0)
         by_const = {}
         for rel in relations:
             by_const[rel.const] = rel
@@ -57,8 +56,8 @@ class TestRelations:
 
     def test_rejects_non_smooth(self):
         # 3^7 = 17 mod 31 and 17 > 7: never appears as a relation
-        base = FactorBase.rational(7)
-        relations = collect_relations(31, 5, 3, base, 15, seed=0)
+        bound = 7
+        relations = collect_relations(31, 5, 3, bound, 15, seed=0)
         theta = brute_theta(31, 3)
         for rel in relations:
             value = 1
@@ -71,16 +70,16 @@ class TestRelations:
         p, ell, g = 1019, 509, 2
         assert sympy.is_primitive_root(g, p)
         theta = brute_theta(p, g)
-        base = FactorBase.rational(30)
-        for rel in collect_relations(p, ell, g, base, 40, seed=1):
+        bound = 30
+        for rel in collect_relations(p, ell, g, bound, 40, seed=1):
             total = sum(c * theta[int(col.split("(")[1][:-1])]
                         for col, c in rel.coeffs)
             assert total % ell == rel.const % ell
 
     def test_deterministic(self):
-        base = FactorBase.rational(7)
-        a = collect_relations(31, 5, 3, base, 10, seed=42)
-        b = collect_relations(31, 5, 3, base, 10, seed=42)
+        bound = 7
+        a = collect_relations(31, 5, 3, bound, 10, seed=42)
+        b = collect_relations(31, 5, 3, bound, 10, seed=42)
         assert a == b
 
 
@@ -105,7 +104,7 @@ class TestHalfSplit:
 class TestCollection:
     def test_counters_sum_to_attempts(self):
         with pytest.raises(BudgetExhausted) as exc:
-            collect_relations(1019, 509, 2, FactorBase.rational(3), 40, seed=0,
+            collect_relations(1019, 509, 2, 3, 40, seed=0,
                               budget_factor=1)
         assert exc.value.attempts == 40
         assert sum(exc.value.counters.values()) == 40
@@ -120,20 +119,20 @@ class TestCollection:
         assert exc.value.counters["descent_undetermined"] > 0
 
     def test_resumed_search_repeats_one_long_search(self):
-        base = FactorBase.rational(30)
+        bound = 30
         search = RelationSearch()
-        first = collect_relations(1019, 509, 2, base, 10, seed=3, search=search)
-        second = collect_relations(1019, 509, 2, base, 10, seed=3, search=search)
-        assert first + second == collect_relations(1019, 509, 2, base, 20, seed=3)
+        first = collect_relations(1019, 509, 2, bound, 10, seed=3, search=search)
+        second = collect_relations(1019, 509, 2, bound, 10, seed=3, search=search)
+        assert first + second == collect_relations(1019, 509, 2, bound, 20, seed=3)
         assert search.next_index > 0
 
     def test_stops_when_every_exponent_is_drawn(self):
         # only 9 exponents exist mod 11: ask for more and get what there is
         search = RelationSearch()
-        relations = collect_relations(11, 5, 2, FactorBase.rational(3), 50, seed=0,
+        relations = collect_relations(11, 5, 2, 3, 50, seed=0,
                                       search=search)
         assert search.exhausted(11) and 0 < len(relations) < 9
-        assert collect_relations(11, 5, 2, FactorBase.rational(3), 50, seed=0,
+        assert collect_relations(11, 5, 2, 3, 50, seed=0,
                                  search=search) == []
 
 

@@ -134,20 +134,20 @@ class TestPlaces:
         K = RealQuadField(2)
         for q in (5, 7):
             for w in split_places(q, K):
-                assert embed(K.element(9, 0), w, 2).value == 9
+                assert embed(K.element(9, 0), w, 2) == 9
 
     def test_embed_conjugate_symmetry(self):
         K = RealQuadField(4226)
         x = K.from_sqrt_coords(65, 1)
         w1, w2 = split_places(31, K)
-        a1 = embed(x, w1, 3).value
-        a2 = embed(x.conjugate(), w2, 3).value
+        a1 = embed(x, w1, 3)
+        a2 = embed(x.conjugate(), w2, 3)
         assert a1 == a2
 
     def test_embed_worked_value(self):
         K = RealQuadField(4226)
         v = [w for w in split_places(31, K) if w.root_label == 14][0]
-        assert embed(K.from_sqrt_coords(65, 1), v, 1).value == 17
+        assert embed(K.from_sqrt_coords(65, 1), v, 1) == 17
 
     def test_embed_is_multiplicative(self):
         rng = rng_for(7, "embed")
@@ -159,16 +159,23 @@ class TestPlaces:
                 for _ in range(20):
                     x = K.element(rng.randrange(-50, 50), rng.randrange(-50, 50))
                     y = K.element(rng.randrange(-50, 50), rng.randrange(-50, 50))
-                    lhs = embed(x * y, w, 3).value
-                    rhs = embed(x, w, 3).value * embed(y, w, 3).value % q**3
+                    lhs = embed(x * y, w, 3)
+                    rhs = embed(x, w, 3) * embed(y, w, 3) % q**3
                     assert lhs == rhs
+
+    def test_embed_rejects_precision_below_one(self):
+        K = RealQuadField(2)
+        w = split_places(7, K)[0]
+        for x in (9, K.element(9, 0), K.element(1, 1)):
+            with pytest.raises(BadInput):
+                embed(x, w, 0)
 
     def test_embed_2adic_split_place(self):
         K = RealQuadField(17)
         w1, w2 = split_places(2, K)
         omega = K.element(0, 1)  # (1+sqrt(17))/2, a root of x^2 - x - 4
         for w in (w1, w2):
-            t = embed(omega, w, 6).value
+            t = embed(omega, w, 6)
             assert (t * t - t - 4) % 2**6 == 0
 
 
@@ -288,13 +295,13 @@ class TestRayClassRank:
                     q = place.q
                     if exponent == 2:
                         mod = ell * ell
-                        residue = embed(unit, place, 2).value
+                        residue = embed(unit, place, 2)
                         h = sympy.primitive_root(mod)
                         t = next(t for t in range(ell * (ell - 1))
                                  if pow(h, t, mod) == residue)
                         row.append(t % ell)
                     else:
-                        residue = embed(unit, place, 1).value
+                        residue = embed(unit, place, 1)
                         h = sympy.primitive_root(q)
                         t = next(t for t in range(q - 1)
                                  if pow(h, t, q) == residue)
@@ -329,24 +336,3 @@ def test_sqrt_field():
     # the field of a non-squarefree D given directly is still refused
     with pytest.raises(NotSquarefree):
         RealQuadField(2200)
-
-
-def test_uniformizers_have_valuation_one():
-    from sigcalc.quadfield import uniformizer
-
-    for D in (2, 7, 17, 22):
-        K = RealQuadField(D)
-        for q in (2, 3, 5, 7, 11):
-            for w in split_places(q, K):
-                pi = uniformizer(w, K)
-                if isinstance(pi, int):
-                    # rational q: valuation 1 at every unramified place
-                    assert pi == q and w.splitting != "ramified"
-                else:
-                    norm = abs(pi.norm())
-                    assert norm % q == 0 and norm % (q * q) != 0
-                    [(place, e)] = [
-                        (pl, ee) for pl, ee in factor_principal(pi, 60)
-                        if pl.q == q
-                    ]
-                    assert place == w and e == 1
