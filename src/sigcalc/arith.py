@@ -2,7 +2,7 @@
 
 Primality, factorisation and least primitive roots, Hensel lifting of
 square roots, the 1-unit exponent of a unit modulo ell^2, a
-generic baby-step giant-step discrete log, power residue tests,
+baby-step giant-step discrete log in batched steps, power residue tests,
 smoothness factoring, and the one sparse Gauss-Jordan eliminator over
 F_ell that every module shares.  Everything is a pure function of its
 inputs.
@@ -386,35 +386,78 @@ def teichmuller(x: int, ell: int) -> int:
 def mult_group_ops(p: int) -> dict:
     """Operation table of F_p^* for bsgs_dlog."""
     return {
-        "op": lambda a, b: a * b % p,
         "identity": 1,
-        "invert": lambda a: pow(a, -1, p),
+        "shift": lambda elements, t: [e * t % p for e in elements],
+        "invert": lambda e: pow(e, -1, p),
     }
 
 
-def bsgs_dlog(generator, target, group_order: int, *, op, identity, invert) -> int:
-    """Least m >= 0 with m*generator = target (additive notation).
+def _multiples(generator, count: int, identity, shift) -> list:
+    """[j*generator for j in range(count)], count >= 1, in log2(count)
+    shifts: each round adds step = len(found)*generator to a prefix of
+    found and doubles step in the same batch."""
+    found, step = [identity], generator
+    while len(found) < count:
+        *more, step = shift(found[: count - len(found)] + [step], step)
+        found += more
+    return found
 
-    The group is supplied through its operation table; elements must be
-    hashable.  Baby table size is ceil(sqrt(group_order)).
+
+def bsgs_dlog(generator, target, group_order: int, *, identity, shift, invert,
+              key=None) -> int:
+    """Least m in [0, group_order) with m*generator = target (additive
+    notation); NotInSubgroup when there is none.
+
+    The group is supplied through its operation table: the identity,
+    shift(elements, t) returning every e + t, and invert.  Elements must
+    be hashable.  Baby steps are multiples j*generator, giant steps
+    subtract a fixed stride from the target, both taken in batches.  A
+    table may also supply key(e), shared by e and -e alone (a point's
+    x-coordinate): then the baby steps run over j in [0, s] with s about
+    sqrt(group_order/2), giant step i matches m = i*(2s + 1) +- j (the
+    negation map), and the stride is 2s + 1.  Without a key the baby
+    steps run over [0, s) with s = ceil(sqrt(group_order)), giant step i
+    matches m = i*s + j, and the stride is s.
     """
     if group_order < 1:
         raise BadInput("group order must be positive")
-    s = isqrt(group_order - 1) + 1 if group_order > 1 else 1
-    table: dict = {}
-    e = identity
-    for j in range(s):
-        table.setdefault(e, j)
-        e = op(e, generator)
-    giant = invert(e)  # e is now s * generator
-    gamma = target
-    for i in range(s + 1):
-        j = table.get(gamma)
-        if j is not None:
-            m = i * s + j
-            if m < group_order:
+    if key is None:
+        s = isqrt(group_order - 1) + 1
+        baby = _multiples(generator, s + 1, identity, shift)
+        stride = baby.pop()
+        keys, low, span = baby, 0, s
+    else:
+        s = isqrt(group_order // 2)
+        baby = _multiples(generator, s + 2, identity, shift)
+        stride = shift([baby.pop()], baby[s])[0]  # (s + 1) + s
+        keys, low, span = list(map(key, baby)), -s, 2 * s + 1
+    table = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # least j wins
+    if len(table) < len(keys) and key is not None:
+        # j*generator = +-j'*generator for some j != j' <= s: the order of
+        # the generator is below 2s, and the plain table covers that case
+        return bsgs_dlog(generator, target, group_order, identity=identity,
+                         shift=shift, invert=invert)
+    giants = -((low - group_order) // span)  # giant i covers i*span + [low, low + span)
+    # a batch of giant steps costs one shift, and the search overshoots
+    # its match by less than a batch: about 2*sqrt(giants) balances them
+    width = min(giants, 2 * isqrt(giants) + 1)
+    *steps, leap = _multiples(invert(stride), width + 1, identity, shift)
+    gammas = shift(steps, target)  # gammas[n] = target - (start + n)*stride
+    for start in range(0, giants, width):
+        if start:
+            gammas = shift(gammas, leap)
+        hits = map(table.get, gammas if key is None else map(key, gammas))
+        for n, j in enumerate(hits):
+            if j is None:
+                continue
+            base, P = (start + n) * span, baby[j]
+            m = base + j
+            if key is not None and (gammas[n] != P or base >= j and invert(P) == P):
+                m = base - j  # gamma = -P; for P = -P the lower value is the least
+            if m >= group_order:
+                raise NotInSubgroup("target is not a multiple of the generator")
+            if m >= 0:
                 return m
-        gamma = op(gamma, giant)
     raise NotInSubgroup("target is not a multiple of the generator")
 
 

@@ -251,14 +251,10 @@ def cmd_ec(args) -> int:
     )
     code = EXIT_OK
     if args.subcommand == "roundtrip":
-        base = instance.base_curve
-
-        def ecdl_oracle(Qb, Rb):
-            return bsgs_dlog(Qb, Rb, instance.ell, **curve_group_ops(base))
-
-        sig = signature_from_ecdl(instance, ecdl_oracle)
+        ops = curve_group_ops(instance.base_curve)
+        m_bsgs = bsgs_dlog(instance.Qt, instance.Rt, instance.ell, **ops)
+        sig = signature_from_ecdl(instance, lambda _Qb, _Rb: m_bsgs)
         m = ecdl_from_signature(instance, lambda _inst: sig)
-        m_bsgs = ecdl_oracle(instance.Qt, instance.Rt)
         ok = m == m_bsgs % instance.ell
         report.outputs = {"alpha": sig.alpha, "beta": sig.beta, "m": m}
         report.cross_check = {"bsgs_m": m_bsgs, "agree": ok}

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .arith import is_prime, jacobi, parse_decimal, parse_pair, require_known_keys
+from .arith import _primes, is_prime, jacobi, parse_decimal, parse_pair, require_known_keys
 from .errors import (
     AssumptionViolated,
     BadInput,
@@ -90,9 +91,10 @@ class EcSignatureInstance:
     def base_curve(self) -> Curve:
         return Curve(self.base_a, self.base_b, ("fp", self.p))
 
-    @property
+    @cached_property
     def lifted_curve(self) -> Curve:
-        return Curve(self.a, self.b_r, ("rational",))
+        """E over Q, carrying d_ell so that local_class at ell reads it."""
+        return Curve(self.a, self.b_r, ("rational",), known_order=(self.ell, self.d_ell))
 
     def certificate_det(self) -> int:
         (a11, a12), (a21, a22) = self.certificate
@@ -341,13 +343,11 @@ def scan_torsion_places(curve: Curve, K: RealQuadField, ell: int,
     counted, and the scan is empty, whenever bound < (sqrt(ell)-1)^2:
     the Hasse interval keeps ell-torsion away from small residue fields.
     """
-    from .arith import primes_up_to
-
     if not isinstance(curve.a, int) or not isinstance(curve.b, int):
         raise BadInput("scanning needs an integral model")
     disc = abs(curve.discriminant())
     hits: list[tuple[Place, int]] = []
-    for q in primes_up_to(bound):
+    for q in _primes(bound):
         if q == 2 or q == ell or disc % q == 0:
             continue
         lo, hi = hasse_interval(q)

@@ -25,6 +25,7 @@ from sigcalc.arith import (
     sqrt_mod_prime,
     teichmuller,
 )
+from sigcalc.ecurve import INFINITY, Curve, Point, curve_group_ops, ec_add, ec_scalar_mul
 from sigcalc.errors import (
     BadInput,
     Inconsistent,
@@ -145,6 +146,137 @@ class TestBsgs:
         g = sympy.primitive_root(p)
         m %= p - 1
         assert bsgs_dlog(g, pow(g, m, p), p - 1, **mult_group_ops(p)) == m
+
+
+def reference_bsgs(generator, target, group_order, op, identity, invert):
+    """Least m in [0, group_order) with m*generator = target, by
+    baby-step giant-step on a binary op, one step at a time: the
+    reference for bsgs_dlog's batched, negation-map search."""
+    s = isqrt(group_order - 1) + 1
+    table, e = {}, identity
+    for j in range(s):
+        table.setdefault(e, j)
+        e = op(e, generator)
+    giant, gamma = invert(e), target
+    for i in range(s + 1):
+        j = table.get(gamma)
+        if j is not None and i * s + j < group_order:
+            return i * s + j
+        gamma = op(gamma, giant)
+    raise NotInSubgroup("target is not a multiple of the generator")
+
+
+def dlog_or_none(dlog, *args, **kwargs):
+    """dlog's answer, or None where it raises NotInSubgroup."""
+    try:
+        return dlog(*args, **kwargs)
+    except NotInSubgroup:
+        return None
+
+
+def curve_points(curve: Curve) -> list:
+    """O and every affine point of a curve over a small F_q."""
+    q = curve.base[1]
+    points = [INFINITY]
+    for x in range(q):
+        f = (x**3 + curve.a * x + curve.b) % q
+        if f == 0:
+            points.append(Point(x, 0))
+        elif jacobi(f, q) == 1:
+            y = sqrt_mod_prime(f, q)
+            points += [Point(x, y), Point(x, q - y)]
+    return points
+
+
+def first_point(curve: Curve, x0: int):
+    """The affine point with the least x >= x0 (cyclically) and the
+    root sqrt_mod_prime gives."""
+    q = curve.base[1]
+    for x in (x % q for x in range(x0, x0 + q)):
+        f = (x**3 + curve.a * x + curve.b) % q
+        if f == 0 or jacobi(f, q) == 1:
+            return Point(x, sqrt_mod_prime(f, q))
+    raise AssertionError("no affine point")
+
+
+def curve_dlogs(curve, G, T, n, as_tuples):
+    """bsgs_dlog on curve_group_ops, and the reference on ec_add, with
+    Points or plain tuples handed to bsgs_dlog."""
+    q = curve.base[1]
+
+    def neg(P):
+        return INFINITY if P is INFINITY else Point(P.x, -P.y % q)
+
+    want = dlog_or_none(reference_bsgs, G, T, n, lambda P, Q: ec_add(P, Q, curve),
+                        INFINITY, neg)
+    if as_tuples:
+        G, T = (None if P is INFINITY else (P.x, P.y) for P in (G, T))
+    return dlog_or_none(bsgs_dlog, G, T, n, **curve_group_ops(curve)), want
+
+
+CURVE_PRIMES = [q for q in primes_up_to(110) if q > 2]
+
+
+class TestBsgsTables:
+    """bsgs_dlog on both operation tables against the one-step reference."""
+
+    @given(p=st.sampled_from([*ODD_PRIMES, 101, 1009, 10007, 104729]),
+           g=st.integers(1, 10**6), t=st.integers(1, 10**6), n=st.integers(1, 2 * 10**5))
+    @settings(max_examples=200, deadline=None)
+    def test_multiplicative_table(self, p, g, t, n):
+        g, t, n = g % (p - 1) + 1, t % (p - 1) + 1, n % (2 * p) + 1
+        want = dlog_or_none(reference_bsgs, g, t, n, lambda x, y: x * y % p, 1,
+                            lambda x: pow(x, -1, p))
+        assert dlog_or_none(bsgs_dlog, g, t, n, **mult_group_ops(p)) == want
+
+    @given(q=st.sampled_from(CURVE_PRIMES), a=st.integers(0, 10**4), b=st.integers(0, 10**4),
+           g=st.integers(0, 10**4), t=st.integers(0, 10**4), n=st.integers(1, 300),
+           as_tuples=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_curve_table_on_every_point(self, q, a, b, g, t, n, as_tuples):
+        # small q: generators of every order, 2-torsion, targets outside
+        # the subgroup and ranges beyond the generator's order
+        curve = Curve(a % q, b % q, ("fp", q))
+        assume(not curve.is_singular())
+        points = curve_points(curve)
+        G, T = points[g % len(points)], points[t % len(points)]
+        got, want = curve_dlogs(curve, G, T, n, as_tuples)
+        assert got == want
+
+    @given(q=st.sampled_from([10007, 40009]), a=st.integers(0, 10**4), b=st.integers(1, 10**4),
+           x=st.integers(0, 40008), k=st.integers(0, 10**5), n=st.integers(1, 10**5),
+           multiple=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_curve_table_across_giant_batches(self, q, a, b, x, k, n, multiple):
+        curve = Curve(a, b, ("fp", q))
+        assume(not curve.is_singular())
+        G, T = first_point(curve, x), first_point(curve, 7 * x + 1)
+        if multiple:
+            T = ec_scalar_mul(k, G, curve)
+        got, want = curve_dlogs(curve, G, T, n, False)
+        assert got == want
+
+    def test_named_cases(self):
+        # y^2 = x^3 + 1 over F_5: E = Z/6, (4, 0) of order 2, (0, 1) of order 3
+        curve = Curve(0, 1, ("fp", 5))
+        G2, G3, G6 = Point(4, 0), Point(0, 1), Point(2, 2)
+        ops = curve_group_ops(curve)
+        assert bsgs_dlog(G6, INFINITY, 1, **ops) == 0  # group order 1
+        with pytest.raises(NotInSubgroup):
+            bsgs_dlog(G6, G6, 1, **ops)
+        assert bsgs_dlog(G6, INFINITY, 6, **ops) == 0  # identity target
+        assert bsgs_dlog(G2, G2, 50, **ops) == 1  # 2-torsion, y = 0
+        assert bsgs_dlog(G2, INFINITY, 50, **ops) == 0
+        assert bsgs_dlog(G3, ec_add(G3, G3, curve), 50, **ops) == 2  # small order, least m
+        assert bsgs_dlog((2, 2), (4, 0), 6, **ops) == 3  # plain tuples
+        with pytest.raises(NotInSubgroup):
+            bsgs_dlog(G3, G2, 50, **ops)
+        with pytest.raises(NotInSubgroup):
+            bsgs_dlog(G6, G2, 3, **ops)  # 3*G6 = G2 lies outside [0, 3)
+        # order 4 = 2s for s = isqrt(10 // 2): the second giant step meets
+        # 2*G4 = -2*G4, and m = 5 - 2 is the least, not 5 + 2
+        curve4 = Curve(1, 2, ("fp", 5))
+        assert bsgs_dlog(Point(1, 3), Point(1, 2), 10, **curve_group_ops(curve4)) == 3
 
 
 class TestPowerResidue:

@@ -185,6 +185,24 @@ class TestEc:
         assert doc["outputs"]["m"] == "2"
         assert doc["cross_check"]["agree"] is True
 
+    def test_roundtrip_runs_the_ecdl_oracle_once(self, monkeypatch):
+        # the signature and the cross-check share one baby-step giant-step
+        import sigcalc.cli as cli
+
+        calls, bsgs_dlog = [], cli.bsgs_dlog
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bsgs_dlog(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bsgs_dlog", counted)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["ec", "roundtrip", "--fixture", "f251l271", "--json"])
+        assert code == 0 and len(calls) == 1
+        doc = json.loads(out.getvalue())
+        assert doc["cross_check"] == {"bsgs_m": "5", "agree": True}
+
     def test_coker_table(self):
         r = run_cli("ec", "coker", "--fixture", "f7l13", "--json")
         assert r.returncode == 0

@@ -272,6 +272,23 @@ class TestCertificateIsTheSource:
         assert coker_dim(inst, [inst.place_v, inst.place_v_conj]) == 2
         assert coker_dim(inst, [inst.place_u]) == 1
 
+    @pytest.mark.parametrize("name", ["f7l13", "f1009l967", "f11003l11093"])
+    def test_lifted_curve_carries_the_counted_order(self, monkeypatch, name):
+        # local_class without d reads d_ell off the instance's one curve
+        import sigcalc.ecurve as ecurve
+
+        inst = lift_fixture(name, 0)
+
+        def forbidden(curve):
+            raise AssertionError("#E(F_ell) counted again after the lift")
+
+        monkeypatch.setattr(ecurve, "ec_group_order", forbidden)
+        E, ell = inst.lifted_curve, inst.ell
+        assert E is inst.lifted_curve and E.known_order == (ell, inst.d_ell)
+        (cQ, _), (cR, _) = inst.certificate
+        assert local_class(inst.Q, E, ell, place=inst.place_u).c == cQ
+        assert local_class(inst.R, E, ell, place=inst.place_u).c == cR
+
     def test_certificate_columns_are_the_places_over_ell(self):
         inst = fixture_instance()
         E, ell = inst.lifted_curve, inst.ell

@@ -14,7 +14,6 @@ from sigcalc.ecurve import (
     curve_group_ops,
     ec_add,
     ec_group_order,
-    ec_neg,
     ec_scalar_mul,
     h1_local_dim,
     hasse_interval,
@@ -32,6 +31,12 @@ from sigcalc.errors import (
 )
 from sigcalc.quadfield import RealQuadField, split_places
 from sigcalc.seeds import rng_for
+
+
+def ec_neg(P, curve: Curve):
+    """-P over F_q: the negation oracle of the group-law tests."""
+    q = curve.base[1]
+    return INFINITY if P is INFINITY else Point(P.x % q, -P.y % q)
 
 
 def brute_order(curve: Curve) -> int:
@@ -147,10 +152,12 @@ class TestGroupLaw:
 
 
 def point_law_ops(curve: Curve) -> dict:
-    """The ECDL oracle's table on Points: ec_add and ec_neg, which reduce
-    both operands and build a Point on every step."""
-    return {"op": partial(ec_add, curve=curve), "identity": INFINITY,
-            "invert": partial(ec_neg, curve=curve)}
+    """The ECDL oracle's table on Points: a shift of one ec_add per
+    point, each with its own inversion, ec_neg and the x-coordinate."""
+    return {"identity": INFINITY,
+            "shift": lambda points, T: [ec_add(P, T, curve) for P in points],
+            "invert": partial(ec_neg, curve=curve),
+            "key": lambda P: None if P is INFINITY else P.x}
 
 
 @pytest.mark.parametrize("name", ["f7l13", "f251l271", "f1009l967", "f4003l4111",
@@ -203,6 +210,19 @@ class TestGroupOrder:
                 assert got == expected
         finally:
             ec.ENUMERATION_LIMIT = old
+
+    def test_counts_match_the_table_around_the_limit(self):
+        # every prime on both sides of the switch, three seeded curves each
+        limit = ecurve.ENUMERATION_LIMIT
+        rng = rng_for(12, "limit")
+        for q in primes_up_to(4 * limit):
+            if q < limit // 2:
+                continue
+            for _ in range(3):
+                a, b = rng.randrange(q), rng.randrange(q)
+                if (4 * a**3 + 27 * b * b) % q:
+                    assert ec_group_order(Curve(a, b, ("fp", q))) == \
+                        ecurve._enumerated_order(a, b, q)
 
     def test_hasse_interval(self):
         assert hasse_interval(211) == (183, 241)  # 2*sqrt(211) = 29.05...
