@@ -4,8 +4,8 @@ Primality, factorisation and least primitive roots, Hensel lifting of
 square roots, the 1-unit exponent of a unit modulo ell^2, a
 baby-step giant-step discrete log in batched steps, power residue tests,
 smoothness factoring, and the one sparse Gauss-Jordan eliminator over
-F_ell that every module shares.  Everything is a pure function of its
-inputs.
+F_ell that every module shares, which takes rows one at a time.
+Everything else is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "sqrt_mod_prime",
     "jacobi",
     "gauss_reduce",
+    "Eliminator",
     "row_reduce_mod",
     "rank_mod",
     "parse_decimal",
@@ -551,48 +552,79 @@ def _subtract_row(row: dict, f: int, other: dict, ell: int) -> None:
             row.pop(c, None)
 
 
-def row_reduce_mod(rows, ell: int) -> dict:
-    """Gauss-Jordan elimination over F_ell of sparse rows.
+class Eliminator:
+    """Gauss-Jordan elimination over F_ell of sparse rows, one row at a time.
 
-    Each row is a pair ({column: coefficient}, right-hand side).  Rows
-    are taken lightest first and each pivots on its column that occurs
-    in the fewest input rows, which keeps fill-in low.  Returns the
-    reduced row echelon form as {pivot column: (row, right-hand side)},
-    where a row holds only free (non-pivot) columns and the pivot's own
-    coefficient 1 is implicit.  Its length is the rank, and a pivot
-    whose row is empty is determined: it equals the right-hand side.
-    Raises Inconsistent when a row reduces to 0 = nonzero.
+    A row is {column: coefficient}, as a mapping or as pairs, with
+    every coefficient in [1, ell), and a right-hand side.  The state is
+    the reduced row echelon form of the rows added so far: `rows` maps
+    each pivot column to its row, which holds only free (non-pivot)
+    columns with the pivot's own coefficient 1 implicit, and `consts`
+    to its right-hand side.  len(rows) is the rank.  A row pivots on
+    its column of fewest `occurrences`, which keeps fill-in low: by
+    default the count of the rows added so far that hold it.
     """
-    work = []
-    for coeffs, const in rows:
-        work.append(({c: v % ell for c, v in coeffs.items() if v % ell}, const % ell))
-    occurrences = Counter(c for row, _ in work for c in row)
-    work.sort(key=lambda item: len(item[0]))
-    pivot_rows: dict = {}
-    pivot_consts: dict = {}
-    for row, const in work:
+
+    def __init__(self, ell: int, occurrences: Counter | None = None):
+        self.ell = ell
+        self.rows: dict = {}
+        self.consts: dict = {}
+        self._counting = occurrences is None
+        self.occurrences = Counter() if occurrences is None else occurrences
+
+    def add(self, coeffs, const: int) -> None:
+        """Reduce the row against the pivots and keep what is left, if
+        anything, as a new pivot row.  Raises Inconsistent, leaving rows
+        and consts as they were, when the row reduces to 0 = nonzero."""
+        ell, rows, consts = self.ell, self.rows, self.consts
+        row = dict(coeffs)
+        const %= ell
+        if self._counting:
+            self.occurrences.update(row.keys())
         # pivot rows hold no pivot columns, so one pass clears them all
-        for col in [c for c in row if c in pivot_rows]:
+        for col in [c for c in row if c in rows]:
             f = row.pop(col)
-            _subtract_row(row, f, pivot_rows[col], ell)
-            const = (const - f * pivot_consts[col]) % ell
+            _subtract_row(row, f, rows[col], ell)
+            const = (const - f * consts[col]) % ell
         if not row:
             if const:
                 raise Inconsistent("0 = nonzero row after elimination")
-            continue
-        pivot = min(row, key=occurrences.__getitem__)
+            return
+        pivot = min(row, key=self.occurrences.__getitem__)
         inv = pow(row.pop(pivot), -1, ell)
         if inv != 1:
             row = {c: v * inv % ell for c, v in row.items()}
             const = const * inv % ell
-        for col, other in pivot_rows.items():
+        for col, other in rows.items():
             f = other.pop(pivot, 0)
             if f:
                 _subtract_row(other, f, row, ell)
-                pivot_consts[col] = (pivot_consts[col] - f * const) % ell
-        pivot_rows[pivot] = row
-        pivot_consts[pivot] = const
-    return {col: (row, pivot_consts[col]) for col, row in pivot_rows.items()}
+                consts[col] = (consts[col] - f * const) % ell
+        rows[pivot] = row
+        consts[pivot] = const
+
+    def determined(self, col) -> bool:
+        """Whether every solution gives col one value, consts[col]: col
+        is a pivot whose row holds no free column."""
+        return col in self.rows and not self.rows[col]
+
+
+def row_reduce_mod(rows, ell: int) -> dict:
+    """Gauss-Jordan elimination over F_ell of a batch of sparse rows.
+
+    Each row is a pair ({column: coefficient}, right-hand side).  Rows
+    are added to an Eliminator lightest first, and each pivots on its
+    column that occurs in the fewest input rows.  Returns the reduced
+    row echelon form as {pivot column: (row, right-hand side)}, where a
+    row holds only free columns; its length is the rank, and a pivot
+    whose row is empty is determined: it equals the right-hand side.
+    Raises Inconsistent when a row reduces to 0 = nonzero.
+    """
+    work = [({c: v % ell for c, v in coeffs.items() if v % ell}, const) for coeffs, const in rows]
+    elim = Eliminator(ell, Counter(c for row, _ in work for c in row))
+    for row, const in sorted(work, key=lambda item: len(item[0])):
+        elim.add(row, const)
+    return {col: (row, elim.consts[col]) for col, row in elim.rows.items()}
 
 
 def rank_mod(matrix: list[list[int]], ell: int) -> int:

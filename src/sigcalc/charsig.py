@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import isqrt
 
 from .arith import (
+    Eliminator,
     ell_power_residue_test,
     factor_smooth,
     factorint,
@@ -36,12 +38,11 @@ from .errors import (
     BudgetExhausted,
     DegenerateTarget,
     OracleInconsistent,
-    RankDeficient,
     TooLarge,
     VerificationFailed,
     ZeroY,
 )
-from .indexcalc import Relation, solve_linear_mod_ell
+from .indexcalc import Relation
 from .quadfield import (
     Place,
     QuadInt,
@@ -427,6 +428,27 @@ class _BetaSearch:
         (r0, s0), (r1, s1), (r2, s2) = self.center, self.b1, self.b2
         return r0 + a * r1 + b * r2, s0 + a * s1 + b * s2
 
+    def walk(self):
+        """pair(index) for index = 0, 1, 2, ... in turn, by steps: shell k
+        runs round its square as a closed loop from the point the key
+        sets, each step adding +-b1 or +-b2 to (r, s)."""
+        (r1, s1), (r2, s2) = self.b1, self.b2
+        # the direction of each side of a shell, in _shell_point's order
+        steps = ((r2, s2), (-r1, -s1), (-r2, -s2), (r1, s1))
+        yield self.center
+        k = 1
+        while True:
+            r, s = self.pair((2 * k - 1) ** 2)
+            side, t = divmod(self.key % (8 * k), 2 * k)
+            for d, run in ((side, 2 * k - t), (side + 1, 2 * k), (side + 2, 2 * k),
+                           (side + 3, 2 * k), (side, t)):
+                dr, ds = steps[d % 4]
+                for _ in range(run):
+                    yield r, s
+                    r += dr
+                    s += ds
+            k += 1
+
     def _first_place_valuation(self, q: int, e: int, r: int, s: int) -> int:
         """beta's valuation at the first place over a split q, where q^e
         exactly divides N(beta): that of r*alpha_w + s mod q^(e+1)."""
@@ -443,8 +465,12 @@ class _BetaSearch:
         return v
 
     def attempt(self, index: int) -> Relation | str:
+        """read(*pair(index)): the outcome depends on the index alone."""
+        return self.read(*self.pair(index))
+
+    def read(self, r: int, s_int: int) -> Relation | str:
         """The relation of beta = r*alpha + s, or the reason for rejecting
-        it; the outcome depends on the index alone.
+        it.
 
         beta is kept a unit at u and accepted when its norm factors over
         the base places together with the dedicated conjugate columns.
@@ -454,13 +480,11 @@ class _BetaSearch:
         """
         instance = self.instance
         p, ell = instance.p, instance.ell
-        r, s_int = self.pair(index)
         beta_u = (r * self.alpha_u2 + s_int) % (ell * ell)
         if beta_u % ell == 0:
             return "not_unit_at_u"
+        # beta is a unit at u, so beta != 0 and so is its norm
         norm = abs(s_int * s_int + self.alpha_trace * r * s_int + self.alpha_norm * r * r)
-        if norm == 0:
-            return "zero_norm"
         e_ell = 0
         while norm % ell == 0:
             norm //= ell
@@ -501,30 +525,28 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     unit at u (`_BetaSearch`) satisfy 1 + y_beta*s + sum_w e_w*x_w = 0
     over F_ell, where the x_w are the (unknown, normalised) unramified
     pairing values at the base places and at the dedicated conjugate
-    places u', v'.  Solving the system pins the signature unknown s.
-    The search keeps one counter per outcome, summing to the attempts
-    made: a rejection reason, "accepted", or "rank_deficient_solves"
-    for a relation whose solve left s undetermined.  They are written
-    into `counters` when one is given, and carried by the
-    BudgetExhausted raised after max_attempts attempts.
+    places u', v'.  Each new relation goes to one incremental
+    eliminator, and the search returns at the first relation that pins
+    the signature unknown s.  It keeps one counter per outcome, summing
+    to the attempts made: a rejection reason, "duplicate" or
+    "accepted".  They are written into `counters` when one is given,
+    and carried by the BudgetExhausted raised after max_attempts
+    attempts.
     """
     if bound < 2:
         raise BadInput("bound must be >= 2")
     report = instance.condition_report
     if not report.all_ok:
         raise BadInput(f"instance fails its conditions: {report.as_dict()}")
-    ell = instance.ell
     search = _BetaSearch.start(instance, bound, seed)
-    target = len(search.columns) + 9
-    relations: list[Relation] = []
+    system = Eliminator(instance.ell)
     seen: set = set()
     if counters is None:
         counters = {}
-    counters.update({"not_unit_at_u": 0, "zero_norm": 0, "not_smooth": 0,
-                     "outside_base": 0, "duplicate": 0, "accepted": 0,
-                     "rank_deficient_solves": 0})
-    for index in range(max_attempts):
-        rel = search.attempt(index)
+    counters.update({"not_unit_at_u": 0, "not_smooth": 0, "outside_base": 0,
+                     "duplicate": 0, "accepted": 0})
+    for r, s_int in islice(search.walk(), max_attempts):
+        rel = search.read(r, s_int)
         if isinstance(rel, str):
             counters[rel] += 1
             continue
@@ -532,21 +554,13 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
             counters["duplicate"] += 1
             continue
         seen.add(rel.coeffs)
-        relations.append(rel)
-        if len(relations) < target:
-            counters["accepted"] += 1
-            continue
-        try:
-            solved = solve_linear_mod_ell(relations, [SIGNATURE_COLUMN], ell)
-        except RankDeficient:
-            counters["rank_deficient_solves"] += 1
-            target += max(4, len(search.columns) // 4)
-            continue
         counters["accepted"] += 1
-        s = solved.values[SIGNATURE_COLUMN]
-        if s == 0:
-            raise VerificationFailed("signature must be nonzero")
-        return CharSignature(s=s)
+        system.add(rel.coeffs, rel.const)
+        if system.determined(SIGNATURE_COLUMN):
+            s = system.consts[SIGNATURE_COLUMN]
+            if s == 0:
+                raise VerificationFailed("signature must be nonzero")
+            return CharSignature(s=s)
     raise BudgetExhausted(max_attempts, counters)
 
 

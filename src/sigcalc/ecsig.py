@@ -114,7 +114,15 @@ class EcSignature:
     beta: int
 
 
-def _require_prime_order_base(curve: Curve, ell: int):
+def _require_prime_order_base(curve: Curve, ell: int, Qt: Point):
+    """#E(F_p) = ell for a prime ell, given a nonzero point Qt on the
+    curve.  When ell*Qt = O, ell is the order of Qt and divides #E, and
+    when 2*ell also exceeds the Hasse bound that multiple is ell itself;
+    otherwise the curve is counted."""
+    p = curve.base[1]
+    if is_prime(ell) and is_prime(p) and not curve.is_singular() \
+            and 2 * ell > hasse_interval(p)[1] and ec_scalar_mul(ell, Qt, curve) is INFINITY:
+        return
     order = ec_group_order(curve)
     if order != ell or not is_prime(ell):
         raise BadInput(f"base curve order {order} must equal the prime ell={ell}")
@@ -140,11 +148,11 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
     one, and each rejection counts once under its reason.
     """
     base = Curve(base_a % p, base_b % p, ("fp", p))
-    _require_prime_order_base(base, ell)
     if Qt is INFINITY or Rt is INFINITY:
         raise BadInput("base points must be nonzero")
     if not base.contains(Qt) or not base.contains(Rt):
         raise BadInput("base points must lie on the base curve")
+    _require_prime_order_base(base, ell, Qt)
     x0, y0 = Qt.x % p, Qt.y % p
     mu0, nu0 = Rt.x % p, Rt.y % p
     counters: dict[str, int] = {}
@@ -409,13 +417,14 @@ def ec_instance_from_json(text: str) -> EcSignatureInstance:
     E = Curve(a, b_r, ("rational",))
     if not E.contains(Q) or not Curve(a, b_r, ("quad", K.D)).contains(R):
         raise BadInput("Q and R must lie on y^2 = x^3 + a*x + b_r")
-    _require_prime_order_base(Curve(a % p, b_r % p, ("fp", p)), ell)
+    Qt = _reduce_point(Q, v)
+    _require_prime_order_base(Curve(a % p, b_r % p, ("fp", p)), ell, Qt)
     d_ell = ec_group_order(E.reduction(ell))
     cQ = local_class(Q, E, ell, d=d_ell).c
     cR_u = local_class(R, E, ell, place=u, d=d_ell).c
     cR_uc = local_class(R, E, ell, place=u_conj, d=d_ell).c
     instance = EcSignatureInstance(
-        p=p, ell=ell, base_a=a % p, base_b=b_r % p, Qt=_reduce_point(Q, v),
+        p=p, ell=ell, base_a=a % p, base_b=b_r % p, Qt=Qt,
         Rt=_reduce_point(R, v), a=a, b_r=b_r, Q=Q, R=R, K=K,
         place_u=u, place_u_conj=u_conj, place_v=v, place_v_conj=v_conj,
         d_ell=d_ell, certificate=((cQ, cQ), (cR_u, cR_uc)),

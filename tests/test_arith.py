@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from sigcalc.arith import (
+    Eliminator,
     bsgs_dlog,
     ell_power_residue_test,
     factor_smooth,
@@ -513,6 +514,33 @@ class TestSparseKernel:
             assert (j in pivots and not pivots[j][0]) == determined
             if determined:
                 assert pivots[j][1] == truth[j]
+
+    @given(sparse_systems(), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_eliminator_takes_rows_one_at_a_time(self, system, shift):
+        ell, ncols, truth, dense, consts = system
+        elim = Eliminator(ell)
+        for n, (row, k) in enumerate(zip(dense, consts), 1):
+            elim.add({j: c for j, c in enumerate(row) if c}, k)
+            rank = oracle_rank(dense[:n], ncols, ell)
+            assert len(elim.rows) == rank
+            for j in range(ncols):
+                unit = [int(i == j) for i in range(ncols)]
+                determined = oracle_rank(dense[:n] + [unit], ncols, ell) == rank
+                assert elim.determined(j) == determined
+                if determined:
+                    assert elim.consts[j] == truth[j]
+        batch = row_reduce_mod([(dict(enumerate(row)), k) for row, k in zip(dense, consts)], ell)
+        assert len(batch) == len(elim.rows)
+        assert {col: k for col, (row, k) in batch.items() if not row} == {
+            col: elim.consts[col] for col in elim.rows if elim.determined(col)}
+        # a row off the span's right-hand side by shift leaves the state as it was
+        assume(dense and shift % ell)
+        combo = [sum(row[j] for row in dense) % ell for j in range(ncols)]
+        before = ({c: dict(row) for c, row in elim.rows.items()}, dict(elim.consts))
+        with pytest.raises(Inconsistent):
+            elim.add({j: c for j, c in enumerate(combo) if c}, sum(consts) + shift)
+        assert (elim.rows, elim.consts) == before
 
     @given(sparse_systems())
     @settings(max_examples=200, deadline=None)

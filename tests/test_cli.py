@@ -96,24 +96,48 @@ class TestSignature:
         assert doc["cross_check"]["agree"] is True
 
     @pytest.mark.parametrize("method", ["index", "both"])
-    def test_index_search_counters_in_the_report(self, method, monkeypatch):
-        # one counter per outcome, summing to the attempts the search made
-        from sigcalc.charsig import _BetaSearch
+    def test_index_search_counters_in_the_report(self, method):
+        # one counter per outcome, summing to the N attempts the search
+        # made: replaying attempts 0..N-1 tallies them, and the search
+        # stopped at the first relation that pins s
+        from sympy import GF
+        from sympy.polys.matrices import DomainMatrix
 
-        attempts = []
-        attempt = _BetaSearch.attempt
-        monkeypatch.setattr(_BetaSearch, "attempt",
-                            lambda self, i: attempts.append(i) or attempt(self, i))
+        from sigcalc.charsig import SIGNATURE_COLUMN, _BetaSearch, lift_unit
+
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(["signature", "--lift", "1021,5,10,800", "--method", method,
                          "--B", "80", "--json", "--seed", "11"])
         assert code == 0
         counters = {k: int(v) for k, v in json.loads(out.getvalue())["attempts"].items()}
-        assert set(counters) == {"not_unit_at_u", "zero_norm", "not_smooth", "outside_base",
-                                 "duplicate", "accepted", "rank_deficient_solves"}
-        assert sum(counters.values()) == len(attempts) == attempts[-1] + 1
-        assert counters["accepted"] > 0
+        assert set(counters) == {"not_unit_at_u", "not_smooth", "outside_base",
+                                 "duplicate", "accepted"}
+        search = _BetaSearch.start(lift_unit(800, 1021, 5, 11, g=10), 80, 11)
+        replay = dict.fromkeys(counters, 0)
+        relations = []
+        for index in range(sum(counters.values())):
+            rel = search.attempt(index)
+            outcome = rel if isinstance(rel, str) else (
+                "duplicate" if rel in relations else "accepted")
+            replay[outcome] += 1
+            if outcome == "accepted":
+                relations.append(rel)
+        assert replay == counters and counters["accepted"] > 0
+
+        def pins_s(rels):
+            # s is pinned when e_s lies in the row space of the relations
+            cols = sorted({SIGNATURE_COLUMN, *(col for rel in rels for col in rel.columns)})
+            F = GF(5)
+            rows = [[F(dict(rel.coeffs).get(col, 0)) for col in cols] for rel in rels]
+            unit = [F(int(col == SIGNATURE_COLUMN)) for col in cols]
+
+            def rank(rows):
+                return DomainMatrix(rows, (len(rows), len(cols)), F).rank()
+
+            return rank(rows + [unit]) == rank(rows)
+
+        assert pins_s(relations) and not pins_s(relations[:-1])
 
     def test_instance_file_round_trip(self, tmp_path):
         path = tmp_path / "instance.json"

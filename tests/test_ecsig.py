@@ -95,6 +95,30 @@ class TestLift:
         with pytest.raises(BadInput):
             lift_ec_instance(0, 1, Point(2, 3), Point(0, 1), 5, 6, 0)
 
+    def test_base_order_is_certified_without_a_count(self, monkeypatch):
+        # ell*Qt = O and 2*ell above the Hasse bound give #E = ell on every
+        # fixture, so no lift counts its base curve
+        import sigcalc.ecsig as ecsig
+
+        count = ecsig.ec_group_order
+        for name, (p, a, b, ell, Qt, Rt) in FIXTURES.items():
+            def no_base_count(curve, p=p):
+                if curve.base == ("fp", p):
+                    raise AssertionError(f"the base curve of {name} was counted")
+                return count(curve)
+
+            monkeypatch.setattr(ecsig, "ec_group_order", no_base_count)
+            assert lift_fixture(name, 0).ell == ell
+
+    @pytest.mark.parametrize("p, a, b, ell, Qt, order", [
+        (7, 0, 3, 11, Point(1, 2), 13),  # 11*Qt != O
+        (11, 1, 1, 7, Point(0, 1), 14),  # 7*Qt = O, but 2*7 is inside the Hasse bound
+    ])
+    def test_uncertified_base_of_the_wrong_order_is_counted(self, p, a, b, ell, Qt, order):
+        with pytest.raises(BadInput, match=f"base curve order {order} ") as exc:
+            lift_ec_instance(a, b, Qt, Qt, p, ell, 0)
+        assert exc.value.exit_code == 2
+
     def test_budget_exhaustion(self):
         from sigcalc.errors import BudgetExhausted
 
