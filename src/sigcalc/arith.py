@@ -25,7 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "hensel_sqrt",
     "lift_sqrt",
     "teichmuller",
     "bsgs_dlog",
@@ -314,27 +313,6 @@ def sqrt_mod_prime(n: int, q: int) -> int:
         b = b * c % q
         m = i
     return x
-
-
-def hensel_sqrt(n: int, q: int, k: int) -> int:
-    """Square root of n mod q**k for an odd prime q not dividing n.
-
-    Root selection is canonical: the returned root reduces mod q into
-    [1, (q-1)/2], so conjugate labellings are reproducible across runs.
-    """
-    if k < 1:
-        raise BadInput("precision k must be >= 1")
-    if q < 3 or q % 2 == 0:
-        raise BadInput("q must be an odd prime")
-    n0 = n % q
-    if n0 == 0:
-        raise Ramified(f"{q} divides {n}")
-    if pow(n0, (q - 1) // 2, q) != 1:
-        raise NonResidue(f"{n} is not a quadratic residue mod {q}")
-    r = sqrt_mod_prime(n0, q)
-    if not 1 <= r <= (q - 1) // 2:
-        r = q - r
-    return lift_sqrt(n, r, q, k)
 
 
 def lift_sqrt(n: int, root: int, q: int, k: int) -> int:

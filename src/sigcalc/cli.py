@@ -45,9 +45,6 @@ from .indexcalc import index_calculus_dlog, rational_character_pairing
 from .quadfield import ray_class_ell_rank, rayrank_fields, split_places
 from .seeds import rng_for
 
-EXIT_OK = 0
-EXIT_INVARIANT = InvariantError.exit_code
-
 
 def _stringify(obj):
     """Numbers become decimal strings so reports never lose precision."""
@@ -88,7 +85,10 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
-def _emit(report: RunReport, args) -> None:
+def _finish(report: RunReport, args, t0: float) -> int:
+    """Stamp the wall time since t0, emit the report, and return the exit
+    code: InvariantError's when the cross-check disagrees, else 0."""
+    report.wall_time_ms = 1000 * (time.perf_counter() - t0)
     if args.json:
         print(report.to_json(timing=args.timing))
     else:
@@ -96,8 +96,11 @@ def _emit(report: RunReport, args) -> None:
             print(f"{key}: {value}")
         if report.cross_check is not None:
             print(f"cross-check: {report.cross_check}")
-        if args.timing and report.wall_time_ms is not None:
+        if args.timing:
             print(f"wall-time: {report.wall_time_ms:.1f} ms")
+    if report.cross_check is not None and not report.cross_check["agree"]:
+        return InvariantError.exit_code
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +111,14 @@ def cmd_dlog(args) -> int:
     p, ell, g, a = args.p, args.ell, args.g, args.a
     if not is_prime(p):
         raise BadInput(f"{p} is not prime")
+    if g % p == 0:
+        raise BadInput(f"g = {g} must be a unit mod {p}")
     t0 = time.perf_counter()
     report = RunReport(
         "dlog",
         {"p": p, "ell": ell, "g": g, "a": a, "method": args.method, "B": args.B},
         seed=args.seed,
     )
-    code = EXIT_OK
     if args.method == "bsgs":
         m = bsgs_dlog(g, a % p, p - 1, **mult_group_ops(p))
         report.outputs = {"m": m, "modulus": p - 1}
@@ -123,13 +127,8 @@ def cmd_dlog(args) -> int:
         report.outputs = {"m": m, "modulus": ell}
         if not args.no_verify and p - 1 <= 2**24:
             full = bsgs_dlog(g, a % p, p - 1, **mult_group_ops(p))
-            ok = full % ell == m
-            report.cross_check = {"bsgs_m": full, "agree": ok}
-            if not ok:
-                code = EXIT_INVARIANT
-    report.wall_time_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args)
-    return code
+            report.cross_check = {"bsgs_m": full, "agree": full % ell == m}
+    return _finish(report, args, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,6 @@ def cmd_signature(args) -> int:
         return bsgs_dlog(g, a, p - 1, **mult_group_ops(p))
 
     outputs = {"conditions": instance.condition_report.as_dict()}
-    code = EXIT_OK
     if args.method in ("dl-oracle", "both"):
         sig = signature_from_dl(instance, dl_oracle)
         outputs["s_dl_oracle"] = sig.s
@@ -196,14 +194,9 @@ def cmd_signature(args) -> int:
                                           counters=report.attempts)
         outputs["s_index"] = sig_ic.s
     if args.method == "both":
-        agree = outputs["s_dl_oracle"] == outputs["s_index"]
-        report.cross_check = {"agree": agree}
-        if not agree:
-            code = EXIT_INVARIANT
+        report.cross_check = {"agree": outputs["s_dl_oracle"] == outputs["s_index"]}
     report.outputs = outputs
-    report.wall_time_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args)
-    return code
+    return _finish(report, args, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +242,13 @@ def cmd_ec(args) -> int:
         },
         seed=args.seed,
     )
-    code = EXIT_OK
     if args.subcommand == "roundtrip":
         ops = curve_group_ops(instance.base_curve)
         m_bsgs = bsgs_dlog(instance.Qt, instance.Rt, instance.ell, **ops)
         sig = signature_from_ecdl(instance, lambda _Qb, _Rb: m_bsgs)
         m = ecdl_from_signature(instance, lambda _inst: sig)
-        ok = m == m_bsgs % instance.ell
         report.outputs = {"alpha": sig.alpha, "beta": sig.beta, "m": m}
-        report.cross_check = {"bsgs_m": m_bsgs, "agree": ok}
-        if not ok:
-            code = EXIT_INVARIANT
+        report.cross_check = {"bsgs_m": m_bsgs, "agree": m == m_bsgs % instance.ell}
     elif args.subcommand == "coker":
         dims = {
             "u,u'": coker_dim(instance),
@@ -270,8 +259,6 @@ def cmd_ec(args) -> int:
         report.outputs = {"dims": dims}
         expected = {"u,u'": 0, "u,u',v": 1, "u,u',v,v'": 2}
         report.cross_check = {"agree": dims == expected}
-        if dims != expected:
-            code = EXIT_INVARIANT
     else:  # scan
         hits = scan_torsion_places(instance.lifted_curve, instance.K,
                                    instance.ell, args.B)
@@ -284,9 +271,7 @@ def cmd_ec(args) -> int:
                 for w, order in hits
             ],
         }
-    report.wall_time_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args)
-    return code
+    return _finish(report, args, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +378,8 @@ def cmd_verify(args) -> int:
     if failures:
         print(json.dumps(_stringify({"counterexample": failures[0]}),
                          sort_keys=True, separators=(", ", ": ")), file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+        return InvariantError.exit_code
+    return 0
 
 
 # ---------------------------------------------------------------------------

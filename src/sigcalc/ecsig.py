@@ -169,16 +169,17 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
             break
         y_lift = y0 + r * p
         b_r = y_lift * y_lift - (x0**3 + a * x0)
-        E = Curve(a, b_r, ("rational",))
+        reduced = Curve(a % ell, b_r % ell, ("fp", ell))
         Q = Point(x0, y_lift)
-        if E.discriminant() % ell == 0:
+        if reduced.is_singular():
             reject("bad_reduction_at_ell")
             continue
-        d_ell = ec_group_order(E.reduction(ell))
+        d_ell = ec_group_order(reduced)
         if d_ell % ell == 0:
             reject("ell_divides_reduced_order")
             continue
-        cQ = local_class(Q, E, ell, d=d_ell).c
+        E = Curve(a, b_r, ("rational",), known_order=(ell, d_ell))
+        cQ = local_class(Q, E, ell).c
         if cQ == 0:
             reject("Q_trivial_at_ell")
             continue
@@ -216,8 +217,8 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 reject("no_v_label")
                 continue
             vi = images.index(nu0)
-            cR_u = local_class(R, E, ell, place=u_places[0], d=d_ell).c
-            cR_uc = local_class(R, E, ell, place=u_places[1], d=d_ell).c
+            cR_u = local_class(R, E, ell, place=u_places[0]).c
+            cR_uc = local_class(R, E, ell, place=u_places[1]).c
             det = (cQ * cR_uc - cQ * cR_u) % ell
             if det == 0:
                 reject("certificate_singular")
@@ -420,9 +421,10 @@ def ec_instance_from_json(text: str) -> EcSignatureInstance:
     Qt = _reduce_point(Q, v)
     _require_prime_order_base(Curve(a % p, b_r % p, ("fp", p)), ell, Qt)
     d_ell = ec_group_order(E.reduction(ell))
-    cQ = local_class(Q, E, ell, d=d_ell).c
-    cR_u = local_class(R, E, ell, place=u, d=d_ell).c
-    cR_uc = local_class(R, E, ell, place=u_conj, d=d_ell).c
+    E = Curve(a, b_r, ("rational",), known_order=(ell, d_ell))
+    cQ = local_class(Q, E, ell).c
+    cR_u = local_class(R, E, ell, place=u).c
+    cR_uc = local_class(R, E, ell, place=u_conj).c
     instance = EcSignatureInstance(
         p=p, ell=ell, base_a=a % p, base_b=b_r % p, Qt=Qt,
         Rt=_reduce_point(R, v), a=a, b_r=b_r, Q=Q, R=R, K=K,

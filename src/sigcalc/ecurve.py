@@ -169,16 +169,6 @@ def _fp_mul(n: int, P, a: int, q: int):
     return result
 
 
-def _fp_point_add(P, Q, a: int, q: int):
-    """_fp_add on Points; an operand O returns the other as given."""
-    if P is INFINITY:
-        return Q
-    if Q is INFINITY:
-        return P
-    R = _fp_add((P.x % q, P.y % q), (Q.x % q, Q.y % q), a, q)
-    return INFINITY if R is None else Point(*R)
-
-
 def _fp_modulus(curve: Curve) -> int:
     """q for a curve over F_q; the group law runs on no other base."""
     if curve.base[0] != "fp":
@@ -187,8 +177,15 @@ def _fp_modulus(curve: Curve) -> int:
 
 
 def ec_add(P, Q, curve: Curve):
-    """Chord-tangent sum over F_q, on plain ints."""
-    return _fp_point_add(P, Q, curve.a, _fp_modulus(curve))
+    """Chord-tangent sum over F_q, on plain ints; an operand O returns
+    the other as given."""
+    q = _fp_modulus(curve)
+    if P is INFINITY:
+        return Q
+    if Q is INFINITY:
+        return P
+    R = _fp_add((P.x % q, P.y % q), (Q.x % q, Q.y % q), curve.a, q)
+    return INFINITY if R is None else Point(*R)
 
 
 def ec_scalar_mul(n: int, P, curve: Curve):
@@ -390,7 +387,6 @@ class LocalClass:
     """
 
     c: int
-    place: Place | None
     d: int
 
 
@@ -451,22 +447,20 @@ def _projective_mod(point, place: Place | None, ell: int):
                  for c in (x * scale, y * scale, scale))
 
 
-def local_class(point, curve: Curve, ell: int, place: Place | None = None,
-                d: int | None = None) -> LocalClass:
+def local_class(point, curve: Curve, ell: int, place: Place | None = None) -> LocalClass:
     """The class of a point of E(Q_ell) in E(Q_ell)/ell as an F_ell value.
 
     Requires good reduction at ell with reduced order d not divisible
-    by ell; d is counted unless the caller passes it or the curve's
-    known_order holds it.  d*P lies in the kernel of reduction; it is
+    by ell; d is read off the curve's known_order when that holds it
+    and counted otherwise.  d*P lies in the kernel of reduction; it is
     computed exactly in E(Z/ell^2), and c = (z/ell) mod ell with
     z = -X/Y.
     """
     reduced = curve.reduction(ell)  # BadInput unless the model is integral
     if reduced.is_singular():
         raise BadReduction(f"bad reduction at {ell}")
-    if d is None:
-        known = curve.known_order
-        d = known[1] if known and known[0] == ell else ec_group_order(reduced)
+    known = curve.known_order
+    d = known[1] if known and known[0] == ell else ec_group_order(reduced)
     if d % ell == 0:
         raise BadReduction(f"ell divides the reduced order {d}")
     N = ell * ell
@@ -479,4 +473,4 @@ def local_class(point, curve: Curve, ell: int, place: Place | None = None,
     X, Y, Z = _proj_mul(n, P, a, b3, N)
     if X % ell or Z % ell or Y % ell == 0:
         raise VerificationFailed(f"d*P is not in the kernel of reduction at {ell}")
-    return LocalClass((-X * pow(Y, -1, N) % N) // ell, place, d)
+    return LocalClass((-X * pow(Y, -1, N) % N) // ell, d)

@@ -71,8 +71,8 @@ class NotInSubgroup(PreconditionError):
 class NotSmooth(PreconditionError):
     """Factorisation aborted: a cofactor above the bound survives."""
 
-    def __init__(self, cofactor: int, message: str | None = None):
-        super().__init__(message or f"not smooth: surviving cofactor {cofactor}")
+    def __init__(self, cofactor: int):
+        super().__init__(f"not smooth: surviving cofactor {cofactor}")
         self.cofactor = cofactor
 
 
@@ -84,10 +84,6 @@ class TooLarge(PreconditionError):
     """Beyond the desk-scale bound for exhaustive methods."""
 
 
-class ZeroElement(PreconditionError):
-    """The zero element has no ideal factorisation."""
-
-
 class ClassNumberDivisible(PreconditionError):
     """ell divides the class number; the rank formula does not apply."""
 
@@ -95,12 +91,11 @@ class ClassNumberDivisible(PreconditionError):
 class BudgetExhausted(BudgetError):
     """A randomized search ran out of attempts."""
 
-    def __init__(self, attempts: int, counters: dict | None = None,
-                 message: str | None = None):
+    def __init__(self, attempts: int, counters: dict | None = None):
         detail = f"budget exhausted after {attempts} attempts"
         if counters:
             detail += " (" + ", ".join(f"{k} x{v}" for k, v in sorted(counters.items())) + ")"
-        super().__init__(message or detail)
+        super().__init__(detail)
         self.attempts = attempts
         self.counters = dict(counters or {})
 
@@ -112,9 +107,9 @@ class Inconsistent(InvariantError):
 class RankDeficient(BudgetError):
     """Requested unknowns are not determined by the system."""
 
-    def __init__(self, undetermined, message: str | None = None):
+    def __init__(self, undetermined):
         self.undetermined = sorted(undetermined)
-        super().__init__(message or f"undetermined unknowns: {self.undetermined}")
+        super().__init__(f"undetermined unknowns: {self.undetermined}")
 
 
 class VerificationFailed(InvariantError):

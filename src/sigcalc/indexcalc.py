@@ -47,29 +47,29 @@ __all__ = [
 ]
 
 
-def theta_column(q: int) -> str:
-    """Column name for the unknown discrete log of a factor-base prime."""
-    return f"theta({q})"
+# build_theta_table gives up after this many rounds of relation collection
+THETA_ROUNDS = 4
 
 
 @dataclass(frozen=True)
 class Relation:
     """A linear equation sum_i coeff_i * unknown_i = const over F_ell.
 
-    Column ids are distinct named unknowns; zero coefficients are
+    Column ids are distinct unknowns (the classical system names the
+    log of a factor-base prime q by q itself); zero coefficients are
     dropped at construction.
     """
 
-    coeffs: tuple[tuple[str, int], ...]
+    coeffs: tuple[tuple[object, int], ...]
     const: int
 
     @classmethod
-    def make(cls, coeffs: dict[str, int], const: int, ell: int) -> "Relation":
+    def make(cls, coeffs: dict, const: int, ell: int) -> "Relation":
         cleaned = tuple(sorted((col, c % ell) for col, c in coeffs.items() if c % ell))
         return cls(cleaned, const % ell)
 
     @property
-    def columns(self) -> tuple[str, ...]:
+    def columns(self) -> tuple:
         return tuple(col for col, _ in self.coeffs)
 
     def is_trivial(self) -> bool:
@@ -89,6 +89,12 @@ def half_split(x: int, p: int) -> tuple[int, int, int]:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     return r1, abs(t1), int(t1 < 0)
+
+
+def _base_bound(bound: int, p: int) -> int:
+    """max(2, min(bound, isqrt(p))): no prime above sqrt(p) divides the
+    halves u, v of a split, so smoothness at this bound is the same."""
+    return max(2, min(bound, isqrt(p)))
 
 
 def _split_smooth(x: int, p: int, bound: int):
@@ -155,8 +161,7 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
             counters["not_smooth"] += 1
             continue
         sigma, exponents = split
-        rel = Relation.make({theta_column(q): e for q, e in exponents.items()},
-                            r - sigma * half, ell)
+        rel = Relation.make(exponents, r - sigma * half, ell)
         if rel.is_trivial():
             counters["trivial"] += 1
             continue
@@ -202,10 +207,10 @@ def prune_singletons(relations: list[Relation]) -> list[Relation]:
 class SolveResult:
     """Determined column values plus the solution-space dimension."""
 
-    values: dict[str, int]
+    values: dict
     nullity: int
     rank: int
-    columns: list[str] = field(default_factory=list)
+    columns: list = field(default_factory=list)
 
 
 def solve_linear_mod_ell(relations: list[Relation], unknowns, ell: int) -> SolveResult:
@@ -227,8 +232,7 @@ def solve_linear_mod_ell(relations: list[Relation], unknowns, ell: int) -> Solve
                        rank=len(pivots), columns=columns)
 
 
-def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
-                      rounds: int = 4) -> dict[int, int]:
+def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int) -> dict[int, int]:
     """Discrete logs mod ell of every determined factor-base prime.
 
     The base is the primes <= min(bound, sqrt(p)): no larger prime
@@ -238,15 +242,15 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
     exponent r has been drawn no round can add a relation, and the
     determined part of the table is returned as it stands.
     """
-    bound = max(2, min(bound, isqrt(p)))
+    bound = _base_bound(bound, p)
     base = primes_up_to(bound)
     # at most p-2 distinct exponents exist; never ask for more
     count = min(len(base) + 16, p - 2)
     search = RelationSearch()
     relations: list[Relation] = []
-    seen: set[str] = set()
+    seen: set[int] = set()
     solved = SolveResult({}, 0, 0)
-    for attempt in range(1, rounds + 1):
+    for attempt in range(1, THETA_ROUNDS + 1):
         relations += collect_relations(p, ell, g, bound,
                                        min(count * attempt, p - 2) - len(relations),
                                        seed, search=search)
@@ -254,11 +258,7 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
         solved = solve_linear_mod_ell(kept, [], ell)
         seen = {col for rel in kept for col in rel.columns}
         if (seen and seen <= solved.values.keys()) or search.exhausted(p):
-            return {
-                q: solved.values[theta_column(q)]
-                for q in base
-                if theta_column(q) in solved.values
-            }
+            return {q: solved.values[q] for q in base if q in solved.values}
     raise RankDeficient(sorted(c for c in seen if c not in solved.values))
 
 
@@ -272,17 +272,22 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
     is not smooth or holds, with an exponent nonzero mod ell, a prime
     the table lacks, and reads m = sum e_q theta(q) + sigma*(p-1)/2 - s.
     The answer is verified against a^((p-1)/ell) = (g^((p-1)/ell))^m
-    before returning.
+    before returning.  g must be a unit mod p whose (p-1)/ell-th power
+    is not 1, or BadInput is raised.
     """
     if not is_prime(p) or not is_prime(ell):
         raise BadInput(f"p = {p} and ell = {ell} must be primes")
     if (p - 1) % ell != 0:
         raise BadInput(f"{ell} must divide p - 1")
+    h = pow(g, (p - 1) // ell, p)
+    if h in (0, 1):  # h = 0 exactly when p divides g
+        raise BadInput(f"g = {g} must be a unit mod {p} and not an ell-th power")
     a %= p
     if a == 0:
         raise BadInput("target must be a unit mod p")
     if a == 1:
         return 0
+    bound = _base_bound(bound, p)
     if theta is None:
         theta = build_theta_table(p, ell, g, bound, seed)
     rng = rng_for(seed, "descent", a)
@@ -299,9 +304,7 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
             continue
         m = (sum(e * theta.get(q, 0) for q, e in exponents.items())
              + sigma * ((p - 1) // 2) - s) % ell
-        lhs = pow(a, (p - 1) // ell, p)
-        rhs = pow(pow(g, (p - 1) // ell, p), m, p)
-        if lhs != rhs:
+        if pow(a, (p - 1) // ell, p) != pow(h, m, p):
             raise VerificationFailed(
                 "index-calculus answer failed the power-residue cross-check")
         return m
@@ -341,6 +344,8 @@ def rational_character_pairing(p: int, ell: int, site, a) -> int:
     -v_q(a) * theta(q) mod ell.  Reciprocity: the values summed over the
     support of a together with p vanish.
     """
+    if not is_prime(p) or not is_prime(ell):
+        raise BadInput(f"p = {p} and ell = {ell} must be primes")
     if (p - 1) % ell != 0:
         raise BadInput(f"{ell} must divide p - 1")
     a = _as_fraction(a)

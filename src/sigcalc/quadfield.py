@@ -2,8 +2,8 @@
 
 Integers of the maximal order, fundamental units by continued
 fractions, class numbers by exhaustive reduction of indefinite binary
-quadratic forms, places and their completions, principal-ideal
-factorisation, and the F_ell-rank of ray class groups.
+quadratic forms, places and their completions, the place valuations of a
+principal ideal, and the F_ell-rank of ray class groups.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .arith import (
     least_primitive_root,
     lift_sqrt,
     mult_group_ops,
-    factor_smooth,
     primes_up_to,
     rank_mod,
     sqrt_2adic,
@@ -35,7 +34,6 @@ from .errors import (
     NotSquarefree,
     Ramified,
     TooLarge,
-    ZeroElement,
 )
 
 __all__ = [
@@ -47,7 +45,7 @@ __all__ = [
     "split_places",
     "labelled_places",
     "embed",
-    "factor_principal",
+    "place_valuations",
     "ray_class_ell_rank",
     "rayrank_fields",
     "squarefree_kernel",
@@ -200,17 +198,6 @@ class QuadInt:
 
     def trace(self) -> int:
         return 2 * self.a + (self.b if self.field.omega_is_half else 0)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def sqrt_coords(self) -> tuple:
-        """(x, y) with self = x + y*sqrt(D); halves possible for D=1 mod 4."""
-        from fractions import Fraction
-
-        if self.field.omega_is_half:
-            return (Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
-        return (Fraction(self.a), Fraction(self.b))
 
     def __repr__(self):
         if self.field.omega_is_half:
@@ -494,7 +481,8 @@ def embed(x, place: Place, k: int) -> int:
 
 
 def place_valuations(x: QuadInt, prime_exponents: dict[int, int]) -> list[tuple[Place, int]]:
-    """Distribute the prime factorisation of |N(x)| over places of K.
+    """Distribute the prime factorisation of |N(x)| over places of K, for
+    a nonzero x and the exponents of factor_smooth(|N(x)|, B).
 
     For split q the share of each conjugate place is read off the
     valuation of the corresponding embedding; inert primes contribute
@@ -523,18 +511,6 @@ def place_valuations(x: QuadInt, prime_exponents: dict[int, int]) -> list[tuple[
             if e - v1:
                 out.append((places[1], e - v1))
     return out
-
-
-def factor_principal(x: QuadInt, bound: int) -> list[tuple[Place, int]]:
-    """Place-by-place factorisation of the principal ideal (x).
-
-    Requires |N(x)| to be bound-smooth; raises NotSmooth otherwise and
-    ZeroElement for x = 0.  Units factor as the empty list.
-    """
-    if x.is_zero():
-        raise ZeroElement("zero has no ideal factorisation")
-    n = abs(x.norm())
-    return place_valuations(x, factor_smooth(n, bound))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from sigcalc.arith import (
     factor_smooth,
     factorint,
     gauss_reduce,
-    hensel_sqrt,
     integer_cbrt,
     is_prime,
     jacobi,
     least_primitive_root,
+    lift_sqrt,
     mult_group_ops,
     primes_up_to,
     rank_mod,
@@ -46,17 +46,25 @@ def brute_sqrt_mod(n, modulus):
     return sorted(x for x in range(modulus) if x * x % modulus == n % modulus)
 
 
+def canonical_root(n, q):
+    """The square root of n mod q in [1, (q-1)/2], as split_places labels it."""
+    r = sqrt_mod_prime(n, q)
+    return min(r, q - r)
+
+
 class TestHenselSqrt:
+    """lift_sqrt from the canonical root mod q."""
+
     def test_identity(self):
-        assert hensel_sqrt(1, 7, 3) == 1
+        assert lift_sqrt(1, canonical_root(1, 7), 7, 3) == 1
 
     def test_exact_square(self):
         # canonical root of 4 mod 5^3 is 2 (base residue 2 <= (5-1)/2)
-        assert hensel_sqrt(4, 5, 3) == 2
+        assert lift_sqrt(4, canonical_root(4, 5), 5, 3) == 2
 
     def test_one_lift_step(self):
         # base root 3 of 2 mod 7; one lift reaches 10 with 10^2 = 100 = 2 mod 49
-        root = hensel_sqrt(2, 7, 2)
+        root = lift_sqrt(2, canonical_root(2, 7), 7, 2)
         assert root == 10
         assert root**2 % 49 == 2
         # brute-force oracle: roots of 2 mod 49 are {10, 39}; 10 = 3 mod 7 is canonical
@@ -64,18 +72,25 @@ class TestHenselSqrt:
 
     def test_non_residue_rejected(self):
         with pytest.raises(NonResidue):
-            hensel_sqrt(3, 7, 2)
+            canonical_root(3, 7)
 
     def test_ramified_rejected(self):
+        # 7 divides 14: the place over 7 ramifies in Q(sqrt 14), and
+        # sqrt(14) has no image in a degree-1 completion there
+        from sigcalc.quadfield import RealQuadField, embed, split_places
+
+        K = RealQuadField(14)
+        [w] = split_places(7, K)
+        assert w.splitting == "ramified"
         with pytest.raises(Ramified):
-            hensel_sqrt(14, 7, 2)
+            embed(K.from_sqrt_coords(0, 1), w, 2)
 
     @given(st.sampled_from(ODD_PRIMES), st.integers(1, 5), st.integers(1, 10**6))
     @settings(max_examples=200, deadline=None)
     def test_square_property(self, q, k, n):
         if n % q == 0 or jacobi(n % q, q) != 1:
             return
-        x = hensel_sqrt(n, q, k)
+        x = lift_sqrt(n, canonical_root(n, q), q, k)
         assert (x * x - n) % q**k == 0
         assert 1 <= x % q <= (q - 1) // 2
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -81,6 +82,30 @@ class TestDlog:
         assert json.loads(r.stderr)["error"] == "BadInput"
 
 
+def main_json(argv):
+    """(exit code, the --json report on stdout) of one in-process call."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([*argv, "--json"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    ["dlog", "--p", "1021", "--ell", "5", "--g", "0", "--a", "800", "--method", "index"],
+    ["dlog", "--p", "1021", "--ell", "5", "--g", "1", "--a", "800", "--method", "index"],
+    ["dlog", "--p", "1021", "--ell", "5", "--g", "0", "--a", "800", "--method", "bsgs"],
+    ["verify", "--suite", "reciprocity", "--ell", "0"],
+    ["verify", "--suite", "reciprocity", "--p", "2", "--ell", "1"],
+])
+def test_degenerate_arguments_exit_as_bad_input(argv):
+    # the timeout catches a hang: with g = 0 every split has u = 0, and
+    # smooth_cofactor(0, B) never returns
+    r = subprocess.run([*PY, *argv], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["error"] == "BadInput"
+
+
 class TestSignature:
     def test_lift_dl_oracle(self):
         r = run_cli("signature", "--lift", "31,5,3,17", "--json")
@@ -94,6 +119,22 @@ class TestSignature:
         assert r.returncode == 0
         doc = json.loads(r.stdout)
         assert doc["cross_check"]["agree"] is True
+
+    def test_failed_cross_check_reports_and_exits_invariant(self, monkeypatch):
+        import sigcalc.cli as cli
+
+        real = cli.signature_index_calculus
+
+        def off_by_one(instance, *args, **kwargs):
+            sig = real(instance, *args, **kwargs)
+            return replace(sig, s=(sig.s + 1) % instance.ell)
+
+        monkeypatch.setattr(cli, "signature_index_calculus", off_by_one)
+        code, doc = main_json(["signature", "--lift", "31,5,3,17", "--method", "both",
+                               "--B", "60"])
+        assert code == 1
+        assert doc["outputs"]["s_dl_oracle"] == "1" and doc["outputs"]["s_index"] == "2"
+        assert doc["cross_check"] == {"agree": False}
 
     @pytest.mark.parametrize("method", ["index", "both"])
     def test_index_search_counters_in_the_report(self, method):
@@ -233,6 +274,26 @@ class TestEc:
         doc = json.loads(r.stdout)
         assert doc["outputs"]["dims"] == {"u,u'": "0", "u,u',v": "1",
                                           "u,u',v,v'": "2"}
+
+    def test_failed_roundtrip_reports_and_exits_invariant(self, monkeypatch):
+        import sigcalc.cli as cli
+
+        real = cli.ecdl_from_signature
+        monkeypatch.setattr(cli, "ecdl_from_signature",
+                            lambda instance, oracle: (real(instance, oracle) + 1) % instance.ell)
+        code, doc = main_json(["ec", "roundtrip", "--fixture", "f7l13"])
+        assert code == 1
+        assert doc["outputs"]["m"] == "3"
+        assert doc["cross_check"] == {"bsgs_m": "2", "agree": False}
+
+    def test_failed_coker_table_reports_and_exits_invariant(self, monkeypatch):
+        import sigcalc.cli as cli
+
+        monkeypatch.setattr(cli, "coker_dim", lambda instance, extra_places=(): 0)
+        code, doc = main_json(["ec", "coker", "--fixture", "f7l13"])
+        assert code == 1
+        assert doc["outputs"]["dims"] == {"u,u'": "0", "u,u',v": "0", "u,u',v,v'": "0"}
+        assert doc["cross_check"] == {"agree": False}
 
     def test_scan(self):
         r = run_cli("ec", "scan", "--fixture", "f7l13", "--B", "100", "--json")

@@ -177,20 +177,21 @@ class TestLift:
         assert inst.K.D not in calls[:-1]
 
     def test_local_classes_take_the_counted_order(self, monkeypatch):
-        # the lift and the loader hand #E(F_ell) to local_class
+        # the lift and the loader hand #E(F_ell) to local_class on the
+        # curve's known_order
         import sigcalc.ecsig as ecsig
 
         orders = []
 
-        def spy(*args, d=None, **kwargs):
-            orders.append(d)
-            return local_class(*args, d=d, **kwargs)
+        def spy(point, curve, ell, place=None):
+            orders.append(curve.known_order)
+            return local_class(point, curve, ell, place)
 
         monkeypatch.setattr(ecsig, "local_class", spy)
         inst = fixture_instance()
         ec_instance_from_json(ec_instance_to_json(inst))
-        assert None not in orders
-        assert orders[-6:] == [inst.d_ell] * 6
+        assert orders and all(known and known[0] == inst.ell for known in orders)
+        assert orders[-6:] == [(inst.ell, inst.d_ell)] * 6
 
     def test_rho_convention_holds(self):
         # R generates E(K_u')/ell and Q generates at u and v
@@ -542,6 +543,6 @@ class TestSerialization:
 
         text = ec_instance_to_json(fixture_instance())
         monkeypatch.setattr(ecsig, "local_class",
-                            lambda point, curve, ell, place=None, d=None: LocalClass(1, place, 9))
+                            lambda point, curve, ell, place=None: LocalClass(1, 9))
         with pytest.raises(SingularSystem):
             ec_instance_from_json(text)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sigcalc.ecurve as ecurve
-from sigcalc.arith import bsgs_dlog, hensel_sqrt, jacobi, primes_up_to, sqrt_mod_prime
+from sigcalc.arith import bsgs_dlog, jacobi, lift_sqrt, primes_up_to, sqrt_mod_prime
 from sigcalc.cli import load_fixture
 from sigcalc.ecurve import (
     Curve,
@@ -388,9 +388,7 @@ def in_ell_E(W, curve: Curve, ell: int) -> bool:
             raise ValueError("lifting 2-torsion is not needed for these curves")
         # lift V_red to a local point: fix x, lift y by the square root
         f = V_red.x**3 + curve.a * V_red.x + curve.b
-        y = hensel_sqrt(f, ell, 2)
-        if y % ell != V_red.y:
-            y = N - y
+        y = lift_sqrt(f, V_red.y, ell, 2)
         EX, EY, EZ = _proj_mul(ell, (V_red.x, y, 1), a, b3, N)
         X, Y, Z = _proj_add(W, (EX, -EY % N, EZ), a, b3, N)
     if Y % ell == 0:
@@ -500,10 +498,10 @@ class TestLocalClass:
             raise AssertionError("the order was recounted")
 
         monkeypatch.setattr(ecurve, "ec_group_order", forbidden)
-        assert local_class(P, E, 13, d=cls.d) == cls
+        assert local_class(P, Curve(0, 3, ("rational",), known_order=(13, cls.d)), 13) == cls
         # a wrong order leaves d*P outside the kernel of reduction
         with pytest.raises(VerificationFailed):
-            local_class(P, E, 13, d=cls.d + 1)
+            local_class(P, Curve(0, 3, ("rational",), known_order=(13, cls.d + 1)), 13)
 
     def test_not_in_the_kernel_after_d(self):
         # an off-curve point: d*P does not reduce to O

@@ -26,7 +26,6 @@ from sigcalc.indexcalc import (
     prune_singletons,
     rational_character_pairing,
     solve_linear_mod_ell,
-    theta_column,
 )
 from sigcalc.seeds import rng_for
 
@@ -51,7 +50,7 @@ class TestRelations:
             by_const[rel.const] = rel
         # the r = 24 relation reads theta(2) = 4
         rel = next(r for r in relations
-                   if r.coeffs == ((theta_column(2), 1),) and r.const == 4)
+                   if r.coeffs == ((2, 1),) and r.const == 4)
         assert rel is not None
 
     def test_rejects_non_smooth(self):
@@ -62,8 +61,7 @@ class TestRelations:
         for rel in relations:
             value = 1
             # reconstruct g^r from the row and confirm smoothness
-            assert all(q <= 7 for q in
-                       [int(c.split("(")[1][:-1]) for c, _ in rel.coeffs])
+            assert all(q <= 7 for q in rel.columns)
 
     def test_substituting_true_thetas(self):
         # relation semantics: true discrete logs satisfy every row exactly
@@ -72,8 +70,7 @@ class TestRelations:
         theta = brute_theta(p, g)
         bound = 30
         for rel in collect_relations(p, ell, g, bound, 40, seed=1):
-            total = sum(c * theta[int(col.split("(")[1][:-1])]
-                        for col, c in rel.coeffs)
+            total = sum(c * theta[q] for q, c in rel.coeffs)
             assert total % ell == rel.const % ell
 
     def test_deterministic(self):
@@ -265,6 +262,22 @@ class TestIndexCalculus:
         with pytest.raises(BadInput):
             index_calculus_dlog(31, 7, 3, 17, 7, seed=0)
 
+    @pytest.mark.parametrize("g", [0, 31, 1, 2**5])
+    def test_degenerate_generator(self, g):
+        # p divides g, or g is a 5th power mod 31: g^6 = 1
+        with pytest.raises(BadInput):
+            index_calculus_dlog(31, 5, g, 17, 7, seed=0)
+
+    def test_table_and_descent_clamp_the_bound_to_sqrt_p(self, monkeypatch):
+        import sigcalc.indexcalc as indexcalc
+
+        bounds, smooth_cofactor = set(), indexcalc.smooth_cofactor
+        monkeypatch.setattr(indexcalc, "smooth_cofactor",
+                            lambda n, bound: bounds.add(bound) or smooth_cofactor(n, bound))
+        m = index_calculus_dlog(1021, 5, 10, 800, 10**6, seed=11)
+        assert bounds == {31}  # isqrt(1021)
+        assert m == index_calculus_dlog(1021, 5, 10, 800, 31, seed=11)
+
 
 class TestRationalCharacterPairing:
     def test_trivial(self):
@@ -281,6 +294,11 @@ class TestRationalCharacterPairing:
             total = rational_character_pairing(31, 5, "p", q) \
                 + rational_character_pairing(31, 5, q, q)
             assert total % 5 == 0
+
+    @pytest.mark.parametrize("p, ell", [(31, 0), (2, 1), (31, 6), (33, 2)])
+    def test_p_and_ell_must_be_prime(self, p, ell):
+        with pytest.raises(BadInput):
+            rational_character_pairing(p, ell, "p", 2)
 
     def test_bad_support(self):
         with pytest.raises(BadSupport):

@@ -1,25 +1,23 @@
-from fractions import Fraction
 from math import gcd, log, pi, sin
 
 import pytest
 import sympy
 
-from sigcalc.arith import jacobi
+from sigcalc.arith import factor_smooth, jacobi
 from sigcalc.errors import (
     BadInput,
     ClassNumberDivisible,
     NotSmooth,
     NotSquarefree,
     TooLarge,
-    ZeroElement,
 )
 from sigcalc.quadfield import (
     Place,
     RealQuadField,
     class_number,
     embed,
-    factor_principal,
     fundamental_unit,
+    place_valuations,
     ray_class_ell_rank,
     split_places,
     sqrt_field,
@@ -48,8 +46,9 @@ def analytic_class_number(D: int) -> int:
     h = -sum chi(a) log(2 sin(pi a / Delta)) / (2 log eps)."""
     K = RealQuadField(D)
     delta = K.discriminant
-    x, y = K.fundamental_unit.sqrt_coords()
-    eps_val = float(x) + float(y) * D**0.5
+    eps = K.fundamental_unit
+    omega = (1 + D**0.5) / 2 if K.omega_is_half else D**0.5
+    eps_val = eps.a + eps.b * omega
     total = sum(kronecker(delta, a) * log(2 * sin(pi * a / delta))
                 for a in range(1, delta) if gcd(a, delta) == 1)
     return round(-total / (2 * log(eps_val)))
@@ -70,7 +69,7 @@ class TestFundamentalUnit:
     def test_half_integer_units(self):
         # (261 + 25 sqrt(109))/2 has norm -1; its cube is the Z[sqrt D] unit
         eps = fundamental_unit(109)
-        assert eps.sqrt_coords() == (Fraction(261, 2), Fraction(25, 2))
+        assert (2 * eps.a + eps.b, eps.b) == (261, 25)  # a + b*(1 + sqrt(109))/2
         assert eps.norm() == -1
 
     def test_not_squarefree(self):
@@ -180,29 +179,29 @@ class TestPlaces:
 
 
 class TestFactorPrincipal:
+    """place_valuations on the factorisation of |N(x)| by factor_smooth."""
+
     def test_unit_factors_empty(self):
         K = RealQuadField(2)
-        assert factor_principal(K.fundamental_unit, 10) == []
+        eps = K.fundamental_unit
+        assert place_valuations(eps, factor_smooth(abs(eps.norm()), 10)) == []
 
     def test_ramified_generator(self):
         K = RealQuadField(2)
-        [(w, e)] = factor_principal(K.from_sqrt_coords(0, 1), 10)
+        x = K.from_sqrt_coords(0, 1)
+        [(w, e)] = place_valuations(x, factor_smooth(abs(x.norm()), 10))
         assert w.splitting == "ramified" and w.q == 2 and e == 1
 
     def test_split_selection(self):
         K = RealQuadField(2)
-        [(w, e)] = factor_principal(K.from_sqrt_coords(3, 1), 10)
+        x = K.from_sqrt_coords(3, 1)
+        [(w, e)] = place_valuations(x, factor_smooth(abs(x.norm()), 10))
         assert (w.q, w.root_label, e) == (7, 4, 1)
-
-    def test_zero_rejected(self):
-        K = RealQuadField(2)
-        with pytest.raises(ZeroElement):
-            factor_principal(K.element(0, 0), 10)
 
     def test_not_smooth(self):
         K = RealQuadField(2)
         with pytest.raises(NotSmooth):
-            factor_principal(K.element(11, 0), 5)
+            factor_smooth(abs(K.element(11, 0).norm()), 5)
 
     def test_even_norm_splits_over_the_two_2adic_places(self):
         # omega = (1+sqrt 17)/2 has norm -4; 2-adically (1+s)/2 is a unit
@@ -210,7 +209,7 @@ class TestFactorPrincipal:
         K = RealQuadField(17)
         omega = K.element(0, 1)
         assert omega.norm() == -4
-        [(w, e)] = factor_principal(omega, 10)
+        [(w, e)] = place_valuations(omega, factor_smooth(4, 10))
         assert w.q == 2 and w.splitting == "split" and e == 2
         assert w.root_label % 4 == 3
 
@@ -221,10 +220,10 @@ class TestFactorPrincipal:
             K = RealQuadField(D)
             for _ in range(25):
                 x = K.element(rng.randrange(-40, 40), rng.randrange(-40, 40))
-                if x.is_zero():
+                if x.norm() == 0:
                     continue
                 try:
-                    factors = factor_principal(x, 100)
+                    factors = place_valuations(x, factor_smooth(abs(x.norm()), 100))
                 except NotSmooth:
                     continue
                 product = 1
