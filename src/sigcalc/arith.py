@@ -35,6 +35,7 @@ __all__ = [
     "is_prime",
     "factorint",
     "least_primitive_root",
+    "multiplicative_order",
     "integer_cbrt",
     "sqrt_mod_prime",
     "jacobi",
@@ -265,6 +266,20 @@ def least_primitive_root(p: int) -> int:
     while any(pow(g, e, p) == 1 for e in cofactors):
         g += 1
     return g
+
+
+def multiplicative_order(g: int, p: int) -> int:
+    """The order of the unit g in F_p^* for a prime p: p - 1 stripped of
+    every prime power of factorint(p - 1) that g^order = 1 allows."""
+    if g % p == 0:
+        raise BadInput(f"g = {g} must be a unit mod {p}")
+    order = p - 1
+    for q, e in factorint(p - 1).items():
+        for _ in range(e):
+            if pow(g, order // q, p) != 1:
+                break
+            order //= q
+    return order
 
 
 def integer_cbrt(n: int) -> int:

@@ -15,7 +15,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .arith import bsgs_dlog, is_prime, jacobi, mult_group_ops, primes_up_to
+from .arith import (
+    bsgs_dlog,
+    is_prime,
+    jacobi,
+    mult_group_ops,
+    multiplicative_order,
+    primes_up_to,
+)
 from .charsig import (
     instance_from_json,
     instance_to_json,
@@ -120,10 +127,12 @@ def cmd_dlog(args) -> int:
         seed=args.seed,
     )
     if args.method == "bsgs":
-        m = bsgs_dlog(g, a % p, p - 1, **mult_group_ops(p))
-        report.outputs = {"m": m, "modulus": p - 1}
+        # m is determined modulo the order of g, which divides p - 1
+        order = multiplicative_order(g, p)
+        m = bsgs_dlog(g, a % p, order, **mult_group_ops(p))
+        report.outputs = {"m": m, "modulus": order}
     else:
-        m = index_calculus_dlog(p, ell, g, a, args.B, args.seed)
+        m = index_calculus_dlog(p, ell, g, a, args.B, args.seed, counters=report.attempts)
         report.outputs = {"m": m, "modulus": ell}
         if not args.no_verify and p - 1 <= 2**24:
             full = bsgs_dlog(g, a % p, p - 1, **mult_group_ops(p))

@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 
-# build_theta_table gives up after this many rounds of relation collection
-THETA_ROUNDS = 4
-
-
 @dataclass(frozen=True)
 class Relation:
     """A linear equation sum_i coeff_i * unknown_i = const over F_ell.
@@ -123,7 +119,8 @@ class RelationSearch:
 
 def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
                       seed: int, budget_factor: int = 10_000,
-                      search: RelationSearch | None = None) -> list[Relation]:
+                      search: RelationSearch | None = None,
+                      counters: dict | None = None) -> list[Relation]:
     """Harvest `count` new factor-base relations from half-size splits of g^r.
 
     Attempt i draws r from rng_for(seed, "relation", i) and splits
@@ -132,12 +129,20 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
     r - sigma*(p-1)/2 mod ell, as log(-1) = (p-1)/2.  Trivial rows and
     repeated r are discarded.  Passing a `search` resumes it at its next
     index; the call stops early, with what it has, once every r in
-    [1, p-2] has been drawn.  Raises BudgetExhausted after
-    budget_factor * count attempts, with a counter per outcome that
-    sums to the attempts made.  Deterministic in (inputs, seed).
+    [1, p-2] has been drawn.  `build_theta_table` calls it once a round
+    on one search: the first round asks for n/2 relations on a base of
+    n primes, and each later one brings the total to 3/2 of the last,
+    up to 4*(n + 16).  It keeps one counter per outcome ("not_smooth",
+    "trivial", "duplicate", "accepted"), summing to the attempts made;
+    they are added into `counters` when one is given, and carried by
+    the BudgetExhausted raised after budget_factor * count attempts.
+    g must be a unit mod p, or BadInput is raised.  Deterministic in
+    (inputs, seed).
     """
     if (p - 1) % ell != 0:
         raise BadInput(f"{ell} must divide p - 1")
+    if g % p == 0:  # every split would be u = 0, which no bound makes smooth
+        raise BadInput(f"g = {g} must be a unit mod {p}")
     if search is None:
         search = RelationSearch()
     drawn, half = search.drawn, (p - 1) // 2
@@ -146,31 +151,35 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
     # only when every exponent can be drawn within budget is it worth
     # remembering the rejected ones too; accepted r are always kept
     remember_all = p - 2 <= stop - start
-    counters = {"not_smooth": 0, "trivial": 0, "duplicate": 0}
+    tally = {"not_smooth": 0, "trivial": 0, "duplicate": 0}
     relations: list[Relation] = []
     while len(relations) < count and index < stop and len(drawn) < p - 2:
         r = rng_for(seed, "relation", index).randrange(1, p - 1)
         index += 1
         if r in drawn:
-            counters["duplicate"] += 1
+            tally["duplicate"] += 1
             continue
         if remember_all:
             drawn.add(r)
         split = _split_smooth(pow(g, r, p), p, bound)
         if split is None:
-            counters["not_smooth"] += 1
+            tally["not_smooth"] += 1
             continue
         sigma, exponents = split
         rel = Relation.make(exponents, r - sigma * half, ell)
         if rel.is_trivial():
-            counters["trivial"] += 1
+            tally["trivial"] += 1
             continue
         drawn.add(r)
         relations.append(rel)
     search.next_index = index
+    tally["accepted"] = len(relations)
+    if counters is not None:
+        for outcome, n in tally.items():
+            counters[outcome] = counters.get(outcome, 0) + n
     if len(relations) == count or search.exhausted(p):
         return relations
-    raise BudgetExhausted(index - start, {**counters, "accepted": len(relations)})
+    raise BudgetExhausted(index - start, tally)
 
 
 def prune_singletons(relations: list[Relation]) -> list[Relation]:
@@ -232,39 +241,52 @@ def solve_linear_mod_ell(relations: list[Relation], unknowns, ell: int) -> Solve
                        rank=len(pivots), columns=columns)
 
 
-def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int) -> dict[int, int]:
+def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
+                      counters: dict | None = None) -> dict[int, int]:
     """Discrete logs mod ell of every determined factor-base prime.
 
-    The base is the primes <= min(bound, sqrt(p)): no larger prime
-    divides the halves u, v of a split.  Each round resumes one relation
-    search for a larger batch, prunes singleton columns and solves, until
-    every column left in the pruned system is determined.  Once every
+    The base is the n primes <= min(bound, sqrt(p)): no larger prime
+    divides the halves u, v of a split.  Round i (from 0) resumes one
+    relation search until it holds ceil(n * 3^i / 2^(i+1)) relations in
+    all (n/2 first, then half as many again each round, and at least
+    one more than the round before), prunes singleton columns and
+    solves, until every column left in the pruned system is determined.
+    No round asks for more than 4*(n + 16) relations in all, nor for
+    more than the p-2 distinct exponents; a round at that ceiling that
+    still leaves a column undetermined raises RankDeficient.  Once every
     exponent r has been drawn no round can add a relation, and the
-    determined part of the table is returned as it stands.
+    determined part of the table is returned as it stands.  When a
+    `counters` dict is given, the relation outcomes of every round are
+    added into it and "theta_rounds" is set to the rounds run.
     """
+    if counters is None:
+        counters = {}
     bound = _base_bound(bound, p)
     base = primes_up_to(bound)
-    # at most p-2 distinct exponents exist; never ask for more
-    count = min(len(base) + 16, p - 2)
+    n = len(base)
+    ceiling = min(4 * (n + 16), p - 2)
     search = RelationSearch()
     relations: list[Relation] = []
-    seen: set[int] = set()
-    solved = SolveResult({}, 0, 0)
-    for attempt in range(1, THETA_ROUNDS + 1):
-        relations += collect_relations(p, ell, g, bound,
-                                       min(count * attempt, p - 2) - len(relations),
-                                       seed, search=search)
+    want = rounds = 0
+    while True:
+        want = min(max(want + 1, -(-n * 3**rounds // 2 ** (rounds + 1))), ceiling)
+        rounds += 1
+        counters["theta_rounds"] = rounds
+        relations += collect_relations(p, ell, g, bound, want - len(relations), seed,
+                                       search=search, counters=counters)
         kept = prune_singletons(relations)
         solved = solve_linear_mod_ell(kept, [], ell)
         seen = {col for rel in kept for col in rel.columns}
         if (seen and seen <= solved.values.keys()) or search.exhausted(p):
             return {q: solved.values[q] for q in base if q in solved.values}
-    raise RankDeficient(sorted(c for c in seen if c not in solved.values))
+        if want == ceiling:
+            raise RankDeficient(sorted(c for c in seen if c not in solved.values))
 
 
 def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
                         theta: dict[int, int] | None = None,
-                        descent_budget: int = 100_000) -> int:
+                        descent_budget: int = 100_000,
+                        counters: dict | None = None) -> int:
     """m mod ell with a = g^m, by factor-base index calculus.
 
     Solves the theta system (or reuses a prebuilt table), then splits
@@ -273,7 +295,11 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
     the table lacks, and reads m = sum e_q theta(q) + sigma*(p-1)/2 - s.
     The answer is verified against a^((p-1)/ell) = (g^((p-1)/ell))^m
     before returning.  g must be a unit mod p whose (p-1)/ell-th power
-    is not 1, or BadInput is raised.
+    is not 1, or BadInput is raised.  When a `counters` dict is given,
+    the table's counters (`build_theta_table`) and the descent's
+    rejections, "descent_not_smooth" and "descent_undetermined", are
+    written into it; the BudgetExhausted raised after descent_budget
+    splits carries the descent's alone.
     """
     if not is_prime(p) or not is_prime(ell):
         raise BadInput(f"p = {p} and ell = {ell} must be primes")
@@ -288,27 +314,31 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
     if a == 1:
         return 0
     bound = _base_bound(bound, p)
+    if counters is None:
+        counters = {}
     if theta is None:
-        theta = build_theta_table(p, ell, g, bound, seed)
+        theta = build_theta_table(p, ell, g, bound, seed, counters=counters)
     rng = rng_for(seed, "descent", a)
-    counters = {"descent_not_smooth": 0, "descent_undetermined": 0}
+    descent = {"descent_not_smooth": 0, "descent_undetermined": 0}
     for _ in range(descent_budget):
         s = rng.randrange(0, p - 1)
         split = _split_smooth(a * pow(g, s, p) % p, p, bound)
         if split is None:
-            counters["descent_not_smooth"] += 1
+            descent["descent_not_smooth"] += 1
             continue
         sigma, exponents = split
         if any(e % ell and q not in theta for q, e in exponents.items()):
-            counters["descent_undetermined"] += 1
+            descent["descent_undetermined"] += 1
             continue
         m = (sum(e * theta.get(q, 0) for q, e in exponents.items())
              + sigma * ((p - 1) // 2) - s) % ell
         if pow(a, (p - 1) // ell, p) != pow(h, m, p):
             raise VerificationFailed(
                 "index-calculus answer failed the power-residue cross-check")
+        counters.update(descent)
         return m
-    raise BudgetExhausted(descent_budget, counters)
+    counters.update(descent)
+    raise BudgetExhausted(descent_budget, descent)
 
 
 def _as_fraction(a) -> Fraction:

@@ -25,6 +25,17 @@ class TestDlog:
         doc = json.loads(r.stdout)
         assert doc["outputs"]["m"] == "7"
 
+    @pytest.mark.parametrize("g, a, m, modulus", [
+        (2, 4, 2, 5),     # 2 has order 5 mod 31: m = 2, 7, 12, ... all fit
+        (3, 4, 18, 30),   # 3 generates F_31^*
+    ])
+    def test_bsgs_modulus_is_the_order_of_g(self, g, a, m, modulus):
+        code, doc = main_json(["dlog", "--p", "31", "--ell", "5", "--g", str(g),
+                               "--a", str(a), "--method", "bsgs"])
+        assert code == 0
+        assert doc["outputs"] == {"m": str(m), "modulus": str(modulus)}
+        assert pow(g, m, 31) == a and pow(g, modulus, 31) == 1
+
     def test_trivial_target(self):
         r = run_cli("dlog", "--p", "31", "--ell", "5", "--g", "3", "--a", "1",
                     "--method", "index", "--json")
@@ -39,11 +50,30 @@ class TestDlog:
         assert doc["outputs"]["m"] == "2"
         assert doc["cross_check"]["agree"] is True
 
+    def test_index_counters_in_the_report(self):
+        # the relation outcomes of every round sum to the attempts that one
+        # search for as many relations makes; the rounds and the descent's
+        # rejections ride along
+        from sigcalc.indexcalc import RelationSearch, collect_relations
+
+        code, doc = main_json(["dlog", "--p", "10007", "--ell", "5003", "--g", "5",
+                               "--a", "3", "--method", "index", "--B", "30",
+                               "--seed", "0"])
+        assert code == 0
+        counters = {k: int(v) for k, v in doc["attempts"].items()}
+        outcomes = ("not_smooth", "trivial", "duplicate", "accepted")
+        assert set(counters) == {*outcomes, "theta_rounds", "descent_not_smooth",
+                                 "descent_undetermined"}
+        assert counters["theta_rounds"] >= 2 and counters["not_smooth"] > 0
+        search = RelationSearch()
+        collect_relations(10007, 5003, 5, 30, counters["accepted"], 0, search=search)
+        assert sum(counters[k] for k in outcomes) == search.next_index
+
     def test_failed_cross_check_reports_and_exits_invariant(self, monkeypatch):
         # 3^7 = 17 mod 31, so an index calculus answering 3 != 7 mod 5 is caught
         import sigcalc.cli as cli
 
-        monkeypatch.setattr(cli, "index_calculus_dlog", lambda *args: 3)
+        monkeypatch.setattr(cli, "index_calculus_dlog", lambda *args, **kwargs: 3)
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(["dlog", "--p", "31", "--ell", "5", "--g", "3", "--a", "17",
@@ -66,14 +96,15 @@ class TestDlog:
 
     def test_budget_exit_code(self):
         # B = 2 at p ~ 1e7: about 46 of the 1e7 units split as +-2^i/2^j,
-        # so 170,000 attempts find fewer than the 17 relations wanted and
-        # the collector exits with the budget code and its full counters
+        # so the 10,000 attempts of the first round, which asks for one
+        # relation on this one-prime base, find none, and the collector
+        # exits with the budget code and its full counters
         r = run_cli("dlog", "--p", "10000019", "--ell", "7", "--g", "6", "--a", "7",
                     "--method", "index", "--B", "2", "--json")
         assert r.returncode == 3
         doc = json.loads(r.stderr)
         assert doc["error"] == "BudgetExhausted"
-        assert sum(int(v) for v in doc["counters"].values()) == 170_000
+        assert sum(int(v) for v in doc["counters"].values()) == 10_000
 
     def test_composite_modulus_exit_code(self):
         r = run_cli("dlog", "--p", "1001", "--ell", "5", "--g", "3", "--a", "7",

@@ -1,13 +1,15 @@
 from collections import Counter
 from fractions import Fraction
 
-from math import gcd
+from math import ceil, gcd, isqrt
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
-from sigcalc.arith import bsgs_dlog, least_primitive_root, mult_group_ops
+from sigcalc.arith import bsgs_dlog, least_primitive_root, mult_group_ops, primes_up_to
 from sigcalc.errors import (
     BadInput,
     BadSupport,
@@ -193,6 +195,103 @@ class TestSmallPrimeGrid:
                 continue
             assert m == want, (p, ell, bound, a)
         assert [case for case in failures if case[0] >= 29] == []
+
+
+def theta_schedule(n, p):
+    """The relation totals the rounds of a theta table ask for: n*3^i/2^(i+1)
+    rounded up, at least one more each round, up to min(4*(n + 16), p - 2)."""
+    ceiling = min(4 * (n + 16), p - 2)
+    totals = [min(ceil(Fraction(n, 2)), ceiling)]
+    while totals[-1] < ceiling:
+        i = len(totals)
+        totals.append(min(max(ceil(Fraction(n * 3**i, 2 ** (i + 1))), totals[-1] + 1),
+                          ceiling))
+    return totals
+
+
+def determined_columns(relations, ell):
+    """The columns of a system whose value it pins: those whose unit row
+    lies in its row space over F_ell (dense rank, independent of the
+    sparse eliminator)."""
+    cols = sorted({col for rel in relations for col in rel.columns})
+    F = GF(ell)
+    rows = [[F(dict(rel.coeffs).get(col, 0)) for col in cols] for rel in relations]
+
+    def rank(matrix):
+        return DomainMatrix(matrix, (len(matrix), len(cols)), F).rank() if matrix else 0
+
+    full = rank(rows)
+    return cols, {col for col in cols
+                  if rank(rows + [[F(int(c == col)) for c in cols]]) == full}
+
+
+class TestThetaTable:
+    def test_values_match_bsgs_on_bases_of_one_to_three_primes_and_more(self):
+        base_sizes = set()
+        for p in (101, 1019, 2003, 10007):
+            g = least_primitive_root(p)
+            ops = mult_group_ops(p)
+            for ell in sympy.primefactors(p - 1):
+                for bound in (2, 3, 5, 30, 1000):  # 1, 2, 3, 10 primes and sqrt(p)
+                    for seed in (0, 1):
+                        table = build_theta_table(p, ell, g, bound, seed)
+                        for q, value in table.items():
+                            assert value == bsgs_dlog(g, q, p - 1, **ops) % ell, (p, ell, q)
+                        if table:
+                            base_sizes.add(len(primes_up_to(min(bound, isqrt(p)))))
+        assert {1, 2, 3} <= base_sizes
+
+    @pytest.mark.parametrize("p, ell, bound, seed", [
+        (1019, 509, 30, 0), (2003, 7, 5, 0), (10007, 5003, 30, 0),
+        (30011, 5, 100, 0), (1000003, 3, 150, 0), (1000003, 3, 150, 1),
+    ])
+    def test_theta_rounds_is_the_first_fully_determined_round(self, p, ell, bound, seed):
+        # one search for the last round's total holds every round's relations
+        # as a prefix; re-solve each pruned prefix densely until one is pinned
+        g = least_primitive_root(p)
+        counters = {}
+        table = build_theta_table(p, ell, g, bound, seed, counters=counters)
+        totals = theta_schedule(len(primes_up_to(min(bound, isqrt(p)))), p)
+        relations = collect_relations(p, ell, g, bound, totals[-1], seed)
+        for rounds, total in enumerate(totals, 1):
+            cols, determined = determined_columns(fixed_point_prune(relations[:total]), ell)
+            if cols and determined == set(cols):
+                break
+        assert counters["theta_rounds"] == rounds
+        assert set(table) == set(cols)
+
+    def test_rounds_follow_the_schedule_up_to_the_ceiling(self, monkeypatch):
+        # with a solver that pins nothing, every round runs: their totals are
+        # the schedule's, ending at 4*(n + 16) relations, then RankDeficient
+        import sigcalc.indexcalc as indexcalc
+
+        asked, collect = [], indexcalc.collect_relations
+
+        def counting_collect(*args, **kwargs):
+            relations = collect(*args, **kwargs)
+            asked.append(len(relations))
+            return relations
+
+        monkeypatch.setattr(indexcalc, "collect_relations", counting_collect)
+        monkeypatch.setattr(indexcalc, "solve_linear_mod_ell",
+                            lambda relations, unknowns, ell: indexcalc.SolveResult({}, 0, 0))
+        counters = {}
+        with pytest.raises(RankDeficient):
+            build_theta_table(1000003, 3, 2, 150, 0, counters=counters)
+        n = len(primes_up_to(150))
+        totals = [sum(asked[:i + 1]) for i in range(len(asked))]
+        assert totals == theta_schedule(n, 1000003)
+        assert totals[0] == ceil(n / 2) and totals[-1] == 4 * (n + 16)
+        assert counters["theta_rounds"] == len(totals)
+        assert counters["accepted"] == totals[-1]
+
+    @pytest.mark.parametrize("g", [0, 1021, 2 * 1021])
+    def test_a_generator_divisible_by_p_is_bad_input(self, g):
+        # every split of g^r would be u = 0, which no bound makes smooth
+        with pytest.raises(BadInput):
+            collect_relations(1021, 5, g, 31, 3, seed=0)
+        with pytest.raises(BadInput):
+            build_theta_table(1021, 5, g, 31, 0)
 
 
 class TestSolver:
