@@ -554,26 +554,37 @@ class Eliminator:
     each pivot column to its row, which holds only free (non-pivot)
     columns with the pivot's own coefficient 1 implicit, and `consts`
     to its right-hand side.  len(rows) is the rank.  A row pivots on
-    its column of fewest `occurrences`, which keeps fill-in low: by
-    default the count of the rows added so far that hold it.
+    its column of fewest `occurrences`, which keeps fill-in low: the
+    count of the rows added so far that hold it, where a batch is
+    counted whole before its first row goes in.
     """
 
-    def __init__(self, ell: int, occurrences: Counter | None = None):
+    def __init__(self, ell: int):
         self.ell = ell
         self.rows: dict = {}
         self.consts: dict = {}
-        self._counting = occurrences is None
-        self.occurrences = Counter() if occurrences is None else occurrences
+        self.occurrences = Counter()
 
     def add(self, coeffs, const: int) -> None:
         """Reduce the row against the pivots and keep what is left, if
         anything, as a new pivot row.  Raises Inconsistent, leaving rows
         and consts as they were, when the row reduces to 0 = nonzero."""
-        ell, rows, consts = self.ell, self.rows, self.consts
         row = dict(coeffs)
-        const %= ell
-        if self._counting:
+        self.occurrences.update(row.keys())
+        self._absorb(row, const)
+
+    def add_batch(self, rows) -> None:
+        """Add (coeffs, const) rows, lightest first, after counting the
+        columns of the whole batch; Inconsistent as for `add`."""
+        batch = [(dict(coeffs), const) for coeffs, const in rows]
+        for row, _ in batch:
             self.occurrences.update(row.keys())
+        for row, const in sorted(batch, key=lambda item: len(item[0])):
+            self._absorb(row, const)
+
+    def _absorb(self, row: dict, const: int) -> None:
+        ell, rows, consts = self.ell, self.rows, self.consts
+        const %= ell
         # pivot rows hold no pivot columns, so one pass clears them all
         for col in [c for c in row if c in rows]:
             f = row.pop(col)
@@ -605,18 +616,18 @@ class Eliminator:
 def row_reduce_mod(rows, ell: int) -> dict:
     """Gauss-Jordan elimination over F_ell of a batch of sparse rows.
 
-    Each row is a pair ({column: coefficient}, right-hand side).  Rows
-    are added to an Eliminator lightest first, and each pivots on its
-    column that occurs in the fewest input rows.  Returns the reduced
-    row echelon form as {pivot column: (row, right-hand side)}, where a
-    row holds only free columns; its length is the rank, and a pivot
-    whose row is empty is determined: it equals the right-hand side.
-    Raises Inconsistent when a row reduces to 0 = nonzero.
+    Each row is a pair ({column: coefficient}, right-hand side).  The
+    rows go into a new Eliminator as one batch (`Eliminator.add_batch`):
+    lightest first, each pivoting on its column that occurs in the
+    fewest input rows.  Returns the reduced row echelon form as
+    {pivot column: (row, right-hand side)}, where a row holds only free
+    columns; its length is the rank, and a pivot whose row is empty is
+    determined: it equals the right-hand side.  Raises Inconsistent
+    when a row reduces to 0 = nonzero.
     """
-    work = [({c: v % ell for c, v in coeffs.items() if v % ell}, const) for coeffs, const in rows]
-    elim = Eliminator(ell, Counter(c for row, _ in work for c in row))
-    for row, const in sorted(work, key=lambda item: len(item[0])):
-        elim.add(row, const)
+    elim = Eliminator(ell)
+    elim.add_batch(({c: v % ell for c, v in coeffs.items() if v % ell}, const)
+                   for coeffs, const in rows)
     return {col: (row, elim.consts[col]) for col, row in elim.rows.items()}
 
 

@@ -284,12 +284,24 @@ def _first_points(a: int, b: int, q: int):
 
 
 def _point_order(P, ops: dict, a: int, q: int, lo: int, hi: int) -> int:
-    # least multiple of ord(P) in [lo, hi], then strip prime factors
-    target = _fp_neg(_fp_mul(lo, P, a, q), q)
-    t = lo + bsgs_dlog(P, target, hi - lo + 1, **ops)
+    # least multiple of ord(P) in [lo, hi], then strip prime factors; each
+    # multiple n*P sums the doublings 2^i * P over the bits of n, and the
+    # doublings are made once for all of them
+    doubles = [P]
+    for _ in range(hi.bit_length() - 1):
+        doubles.append(_fp_add(doubles[-1], doubles[-1], a, q))
+
+    def times(n: int):
+        R = None
+        for i, D in enumerate(doubles):
+            if n >> i & 1:
+                R = _fp_add(R, D, a, q)
+        return R
+
+    t = lo + bsgs_dlog(P, _fp_neg(times(lo), q), hi - lo + 1, **ops)
     order = t
     for prime in factorint(t):
-        while order % prime == 0 and _fp_mul(order // prime, P, a, q) is None:
+        while order % prime == 0 and times(order // prime) is None:
             order //= prime
     return order
 

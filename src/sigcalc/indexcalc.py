@@ -1,11 +1,12 @@
 """Classical index calculus over F_p^* and shared F_ell linear algebra.
 
 Relations between discrete logs of factor-base primes are harvested
-from powers of the generator written as ratios +-u/v of two numbers
-below sqrt(p), pruned of singleton columns and solved by the shared
-sparse Gauss-Jordan eliminator mod ell.  The rational character
-pairing realises the degree-ell character of Q ramified only at p,
-whose local values reproduce exactly this relation machinery.
+from powers of the generator written as ratios +-u/v with u*v < p,
+read off consecutive convergents of one Euclidean run, pruned of
+singleton columns and solved by the shared sparse Gauss-Jordan
+eliminator mod ell.  The rational character pairing realises the
+degree-ell character of Q ramified only at p, whose local values
+reproduce exactly this relation machinery.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import (
+    Eliminator,
     bsgs_dlog,
     factor_smooth,
     is_prime,
     least_primitive_root,
     mult_group_ops,
     primes_up_to,
-    row_reduce_mod,
     smooth_cofactor,
 )
 from .errors import (
@@ -36,11 +37,13 @@ from .seeds import rng_for
 __all__ = [
     "Relation",
     "RelationSearch",
+    "convergent_splits",
     "half_split",
     "collect_relations",
     "prune_singletons",
     "solve_linear_mod_ell",
     "SolveResult",
+    "Elimination",
     "index_calculus_dlog",
     "build_theta_table",
     "rational_character_pairing",
@@ -72,36 +75,57 @@ class Relation:
         return not self.coeffs and self.const == 0
 
 
+def convergent_splits(x: int, p: int) -> list[tuple[int, int, int]]:
+    """Up to three (u, v, sigma) with x = (-1)^sigma * u / v mod p,
+    gcd(u, v) = 1 and u*v < p, from one Euclidean run on (p, x).
+
+    The run keeps r_j = t_j * x mod p.  The first is the half split
+    (r_i, |t_i|) at the first remainder below sqrt(p) (`half_split`);
+    then come its neighbours (r_(i-1), |t_(i-1)|) and (r_(i+1), |t_(i+1)|),
+    skipping one with t = 0 or r = 0.  Each obeys r_j * |t_j| <
+    r_(j-1) * |t_j| <= p, as r_(j-1)*|t_j| + r_j*|t_(j-1)| = p, and a
+    common factor of r_j and t_j would divide p.  x must be a unit mod p.
+    """
+    r0, r1, t0, t1 = p, x, 0, 1
+    while r1 * r1 >= p:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    q = r0 // r1
+    r2, t2 = r0 - q * r1, t0 - q * t1
+    return [(r, abs(t), int(t < 0)) for r, t in ((r1, t1), (r0, t0), (r2, t2)) if r and t]
+
+
 def half_split(x: int, p: int) -> tuple[int, int, int]:
     """(u, v, sigma) with x = (-1)^sigma * u / v mod p, u^2 < p, v^2 <= p.
 
     The extended Euclidean algorithm on (p, x) keeps r_i = t_i * x mod p
     and stops at the first remainder below sqrt(p); its cofactor obeys
     |t_i| <= p / r_(i-1) <= sqrt(p) (Blake, Fuji-Hara, Mullin and
-    Vanstone 1984).  u and v are coprime.  x must be a unit mod p.
+    Vanstone 1984).  u and v are coprime.  It is the first of
+    `convergent_splits`, which the relation search tries before the
+    two neighbouring convergents.  x must be a unit mod p.
     """
-    r0, r1, t0, t1 = p, x, 0, 1
-    while r1 * r1 >= p:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    return r1, abs(t1), int(t1 < 0)
+    return convergent_splits(x, p)[0]
 
 
 def _base_bound(bound: int, p: int) -> int:
-    """max(2, min(bound, isqrt(p))): no prime above sqrt(p) divides the
-    halves u, v of a split, so smoothness at this bound is the same."""
+    """max(2, min(bound, isqrt(p))): the factor base ends at sqrt(p),
+    above which no prime divides the halves u, v of a half split; a
+    neighbouring split that holds a larger prime counts as not smooth."""
     return max(2, min(bound, isqrt(p)))
 
 
 def _split_smooth(x: int, p: int, bound: int):
     """(sigma, {q: e}) with x = (-1)^sigma * prod q^e mod p, read off
-    the half-size split x = +-u/v; None when u*v is not bound-smooth."""
-    u, v, sigma = half_split(x, p)
-    uv = u * v
-    if smooth_cofactor(uv, bound) > 1:
-        return None
-    # u and v are coprime, so each prime of u*v belongs to one of them
-    return sigma, {q: -e if v % q == 0 else e for q, e in factor_smooth(uv, bound).items()}
+    the first of `convergent_splits` x = +-u/v (the half split, then
+    its two neighbours) whose u*v is bound-smooth; None when none is."""
+    for u, v, sigma in convergent_splits(x, p):
+        uv = u * v
+        if smooth_cofactor(uv, bound) == 1:
+            # u and v are coprime, so each prime of u*v belongs to one of them
+            return sigma, {q: -e if v % q == 0 else e
+                           for q, e in factor_smooth(uv, bound).items()}
+    return None
 
 
 @dataclass
@@ -121,12 +145,15 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
                       seed: int, budget_factor: int = 10_000,
                       search: RelationSearch | None = None,
                       counters: dict | None = None) -> list[Relation]:
-    """Harvest `count` new factor-base relations from half-size splits of g^r.
+    """Harvest `count` new factor-base relations from splits of g^r.
 
-    Attempt i draws r from rng_for(seed, "relation", i) and splits
-    g^r = (-1)^sigma * u/v with u, v <= sqrt(p) (`half_split`).  When
-    u*v is bound-smooth, sum_q (e_q(u) - e_q(v)) * theta(q) =
-    r - sigma*(p-1)/2 mod ell, as log(-1) = (p-1)/2.  Trivial rows and
+    Attempt i draws r from rng_for(seed, "relation", i) and writes
+    g^r = (-1)^sigma * u/v with u*v < p, trying the half split (u, v <=
+    sqrt(p), `half_split`) and then its two neighbouring convergents
+    (`convergent_splits`).  For the first split whose u*v is
+    bound-smooth, sum_q (e_q(u) - e_q(v)) * theta(q) =
+    r - sigma*(p-1)/2 mod ell, as log(-1) = (p-1)/2.  One draw gives at
+    most one relation, and each attempt one outcome.  Trivial rows and
     repeated r are discarded.  Passing a `search` resumes it at its next
     index; the call stops early, with what it has, once every r in
     [1, p-2] has been drawn.  `build_theta_table` calls it once a round
@@ -222,42 +249,64 @@ class SolveResult:
     columns: list = field(default_factory=list)
 
 
-def solve_linear_mod_ell(relations: list[Relation], unknowns, ell: int) -> SolveResult:
+class Elimination:
+    """An eliminator carried across the solves of a system that only
+    grows, and the relations it already holds."""
+
+    def __init__(self, ell: int):
+        self.eliminator = Eliminator(ell)
+        self.rows: set[Relation] = set()
+
+
+def solve_linear_mod_ell(relations: list[Relation], unknowns, ell: int,
+                         carry: Elimination | None = None) -> SolveResult:
     """Solve a relation system over F_ell with the sparse eliminator.
 
     Returns the value of every determined column and the solution-space
     dimension.  Raises Inconsistent for contradictory systems and
-    RankDeficient when a requested unknown stays undetermined.
+    RankDeficient when a requested unknown stays undetermined.  Without
+    a `carry` the rows go into a new eliminator as one batch
+    (`Eliminator.add_batch`).  A `carry` must hold only rows among
+    `relations`: it takes just the relations it lacks, as one batch,
+    and the answer is the same as afresh.
     """
     requested = list(unknowns)
     columns = sorted({col for rel in relations for col in rel.columns} | set(requested))
-    pivots = row_reduce_mod([(dict(rel.coeffs), rel.const) for rel in relations], ell)
-    values = {col: pivots[col][1] for col in columns
-              if col in pivots and not pivots[col][0]}
+    if carry is None:
+        carry = Elimination(ell)
+    new = [rel for rel in relations if rel not in carry.rows]
+    elim = carry.eliminator
+    elim.add_batch((rel.coeffs, rel.const) for rel in new)
+    carry.rows.update(new)
+    values = {col: elim.consts[col] for col in columns if elim.determined(col)}
     missing = [u for u in requested if u not in values]
     if missing:
         raise RankDeficient(missing)
-    return SolveResult(values=values, nullity=len(columns) - len(pivots),
-                       rank=len(pivots), columns=columns)
+    return SolveResult(values=values, nullity=len(columns) - len(elim.rows),
+                       rank=len(elim.rows), columns=columns)
 
 
 def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
                       counters: dict | None = None) -> dict[int, int]:
     """Discrete logs mod ell of every determined factor-base prime.
 
-    The base is the n primes <= min(bound, sqrt(p)): no larger prime
-    divides the halves u, v of a split.  Round i (from 0) resumes one
-    relation search until it holds ceil(n * 3^i / 2^(i+1)) relations in
-    all (n/2 first, then half as many again each round, and at least
-    one more than the round before), prunes singleton columns and
-    solves, until every column left in the pruned system is determined.
-    No round asks for more than 4*(n + 16) relations in all, nor for
-    more than the p-2 distinct exponents; a round at that ceiling that
-    still leaves a column undetermined raises RankDeficient.  Once every
-    exponent r has been drawn no round can add a relation, and the
-    determined part of the table is returned as it stands.  When a
-    `counters` dict is given, the relation outcomes of every round are
-    added into it and "theta_rounds" is set to the rounds run.
+    The base is the n primes <= min(bound, sqrt(p)) (`_base_bound`).
+    Round i (from 0) resumes one relation search until it holds
+    ceil(n * 3^i / 2^(i+1)) relations in all (n/2 first, then half as
+    many again each round, and at least one more than the round
+    before), prunes singleton columns and solves, until every column
+    left in the pruned system is determined.  The pruned set only grows
+    as relations are added, so one carried eliminator takes each
+    round's newly kept rows alone; each round's solve still reads all
+    kept rows, with the values, rank and nullity of a fresh
+    elimination.  No round asks for more than 4*(n + 16) relations in
+    all, nor for more than the p-2 distinct exponents; a round at that
+    ceiling that still leaves a column undetermined raises
+    RankDeficient.  Once every exponent r has been drawn no round can
+    add a relation, and the determined part of the table is returned as
+    it stands.  When a `counters` dict is given, the relation outcomes
+    of every round are added into it and "theta_rounds" is set to the
+    rounds run.
     """
     if counters is None:
         counters = {}
@@ -266,6 +315,7 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
     n = len(base)
     ceiling = min(4 * (n + 16), p - 2)
     search = RelationSearch()
+    carry = Elimination(ell)
     relations: list[Relation] = []
     want = rounds = 0
     while True:
@@ -274,8 +324,10 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
         counters["theta_rounds"] = rounds
         relations += collect_relations(p, ell, g, bound, want - len(relations), seed,
                                        search=search, counters=counters)
+        # adding rows only grows the pruned set, so the carried
+        # eliminator already holds every row an earlier round kept
         kept = prune_singletons(relations)
-        solved = solve_linear_mod_ell(kept, [], ell)
+        solved = solve_linear_mod_ell(kept, [], ell, carry=carry)
         seen = {col for rel in kept for col in rel.columns}
         if (seen and seen <= solved.values.keys()) or search.exhausted(p):
             return {q: solved.values[q] for q in base if q in solved.values}
@@ -290,8 +342,9 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
     """m mod ell with a = g^m, by factor-base index calculus.
 
     Solves the theta system (or reuses a prebuilt table), then splits
-    a*g^s = (-1)^sigma * u/v as the relations do, skipping s while u*v
-    is not smooth or holds, with an exponent nonzero mod ell, a prime
+    a*g^s = (-1)^sigma * u/v as the relations do (the half split, then
+    its neighbouring convergents), skipping s while no split is smooth
+    or the smooth one holds, with an exponent nonzero mod ell, a prime
     the table lacks, and reads m = sum e_q theta(q) + sigma*(p-1)/2 - s.
     The answer is verified against a^((p-1)/ell) = (g^((p-1)/ell))^m
     before returning.  g must be a unit mod p whose (p-1)/ell-th power

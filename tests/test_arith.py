@@ -557,6 +557,26 @@ class TestSparseKernel:
             elim.add({j: c for j, c in enumerate(combo) if c}, sum(consts) + shift)
         assert (elim.rows, elim.consts) == before
 
+    @given(sparse_systems(), st.lists(st.integers(0, 12), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_eliminator_takes_rows_in_batches(self, system, cuts):
+        # the rows in successive batches, as a carried solve feeds them
+        ell, ncols, truth, dense, consts = system
+        rows = [({j: c for j, c in enumerate(row) if c}, k) for row, k in zip(dense, consts)]
+        elim, start = Eliminator(ell), 0
+        for end in [*sorted(cuts), len(rows)]:
+            end = max(start, min(end, len(rows)))
+            elim.add_batch(rows[start:end])
+            start = end
+            rank = oracle_rank(dense[:end], ncols, ell)
+            assert len(elim.rows) == rank
+            for j in range(ncols):
+                unit = [int(i == j) for i in range(ncols)]
+                determined = oracle_rank(dense[:end] + [unit], ncols, ell) == rank
+                assert elim.determined(j) == determined
+                if determined:
+                    assert elim.consts[j] == truth[j]
+
     @given(sparse_systems())
     @settings(max_examples=200, deadline=None)
     def test_solver_rank_nullity_and_rank_deficiency(self, system):

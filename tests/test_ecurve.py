@@ -273,6 +273,21 @@ def bsgs_order(curve: Curve) -> int:
 
 
 class TestCountingProperties:
+    @given(fp_curves(), st.integers(0, 2999), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(Curve(0, 1, ("fp", 7)), 6, False)  # (6, 0): a point of order 2
+    def test_point_order_is_the_least_annihilating_multiple(self, curve, x0, flip):
+        # against repeated addition: the first n with n*P = O
+        q = curve.base[1]
+        P = point_from(curve, x0 % q, flip)
+        assume(P is not INFINITY)
+        n, R = 1, P
+        while R is not INFINITY:
+            n, R = n + 1, ec_add(R, P, curve)
+        lo, hi = hasse_interval(q)
+        ops = curve_group_ops(curve)
+        assert ecurve._point_order((P.x, P.y), ops, curve.a, q, lo, hi) == n
+
     @given(fp_curves())
     @settings(max_examples=150, deadline=None)
     def test_table_bsgs_and_brute_counts_agree(self, curve):

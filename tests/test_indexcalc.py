@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from sigcalc.arith import bsgs_dlog, least_primitive_root, mult_group_ops, primes_up_to
+from sigcalc.arith import (
+    bsgs_dlog,
+    factor_smooth,
+    least_primitive_root,
+    mult_group_ops,
+    primes_up_to,
+    smooth_cofactor,
+)
 from sigcalc.errors import (
     BadInput,
     BadSupport,
@@ -22,7 +29,9 @@ from sigcalc.indexcalc import (
     Relation,
     RelationSearch,
     build_theta_table,
+    _split_smooth,
     collect_relations,
+    convergent_splits,
     half_split,
     index_calculus_dlog,
     prune_singletons,
@@ -99,6 +108,65 @@ class TestHalfSplit:
         assert half_split(3, 7) == (1, 2, 1)
         assert half_split(2, 31) == (2, 1, 0)
 
+    @given(st.integers(3, 10**30), st.integers(1, 10**40))
+    @settings(max_examples=300, deadline=None)
+    def test_each_convergent_is_a_coprime_ratio_below_p(self, n, x):
+        p = sympy.prevprime(n)
+        x %= p
+        assume(x != 0)
+        splits = convergent_splits(x, p)
+        assert splits[0] == half_split(x, p) and 1 <= len(splits) <= 3
+        assert len(set(splits)) == len(splits)
+        for u, v, sigma in splits:
+            assert u > 0 and v > 0 and gcd(u, v) == 1 and u * v < p
+            assert x * v % p == (-1) ** sigma * u % p
+
+    def test_worked_neighbours(self):
+        # 12 mod 31: remainders 31, 12, 7, 5, 2 with cofactors 0, 1, -2, 3, -5;
+        # 5 is the first below sqrt(31), so 5/3 comes first, then 7/(-2), 2/(-5)
+        assert convergent_splits(12, 31) == [(5, 3, 0), (7, 2, 1), (2, 5, 1)]
+        # x = 2 is already below sqrt(31): its predecessor has t = 0
+        assert convergent_splits(2, 31) == [(2, 1, 0), (1, 15, 1)]
+
+
+def half_split_smooth(x, p, bound):
+    """The relation read off the half split alone, or None when u*v is
+    not bound-smooth (the split the search tries first)."""
+    u, v, sigma = half_split(x, p)
+    if smooth_cofactor(u * v, bound) > 1:
+        return None
+    return sigma, {q: -e if v % q == 0 else e for q, e in factor_smooth(u * v, bound).items()}
+
+
+class TestSplitSmooth:
+    @given(st.integers(5, 10**12), st.integers(1, 10**15), st.integers(2, 200))
+    @settings(max_examples=400, deadline=None)
+    def test_a_smooth_split_writes_x_and_prefers_the_half_split(self, n, x, bound):
+        p = sympy.prevprime(n)
+        x %= p
+        assume(x != 0)
+        split = _split_smooth(x, p, bound)
+        old = half_split_smooth(x, p, bound)
+        if old is not None:
+            assert split == old
+        if split is None:
+            return
+        sigma, exponents = split
+        value, size = (-1) ** sigma, 1
+        for q, e in exponents.items():
+            assert q <= bound and sympy.isprime(q) and e
+            value = value * pow(q, e, p) % p
+            size *= q ** abs(e)
+        assert value % p == x
+        assert size <= p
+
+    def test_neighbours_find_splits_the_half_split_misses(self):
+        p, bound = 1000003, 150
+        rescued = sum(1 for x in range(2, 3000)
+                      if half_split_smooth(x, p, bound) is None
+                      and _split_smooth(x, p, bound) is not None)
+        assert rescued > 0
+
 
 class TestCollection:
     def test_counters_sum_to_attempts(self):
@@ -149,6 +217,15 @@ class TestPruning:
         assert prune_singletons(kept) == kept
         assert solve_linear_mod_ell(kept, ["c"], ell).values == {"c": 3}
         assert solve_linear_mod_ell(rows, ["c"], ell).values["c"] == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from("abcdefghij"), st.integers(1, 6),
+                                    max_size=4), max_size=25), st.integers(0, 25))
+    def test_the_kept_set_only_grows(self, rows, cut):
+        # what a theta round keeps, every later round keeps: the carried
+        # eliminator relies on it (distinct consts tell the rows apart)
+        relations = [Relation.make(coeffs, i, 29) for i, coeffs in enumerate(rows)]
+        assert set(prune_singletons(relations[:cut])) <= set(prune_singletons(relations))
 
     def test_a_lone_row_is_pruned(self):
         assert prune_singletons([Relation.make({"x": 1}, 1, 5)]) == []
@@ -274,7 +351,8 @@ class TestThetaTable:
 
         monkeypatch.setattr(indexcalc, "collect_relations", counting_collect)
         monkeypatch.setattr(indexcalc, "solve_linear_mod_ell",
-                            lambda relations, unknowns, ell: indexcalc.SolveResult({}, 0, 0))
+                            lambda relations, unknowns, ell, **kwargs:
+                            indexcalc.SolveResult({}, 0, 0))
         counters = {}
         with pytest.raises(RankDeficient):
             build_theta_table(1000003, 3, 2, 150, 0, counters=counters)
@@ -284,6 +362,39 @@ class TestThetaTable:
         assert totals[0] == ceil(n / 2) and totals[-1] == 4 * (n + 16)
         assert counters["theta_rounds"] == len(totals)
         assert counters["accepted"] == totals[-1]
+
+    @pytest.mark.parametrize("p, ell, bound, seed", [
+        (1019, 509, 30, 0), (2003, 7, 5, 0), (10007, 5003, 30, 0),
+        (30011, 5, 100, 0), (1000003, 3, 150, 0), (1000003, 3, 150, 1),
+        (1000003, 3, 40, 2),
+    ])
+    def test_the_carried_eliminator_solves_as_a_fresh_one(self, p, ell, bound, seed,
+                                                          monkeypatch):
+        # each round's carried solve against a fresh solve of the same rows,
+        # then a whole table built with fresh solves against the carried one
+        import sigcalc.indexcalc as indexcalc
+
+        g = least_primitive_root(p)
+        solve, rounds = indexcalc.solve_linear_mod_ell, []
+
+        def both(relations, unknowns, ell, **kwargs):
+            carried = solve(relations, unknowns, ell, **kwargs)
+            rounds.append((carried, solve(relations, unknowns, ell)))
+            return carried
+
+        monkeypatch.setattr(indexcalc, "solve_linear_mod_ell", both)
+        counters = {}
+        table = build_theta_table(p, ell, g, bound, seed, counters=counters)
+        assert len(rounds) == counters["theta_rounds"]
+        for carried, fresh in rounds:
+            assert (carried.values, carried.rank, carried.nullity, carried.columns) == \
+                (fresh.values, fresh.rank, fresh.nullity, fresh.columns)
+        monkeypatch.setattr(indexcalc, "solve_linear_mod_ell",
+                            lambda relations, unknowns, ell, **kwargs:
+                            solve(relations, unknowns, ell))
+        fresh_counters = {}
+        assert build_theta_table(p, ell, g, bound, seed, counters=fresh_counters) == table
+        assert fresh_counters == counters
 
     @pytest.mark.parametrize("g", [0, 1021, 2 * 1021])
     def test_a_generator_divisible_by_p_is_bad_input(self, g):
