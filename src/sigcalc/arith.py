@@ -483,15 +483,11 @@ def factor_smooth(n: int, bound: int) -> dict[int, int]:
     """Full factorisation of n by trial division over primes <= bound.
 
     Raises NotSmooth (carrying the surviving cofactor) when a factor
-    above the bound remains.
+    above the bound remains.  Callers that expect most n to fail screen
+    them first with smooth_cofactor, which is cheaper on a non-smooth n.
     """
     if n < 1:
         raise BadInput("n must be a positive integer")
-    if n == 1:
-        return {}
-    cofactor = smooth_cofactor(n, bound)
-    if cofactor > 1:
-        raise NotSmooth(cofactor)
     factors: dict[int, int] = {}
     rem = n
     for q in _primes(bound):
@@ -503,6 +499,8 @@ def factor_smooth(n: int, bound: int) -> dict[int, int]:
                 rem //= q
                 e += 1
             factors[q] = e
+    if rem > 1:
+        raise NotSmooth(rem)
     return factors
 
 

@@ -13,16 +13,10 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .arith import (
-    bsgs_dlog,
-    is_prime,
-    jacobi,
-    mult_group_ops,
-    multiplicative_order,
-    primes_up_to,
-)
+from .arith import bsgs_dlog, is_prime, mult_group_ops, multiplicative_order
 from .charsig import (
     instance_from_json,
     instance_to_json,
@@ -39,18 +33,16 @@ from .ecsig import (
     scan_torsion_places,
     signature_from_ecdl,
 )
-from .ecurve import Curve, Point, curve_group_ops, ec_scalar_mul, h1_local_dim
+from .ecurve import Point, curve_group_ops, lemma1_suite
 from .errors import (
     BadInput,
     BudgetExhausted,
     ConditionFailure,
     InvariantError,
-    OutOfScope,
     SigcalcError,
 )
-from .indexcalc import index_calculus_dlog, rational_character_pairing
-from .quadfield import ray_class_ell_rank, rayrank_fields, split_places
-from .seeds import rng_for
+from .indexcalc import index_calculus_dlog, reciprocity_suite
+from .quadfield import rayrank_suite
 
 
 def _stringify(obj):
@@ -64,6 +56,11 @@ def _stringify(obj):
     if isinstance(obj, (list, tuple)):
         return [_stringify(v) for v in obj]
     return obj
+
+
+def _json_line(doc: dict) -> str:
+    """One sorted JSON line, numbers as decimal strings."""
+    return json.dumps(_stringify(doc), sort_keys=True, separators=(", ", ": "))
 
 
 @dataclass
@@ -81,15 +78,15 @@ class RunReport:
     def to_json(self, timing: bool = False) -> str:
         doc = {
             "command": self.command,
-            "inputs": _stringify(self.inputs),
-            "outputs": _stringify(self.outputs),
-            "cross_check": _stringify(self.cross_check) if self.cross_check is not None else None,
-            "attempts": _stringify(self.attempts),
-            "seed": str(self.seed),
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+            "cross_check": self.cross_check,
+            "attempts": self.attempts,
+            "seed": self.seed,
         }
         if timing:
             doc["wall_time_ms"] = round(self.wall_time_ms or 0.0, 3)
-        return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
+        return _json_line(doc)
 
 
 def _finish(report: RunReport, args, t0: float) -> int:
@@ -144,19 +141,26 @@ def cmd_dlog(args) -> int:
 # signature (multiplicative)
 
 
+@contextmanager
+def _malformed(source: str):
+    """Whatever a parser trips on in a malformed document is BadInput."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # ValueError covers bad JSON and bad numbers
+        raise BadInput(f"malformed {source}: {exc!r}") from None
+
+
 def _read_instance(path: str, parse):
     """parse(text) of an instance file; an unreadable or malformed file
-    is BadInput, whatever the parser tripped on."""
+    is BadInput."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise BadInput(f"cannot read instance file {path!r}: {exc.strerror}") from None
-    try:
+    with _malformed(f"instance file {path!r}"):
         return parse(text)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        # ValueError covers bad JSON and bad numbers
-        raise BadInput(f"malformed instance file {path!r}: {exc!r}") from None
 
 
 def _load_char_instance(args):
@@ -213,22 +217,22 @@ def cmd_signature(args) -> int:
 
 
 def load_fixture(name: str) -> dict:
+    """The document of a shipped fixture, named by the stem of its file
+    in sigcalc/fixtures (e.g. f7l13); any other name is BadInput."""
     from importlib import resources  # deferred: only the ec commands need it
 
-    path = resources.files("sigcalc.fixtures").joinpath(f"{name}.json")
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise BadInput(f"unknown fixture {name!r}") from None
-    return doc
+    fixtures = resources.files("sigcalc.fixtures")
+    if f"{name}.json" not in {entry.name for entry in fixtures.iterdir()}:
+        raise BadInput(f"unknown fixture {name!r}")
+    return json.loads(fixtures.joinpath(f"{name}.json").read_text())
 
 
 def _lift_fixture(name: str, seed: int):
-    doc = load_fixture(name)
-    Qt = Point(int(doc["Qt"][0]), int(doc["Qt"][1]))
-    Rt = Point(int(doc["Rt"][0]), int(doc["Rt"][1]))
-    return lift_ec_instance(int(doc["a"]), int(doc["b"]), Qt, Rt,
-                            int(doc["p"]), int(doc["ell"]), seed)
+    with _malformed(f"fixture {name!r}"):
+        doc = load_fixture(name)
+        a, b, p, ell = (int(doc[k]) for k in ("a", "b", "p", "ell"))
+        Qt, Rt = (Point(int(doc[k][0]), int(doc[k][1])) for k in ("Qt", "Rt"))
+    return lift_ec_instance(a, b, Qt, Rt, p, ell, seed)
 
 
 def _ec_instance_from_args(args):
@@ -284,109 +288,32 @@ def cmd_ec(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-
-def _suite_reciprocity(p: int, ell: int, trials: int, seed: int):
-    """Random S-units must have vanishing pairing sums over all sites."""
-    support = [q for q in primes_up_to(20) if q != p]
-    for i in range(trials):
-        rng = rng_for(seed, "reciprocity", i)
-        exponents = {q: rng.randrange(-3, 4) for q in support}
-        from fractions import Fraction
-
-        a = Fraction(1)
-        for q, e in exponents.items():
-            a *= Fraction(q) ** e
-        if a == 1:
-            continue
-        total = rational_character_pairing(p, ell, "p", a)
-        for q, e in exponents.items():
-            if e:
-                total += rational_character_pairing(p, ell, q, a)
-        yield {"trial": i, "sum": total % ell, "ok": total % ell == 0,
-               "exponents": {str(q): e for q, e in exponents.items()}}
-
-
-def _suite_rayrank(trials: int, seed: int):
-    fields = rayrank_fields([3, 5, 7, 11, 13], trials)
-    for i, (K, ell, p) in enumerate(fields):
-        u, uc = split_places(ell, K)
-        v = split_places(p, K)[0]
-        rank_one = ray_class_ell_rank(K, ell, [(u, 2), (v, 1)])
-        rank_full = ray_class_ell_rank(K, ell, [(u, 2), (uc, 2), (v, 1)])
-        ok = rank_one == 1 and rank_full == 2
-        yield {"trial": i, "D": K.D, "ell": ell, "p": p,
-               "rank_one_place": rank_one, "rank_three_places": rank_full,
-               "ok": ok}
-
-
-def _brute_local_dim(curve: Curve, q: int, ell: int) -> int:
-    """dim E(F_q)/ell by enumerating the full group and its ell-kernel."""
-    points = [None]
-    for x in range(q):
-        f = (x**3 + curve.a * x + curve.b) % q
-        if f == 0:
-            points.append(Point(x, 0))
-        elif jacobi(f, q) == 1:
-            from .arith import sqrt_mod_prime
-
-            y = sqrt_mod_prime(f, q)
-            points.append(Point(x, y))
-            points.append(Point(x, q - y))
-    reduced = Curve(curve.a % q, curve.b % q, ("fp", q))
-    kernel = sum(1 for P in points if ec_scalar_mul(ell, P, reduced) is None)
-    dim = 0
-    while ell**dim < kernel:
-        dim += 1
-    return dim
-
-
-def _suite_lemma1(seed: int, bound: int = 500):
-    instance = _lift_fixture("f7l13", seed)
-    E, K, ell = instance.lifted_curve, instance.K, instance.ell
-    disc = abs(E.discriminant())
-    for q in primes_up_to(bound):
-        if q == 2 or disc % q == 0:
-            continue
-        for w in split_places(q, K):
-            if w.degree != 1:
-                continue
-            try:
-                formula = h1_local_dim(E, w, ell)
-            except OutOfScope:
-                break  # the formula does not cover this place
-            # brute dimension of E(K_w)/ell: the reduced group's ell-rank,
-            # plus the kernel-of-reduction line at residue characteristic ell
-            brute = _brute_local_dim(E.reduction(q), q, ell)
-            if q == ell:
-                brute += 1
-            yield {"q": q, "splitting": w.splitting,
-                   "root": w.root_label if w.root_label is not None else "",
-                   "formula": formula, "brute": brute, "ok": formula == brute}
-            break  # conjugate place has the identical reduction
+# verify
 
 
 def cmd_verify(args) -> int:
-    suites = ["reciprocity", "rayrank", "lemma1"] if args.suite == "all" else [args.suite]
+    if args.trials < 1:
+        raise BadInput(f"--trials must be at least 1, got {args.trials}")
+
+    def lemma1_rows():
+        instance = _lift_fixture("f7l13", args.seed)
+        return lemma1_suite(instance.lifted_curve, instance.K, instance.ell, 500)
+
+    suites = {
+        "reciprocity": lambda: reciprocity_suite(args.p, args.ell, args.trials, args.seed),
+        "rayrank": lambda: rayrank_suite(min(args.trials, 40)),
+        "lemma1": lemma1_rows,
+    }
     failures = []
-    for suite in suites:
-        if suite == "reciprocity":
-            rows = list(_suite_reciprocity(args.p, args.ell, args.trials, args.seed))
-        elif suite == "rayrank":
-            rows = list(_suite_rayrank(min(args.trials, 40), args.seed))
-        else:
-            rows = list(_suite_lemma1(args.seed))
-        for row in rows:
+    for suite in suites if args.suite == "all" else [args.suite]:
+        for row in list(suites[suite]()):  # a suite that raises prints no row
             doc = {"suite": suite, **row}
-            print(json.dumps(_stringify(doc), sort_keys=True, separators=(", ", ": ")))
-            if not row.get("ok", True):
+            print(_json_line(doc))
+            if not row["ok"]:
                 failures.append(doc)
-    summary = {"suite": args.suite, "failures": len(failures)}
-    print(json.dumps(_stringify(summary), sort_keys=True, separators=(", ", ": ")))
+    print(_json_line({"suite": args.suite, "failures": len(failures)}))
     if failures:
-        print(json.dumps(_stringify({"counterexample": failures[0]}),
-                         sort_keys=True, separators=(", ", ": ")), file=sys.stderr)
+        print(_json_line({"counterexample": failures[0]}), file=sys.stderr)
         return InvariantError.exit_code
     return 0
 

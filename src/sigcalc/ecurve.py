@@ -2,9 +2,10 @@
 quadratic fields, and ell-adic completions.
 
 Provides the chord-tangent group law over F_q, deterministic point
-counting, the one-place cohomology dimension formula, and the
-normalised formal-group coordinate on the kernel of reduction that
-turns E(Q_ell)/ell into explicit F_ell values.
+counting, the one-place cohomology dimension formula with the suite
+that checks it against a brute count of E(F_q), and the normalised
+formal-group coordinate on the kernel of reduction that turns
+E(Q_ell)/ell into explicit F_ell values.
 
 The group law runs over F_q only, as one affine law on plain ints:
 internally a point is an (x, y) tuple of residues and None is O, and
@@ -33,7 +34,7 @@ from functools import partial
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .arith import bsgs_dlog, factorint, is_prime, jacobi, sqrt_mod_prime
+from .arith import bsgs_dlog, factorint, is_prime, jacobi, primes_up_to, sqrt_mod_prime
 from .errors import (
     BadInput,
     BadReduction,
@@ -42,7 +43,7 @@ from .errors import (
     Singular,
     VerificationFailed,
 )
-from .quadfield import Place, QuadInt, RealQuadField, embed
+from .quadfield import Place, QuadInt, RealQuadField, embed, split_places
 
 __all__ = [
     "Curve",
@@ -55,6 +56,7 @@ __all__ = [
     "hasse_interval",
     "curve_group_ops",
     "h1_local_dim",
+    "lemma1_suite",
     "local_class",
 ]
 
@@ -274,6 +276,8 @@ def _enumerated_order(a: int, b: int, q: int) -> int:
 
 
 def _first_points(a: int, b: int, q: int):
+    """One point (x, y) of E(F_q) for each x on the curve, y <= q/2;
+    -P = (x, q - y) is the other point at x when y != 0."""
     for x in range(q):
         f = (x * x * x + a * x + b) % q
         if f == 0:
@@ -383,6 +387,45 @@ def h1_local_dim(curve: Curve, place: Place, ell: int) -> int:
     if order % (ell * ell) == 0:
         raise OutOfScope("ell^2 divides the reduced order")
     return 1
+
+
+def _ell_rank(a: int, b: int, q: int, ell: int) -> int:
+    """dim E(F_q)/ell, brute force: log_ell of the size of the kernel of
+    multiplication by ell, counted over `_first_points`, where each
+    point with y != 0 stands for itself and its negative."""
+    kernel = 1 + sum(2 if y else 1 for x, y in _first_points(a, b, q)
+                     if _fp_mul(ell, (x, y), a, q) is None)
+    rank = 0
+    while ell**rank < kernel:
+        rank += 1
+    return rank
+
+
+def lemma1_suite(curve: Curve, K: RealQuadField, ell: int, bound: int):
+    """Rows of the one-place H^1 check for an integral curve over K: at
+    the first degree-1 place w over each odd prime q <= bound of good
+    reduction, h1_local_dim must equal the brute dimension of
+    E(K_w)/ell, the ell-rank of E(F_q), plus the kernel-of-reduction
+    line at q = ell.  A prime whose place the formula does not cover
+    yields no row."""
+    disc = abs(curve.discriminant())
+    for q in primes_up_to(bound):
+        if q == 2 or disc % q == 0:
+            continue
+        # the conjugate place has the identical reduction
+        w = next((w for w in split_places(q, K) if w.degree == 1), None)
+        if w is None:
+            continue
+        try:
+            formula = h1_local_dim(curve, w, ell)
+        except OutOfScope:
+            continue
+        brute = _ell_rank(curve.a % q, curve.b % q, q, ell)
+        if q == ell:
+            brute += 1
+        yield {"q": q, "splitting": w.splitting,
+               "root": w.root_label if w.root_label is not None else "",
+               "formula": formula, "brute": brute, "ok": formula == brute}
 
 
 # ---------------------------------------------------------------------------

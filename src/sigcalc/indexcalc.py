@@ -6,14 +6,15 @@ read off consecutive convergents of one Euclidean run, pruned of
 singleton columns and solved by the shared sparse Gauss-Jordan
 eliminator mod ell.  The rational character pairing realises the
 degree-ell character of Q ramified only at p, whose local values
-reproduce exactly this relation machinery.
+reproduce exactly this relation machinery; `reciprocity_suite` checks
+that they sum to zero over random S-units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .arith import (
     Eliminator,
@@ -38,7 +39,6 @@ __all__ = [
     "Relation",
     "RelationSearch",
     "convergent_splits",
-    "half_split",
     "collect_relations",
     "prune_singletons",
     "solve_linear_mod_ell",
@@ -47,6 +47,7 @@ __all__ = [
     "index_calculus_dlog",
     "build_theta_table",
     "rational_character_pairing",
+    "reciprocity_suite",
 ]
 
 
@@ -80,11 +81,13 @@ def convergent_splits(x: int, p: int) -> list[tuple[int, int, int]]:
     gcd(u, v) = 1 and u*v < p, from one Euclidean run on (p, x).
 
     The run keeps r_j = t_j * x mod p.  The first is the half split
-    (r_i, |t_i|) at the first remainder below sqrt(p) (`half_split`);
-    then come its neighbours (r_(i-1), |t_(i-1)|) and (r_(i+1), |t_(i+1)|),
-    skipping one with t = 0 or r = 0.  Each obeys r_j * |t_j| <
-    r_(j-1) * |t_j| <= p, as r_(j-1)*|t_j| + r_j*|t_(j-1)| = p, and a
-    common factor of r_j and t_j would divide p.  x must be a unit mod p.
+    (r_i, |t_i|) at the first remainder below sqrt(p): u^2 < p and
+    v^2 <= p, as |t_i| <= p / r_(i-1) <= sqrt(p) (Blake, Fuji-Hara,
+    Mullin and Vanstone 1984).  Then come its neighbours
+    (r_(i-1), |t_(i-1)|) and (r_(i+1), |t_(i+1)|), skipping one with
+    t = 0 or r = 0.  Each obeys r_j * |t_j| < r_(j-1) * |t_j| <= p, as
+    r_(j-1)*|t_j| + r_j*|t_(j-1)| = p, and a common factor of r_j and
+    t_j would divide p.  x must be a unit mod p.
     """
     r0, r1, t0, t1 = p, x, 0, 1
     while r1 * r1 >= p:
@@ -93,19 +96,6 @@ def convergent_splits(x: int, p: int) -> list[tuple[int, int, int]]:
     q = r0 // r1
     r2, t2 = r0 - q * r1, t0 - q * t1
     return [(r, abs(t), int(t < 0)) for r, t in ((r1, t1), (r0, t0), (r2, t2)) if r and t]
-
-
-def half_split(x: int, p: int) -> tuple[int, int, int]:
-    """(u, v, sigma) with x = (-1)^sigma * u / v mod p, u^2 < p, v^2 <= p.
-
-    The extended Euclidean algorithm on (p, x) keeps r_i = t_i * x mod p
-    and stops at the first remainder below sqrt(p); its cofactor obeys
-    |t_i| <= p / r_(i-1) <= sqrt(p) (Blake, Fuji-Hara, Mullin and
-    Vanstone 1984).  u and v are coprime.  It is the first of
-    `convergent_splits`, which the relation search tries before the
-    two neighbouring convergents.  x must be a unit mod p.
-    """
-    return convergent_splits(x, p)[0]
 
 
 def _base_bound(bound: int, p: int) -> int:
@@ -148,9 +138,9 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
     """Harvest `count` new factor-base relations from splits of g^r.
 
     Attempt i draws r from rng_for(seed, "relation", i) and writes
-    g^r = (-1)^sigma * u/v with u*v < p, trying the half split (u, v <=
-    sqrt(p), `half_split`) and then its two neighbouring convergents
-    (`convergent_splits`).  For the first split whose u*v is
+    g^r = (-1)^sigma * u/v with u*v < p, trying the three splits of
+    `convergent_splits` in turn: the half split (u, v <= sqrt(p)), then
+    its two neighbouring convergents.  For the first split whose u*v is
     bound-smooth, sum_q (e_q(u) - e_q(v)) * theta(q) =
     r - sigma*(p-1)/2 mod ell, as log(-1) = (p-1)/2.  One draw gives at
     most one relation, and each attempt one outcome.  Trivial rows and
@@ -451,3 +441,24 @@ def rational_character_pairing(p: int, ell: int, site, a) -> int:
         raise BadSupport(f"site {q} is not prime")
     v = _valuation(a, q)
     return (-v * theta_mod_ell(q)) % ell
+
+
+def reciprocity_suite(p: int, ell: int, trials: int, seed: int):
+    """Rows of the reciprocity check, one per trial i whose S-unit is
+    not 1: a = prod q^e over the primes q < 20 other than p, with each e
+    in [-3, 3] drawn from rng_for(seed, "reciprocity", i), and the
+    pairing values of a at p and at its support, which must sum to
+    0 mod ell."""
+    support = [q for q in primes_up_to(20) if q != p]
+    for i in range(trials):
+        rng = rng_for(seed, "reciprocity", i)
+        exponents = {q: rng.randrange(-3, 4) for q in support}
+        a = prod(Fraction(q) ** e for q, e in exponents.items())
+        if a == 1:
+            continue
+        total = rational_character_pairing(p, ell, "p", a)
+        for q, e in exponents.items():
+            if e:
+                total += rational_character_pairing(p, ell, q, a)
+        yield {"trial": i, "sum": total % ell, "ok": total % ell == 0,
+               "exponents": {str(q): e for q, e in exponents.items()}}

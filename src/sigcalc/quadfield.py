@@ -3,7 +3,8 @@
 Integers of the maximal order, fundamental units by continued
 fractions, class numbers by exhaustive reduction of indefinite binary
 quadratic forms, places and their completions, the place valuations of a
-principal ideal, and the F_ell-rank of ray class groups.
+principal ideal, and the F_ell-rank of ray class groups, with the
+suite of rows that checks it on seeded fields.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "place_valuations",
     "ray_class_ell_rank",
     "rayrank_fields",
+    "rayrank_suite",
     "squarefree_kernel",
     "sqrt_field",
 ]
@@ -607,3 +609,18 @@ def rayrank_fields(ell_list, count: int):
                 continue
             found.append((K, ell, p))
     return found
+
+
+def rayrank_suite(count: int):
+    """Rows of the ray-class rank check on the first `count` fields of
+    rayrank_fields([3, 5, 7, 11, 13], count), where u, u' lie over ell
+    and v over p: the rank is 1 for the modulus u^2 v and 2 for
+    u^2 u'^2 v."""
+    for i, (K, ell, p) in enumerate(rayrank_fields([3, 5, 7, 11, 13], count)):
+        u, uc = split_places(ell, K)
+        v = split_places(p, K)[0]
+        rank_one = ray_class_ell_rank(K, ell, [(u, 2), (v, 1)])
+        rank_full = ray_class_ell_rank(K, ell, [(u, 2), (uc, 2), (v, 1)])
+        yield {"trial": i, "D": K.D, "ell": ell, "p": p,
+               "rank_one_place": rank_one, "rank_three_places": rank_full,
+               "ok": rank_one == 1 and rank_full == 2}

@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -128,6 +130,8 @@ def main_json(argv):
     ["dlog", "--p", "1021", "--ell", "5", "--g", "0", "--a", "800", "--method", "bsgs"],
     ["verify", "--suite", "reciprocity", "--ell", "0"],
     ["verify", "--suite", "reciprocity", "--p", "2", "--ell", "1"],
+    ["verify", "--suite", "reciprocity", "--trials", "0"],
+    ["verify", "--suite", "all", "--trials", "-3"],
 ])
 def test_degenerate_arguments_exit_as_bad_input(argv):
     # the timeout catches a hang: with g = 0 every split has u = 0, and
@@ -338,6 +342,29 @@ class TestEc:
         r = run_cli("ec", "roundtrip", "--fixture", "nope", "--json")
         assert r.returncode == 2
 
+    def test_a_fixture_name_is_only_a_shipped_stem(self, tmp_path):
+        # a path that reaches a JSON file outside the package is no fixture
+        (tmp_path / "empty.json").write_text("{}")
+        fixtures = str(resources.files("sigcalc.fixtures"))
+        for name in (os.path.relpath(tmp_path / "empty", fixtures), str(tmp_path / "empty"),
+                     "f7l13.json", "../fixtures/f7l13"):
+            r = run_cli("ec", "roundtrip", "--fixture", name)
+            assert r.returncode == 2 and json.loads(r.stderr) == {
+                "error": "BadInput", "detail": f"unknown fixture {name!r}"}
+
+    @pytest.mark.parametrize("doc", [{}, {"a": "x"}, {"a": None},
+                                     {"a": 0, "b": 3, "p": 7, "ell": 13, "Qt": [1]}])
+    def test_a_malformed_fixture_document_is_bad_input(self, monkeypatch, doc):
+        import sigcalc.cli as cli
+
+        monkeypatch.setattr(cli, "load_fixture", lambda name: doc)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["ec", "roundtrip", "--fixture", "f7l13"]) == 2
+        report = json.loads(err.getvalue())
+        assert report["error"] == "BadInput"
+        assert report["detail"].startswith("malformed fixture 'f7l13': ")
+
     def test_instance_file(self, tmp_path):
         path = tmp_path / "ec.json"
         r = run_cli("ec", "roundtrip", "--fixture", "f7l13", "--json",
@@ -545,6 +572,20 @@ class TestVerify:
         assert lines[-1]["failures"] == "0"
         assert all(row.get("rank_one_place", "1") == "1"
                    for row in lines[:-1])
+
+    def test_a_failing_row_exits_invariant_with_its_counterexample(self, monkeypatch):
+        import sigcalc.ecurve as ecurve
+
+        monkeypatch.setattr(ecurve, "h1_local_dim", lambda curve, place, ell: 7)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--suite", "lemma1"])
+        assert code == 1
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        rows, summary = lines[:-1], lines[-1]
+        assert rows and all(row["formula"] == "7" and row["ok"] is False for row in rows)
+        assert summary == {"suite": "lemma1", "failures": str(len(rows))}
+        assert json.loads(err.getvalue()) == {"counterexample": rows[0]}
 
 
 class TestDeterminism:

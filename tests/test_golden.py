@@ -1,8 +1,9 @@
 """Golden CLI reports: the stdout of each command below, run in process
 through cli.main, must equal its committed file under tests/golden/.
 
-The commands are A9's five and `ec roundtrip`, `ec coker` and
-`ec scan --B 200` on every shipped fixture.  A change that alters a
+The commands are A9's five, `verify --suite all --seed 0`, and
+`ec roundtrip`, `ec coker` and `ec scan --B 200` on every shipped
+fixture.  A change that alters a
 report on purpose rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -32,6 +33,7 @@ COMMANDS = {
     "a9-ec-scan-f7l13": ["ec", "scan", "--fixture", "f7l13", "--B", "150", *SEED],
     "a9-verify-reciprocity": ["verify", "--suite", "reciprocity", "--trials", "5",
                               "--seed", "11"],
+    "verify-all": ["verify", "--suite", "all", "--seed", "0"],
 }
 for _fixture in FIXTURES:
     COMMANDS[f"ec-roundtrip-{_fixture}"] = ["ec", "roundtrip", "--fixture", _fixture, *SEED]

@@ -32,7 +32,6 @@ from sigcalc.indexcalc import (
     _split_smooth,
     collect_relations,
     convergent_splits,
-    half_split,
     index_calculus_dlog,
     prune_singletons,
     rational_character_pairing,
@@ -98,15 +97,15 @@ class TestHalfSplit:
         p = sympy.prevprime(n)
         x %= p
         assume(x != 0)
-        u, v, sigma = half_split(x, p)
+        u, v, sigma = convergent_splits(x, p)[0]
         assert u > 0 and v > 0 and gcd(u, v) == 1
         assert u * u < p and v * v <= p
         assert x * v % p == (-1) ** sigma * u % p
 
     def test_worked_split(self):
         # 3 = 1/(-2) mod 7: the remainders run 7, 3, 1 with cofactor -2
-        assert half_split(3, 7) == (1, 2, 1)
-        assert half_split(2, 31) == (2, 1, 0)
+        assert convergent_splits(3, 7)[0] == (1, 2, 1)
+        assert convergent_splits(2, 31)[0] == (2, 1, 0)
 
     @given(st.integers(3, 10**30), st.integers(1, 10**40))
     @settings(max_examples=300, deadline=None)
@@ -115,7 +114,7 @@ class TestHalfSplit:
         x %= p
         assume(x != 0)
         splits = convergent_splits(x, p)
-        assert splits[0] == half_split(x, p) and 1 <= len(splits) <= 3
+        assert 1 <= len(splits) <= 3
         assert len(set(splits)) == len(splits)
         for u, v, sigma in splits:
             assert u > 0 and v > 0 and gcd(u, v) == 1 and u * v < p
@@ -132,7 +131,7 @@ class TestHalfSplit:
 def half_split_smooth(x, p, bound):
     """The relation read off the half split alone, or None when u*v is
     not bound-smooth (the split the search tries first)."""
-    u, v, sigma = half_split(x, p)
+    u, v, sigma = convergent_splits(x, p)[0]
     if smooth_cofactor(u * v, bound) > 1:
         return None
     return sigma, {q: -e if v % q == 0 else e for q, e in factor_smooth(u * v, bound).items()}
