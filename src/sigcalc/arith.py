@@ -4,7 +4,7 @@ Primality, factorisation and least primitive roots, Hensel lifting of
 square roots, the 1-unit exponent of a unit modulo ell^2, a
 baby-step giant-step discrete log in batched steps, power residue tests,
 smoothness factoring, and the one sparse Gauss-Jordan eliminator over
-F_ell that every module shares, which takes rows one at a time.
+F_ell that every module shares, which takes rows in batches.
 Everything else is a pure function of its inputs.
 """
 
@@ -41,7 +41,6 @@ __all__ = [
     "jacobi",
     "gauss_reduce",
     "Eliminator",
-    "row_reduce_mod",
     "rank_mod",
     "parse_decimal",
     "parse_pair",
@@ -271,6 +270,8 @@ def least_primitive_root(p: int) -> int:
 def multiplicative_order(g: int, p: int) -> int:
     """The order of the unit g in F_p^* for a prime p: p - 1 stripped of
     every prime power of factorint(p - 1) that g^order = 1 allows."""
+    if not is_prime(p):
+        raise BadInput(f"{p} is not prime")
     if g % p == 0:
         raise BadInput(f"g = {g} must be a unit mod {p}")
     order = p - 1
@@ -544,7 +545,7 @@ def _subtract_row(row: dict, f: int, other: dict, ell: int) -> None:
 
 
 class Eliminator:
-    """Gauss-Jordan elimination over F_ell of sparse rows, one row at a time.
+    """Gauss-Jordan elimination over F_ell of sparse rows, fed in batches.
 
     A row is {column: coefficient}, as a mapping or as pairs, with
     every coefficient in [1, ell), and a right-hand side.  The state is
@@ -563,17 +564,12 @@ class Eliminator:
         self.consts: dict = {}
         self.occurrences = Counter()
 
-    def add(self, coeffs, const: int) -> None:
-        """Reduce the row against the pivots and keep what is left, if
-        anything, as a new pivot row.  Raises Inconsistent, leaving rows
-        and consts as they were, when the row reduces to 0 = nonzero."""
-        row = dict(coeffs)
-        self.occurrences.update(row.keys())
-        self._absorb(row, const)
-
-    def add_batch(self, rows) -> None:
-        """Add (coeffs, const) rows, lightest first, after counting the
-        columns of the whole batch; Inconsistent as for `add`."""
+    def add(self, rows) -> None:
+        """Add a batch of (coeffs, const) rows: count the columns of the
+        whole batch, then reduce each row, lightest first, against the
+        pivots and keep what is left, if anything, as a new pivot row.
+        Raises Inconsistent when a row reduces to 0 = nonzero: that row
+        changes neither rows nor consts, and the rows before it stay."""
         batch = [(dict(coeffs), const) for coeffs, const in rows]
         for row, _ in batch:
             self.occurrences.update(row.keys())
@@ -611,24 +607,8 @@ class Eliminator:
         return col in self.rows and not self.rows[col]
 
 
-def row_reduce_mod(rows, ell: int) -> dict:
-    """Gauss-Jordan elimination over F_ell of a batch of sparse rows.
-
-    Each row is a pair ({column: coefficient}, right-hand side).  The
-    rows go into a new Eliminator as one batch (`Eliminator.add_batch`):
-    lightest first, each pivoting on its column that occurs in the
-    fewest input rows.  Returns the reduced row echelon form as
-    {pivot column: (row, right-hand side)}, where a row holds only free
-    columns; its length is the rank, and a pivot whose row is empty is
-    determined: it equals the right-hand side.  Raises Inconsistent
-    when a row reduces to 0 = nonzero.
-    """
-    elim = Eliminator(ell)
-    elim.add_batch(({c: v % ell for c, v in coeffs.items() if v % ell}, const)
-                   for coeffs, const in rows)
-    return {col: (row, elim.consts[col]) for col, row in elim.rows.items()}
-
-
 def rank_mod(matrix: list[list[int]], ell: int) -> int:
     """Rank over F_ell of a dense integer matrix."""
-    return len(row_reduce_mod([(dict(enumerate(r)), 0) for r in matrix], ell))
+    elim = Eliminator(ell)
+    elim.add(({c: v % ell for c, v in enumerate(row) if v % ell}, 0) for row in matrix)
+    return len(elim.rows)

@@ -15,17 +15,16 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import isqrt
 
 from .arith import (
     Eliminator,
     ell_power_residue_test,
     factor_smooth,
-    factorint,
     gauss_reduce,
     is_prime,
     jacobi,
     least_primitive_root,
+    multiplicative_order,
     parse_decimal,
     parse_pair,
     primes_up_to,
@@ -176,11 +175,8 @@ def check_conditions(instance: CharSignatureInstance) -> ConditionReport:
 
 
 def _validate_generator(g: int, p: int):
-    if g % p == 0:
-        raise BadInput("g must be a unit mod p")
-    for q in factorint(p - 1):
-        if pow(g, (p - 1) // q, p) == 1:
-            raise BadInput(f"{g} does not generate F_{p}^*")
+    if multiplicative_order(g, p) != p - 1:
+        raise BadInput(f"{g} does not generate F_{p}^*")
 
 
 def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
@@ -228,18 +224,12 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
         if K is None or f % p == 0 or K.D % p == 0:
             reject("p_side_degenerate")
             continue
+        # w = f^2*D is a nonzero square mod ell, and w = c^2 mod p with
+        # p not dividing f*D, so ell and p split, and gamma = f*sqrt(D)
+        # reduces to c at one place over p and to -c at the other: v
         u_places = split_places(ell, K)
         v_places = split_places(p, K)
-        if len(u_places) != 2 or len(v_places) != 2:
-            reject("not_split")
-            continue
-        # gamma = f*sqrt(D) reduces to +-c; v is the place matching +c
-        gamma = K.from_sqrt_coords(0, f)
-        gamma_images = [embed(gamma, w_, 1) for w_ in v_places]
-        if c not in gamma_images:
-            reject("no_v_label")
-            continue
-        v_index = gamma_images.index(c)
+        v_index = int(embed(K.from_sqrt_coords(0, f), v_places[0], 1) != c)
         alpha = K.from_sqrt_coords(d, f)
         instance = CharSignatureInstance(
             K=K, p=p, ell=ell, g=g, a=a, alpha=alpha,
@@ -318,27 +308,6 @@ def _nearest(n: int, d: int) -> int:
     if d < 0:
         n, d = -n, -d
     return (2 * n + d) // (2 * d)
-
-
-def _shell_point(index: int, key: int) -> tuple[int, int]:
-    """The index-th point of Z^2 taken by square shells.
-
-    Shell k holds the 8k points with max(|a|, |b|) = k, so indices
-    below (2k+1)^2 cover the square [-k, k]^2 exactly once.  Within a
-    shell the points run round the square's boundary, starting at an
-    offset that the key sets.
-    """
-    k = (isqrt(index) + 1) // 2
-    if k == 0:
-        return 0, 0
-    side, t = divmod((index - (2 * k - 1) ** 2 + key) % (8 * k), 2 * k)
-    if side == 0:
-        return k, t - k
-    if side == 1:
-        return k - t, k
-    if side == 2:
-        return -k, k - t
-    return t - k, -k
 
 
 # alpha's image at a split place over q is first kept mod the least
@@ -422,24 +391,23 @@ class _BetaSearch:
                    alpha_trace=alpha.trace(), alpha_norm=alpha.norm(),
                    over=over, inert=frozenset(inert), images=images)
 
-    def pair(self, index: int) -> tuple[int, int]:
-        """(r, s) of attempt `index`; r*a_v + s = g mod p."""
-        a, b = _shell_point(index, self.key)
-        (r0, s0), (r1, s1), (r2, s2) = self.center, self.b1, self.b2
-        return r0 + a * r1 + b * r2, s0 + a * s1 + b * s2
-
     def walk(self):
-        """pair(index) for index = 0, 1, 2, ... in turn, by steps: shell k
-        runs round its square as a closed loop from the point the key
-        sets, each step adding +-b1 or +-b2 to (r, s)."""
-        (r1, s1), (r2, s2) = self.b1, self.b2
-        # the direction of each side of a shell, in _shell_point's order
+        """The candidates (r, s) = center + a*b1 + b*b2, each with
+        r*a_v + s = g mod p, for the points (a, b) of Z^2 shell by shell:
+        shell k holds the 8k points with max(|a|, |b|) = k, and runs
+        round its square's boundary as a closed loop, each step adding
+        +-b1 or +-b2 to (r, s).  Side 0 runs from (k, -k) towards (k, k)
+        and the others follow counter-clockwise; the loop starts at point
+        t of side `side`, with side, t = divmod(key % 8k, 2k)."""
+        (r0, s0), (r1, s1), (r2, s2) = self.center, self.b1, self.b2
+        # the direction of each side of a shell, counter-clockwise
         steps = ((r2, s2), (-r1, -s1), (-r2, -s2), (r1, s1))
         yield self.center
         k = 1
         while True:
-            r, s = self.pair((2 * k - 1) ** 2)
             side, t = divmod(self.key % (8 * k), 2 * k)
+            a, b = ((k, t - k), (k - t, k), (-k, k - t), (t - k, -k))[side]
+            r, s = r0 + a * r1 + b * r2, s0 + a * s1 + b * s2
             for d, run in ((side, 2 * k - t), (side + 1, 2 * k), (side + 2, 2 * k),
                            (side + 3, 2 * k), (side, t)):
                 dr, ds = steps[d % 4]
@@ -463,10 +431,6 @@ class _BetaSearch:
             x //= q
             v += 1
         return v
-
-    def attempt(self, index: int) -> Relation | str:
-        """read(*pair(index)): the outcome depends on the index alone."""
-        return self.read(*self.pair(index))
 
     def read(self, r: int, s_int: int) -> Relation | str:
         """The relation of beta = r*alpha + s, or the reason for rejecting
@@ -555,7 +519,7 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
             continue
         seen.add(rel.coeffs)
         counters["accepted"] += 1
-        system.add(rel.coeffs, rel.const)
+        system.add([(rel.coeffs, rel.const)])
         if system.determined(SIGNATURE_COLUMN):
             s = system.consts[SIGNATURE_COLUMN]
             if s == 0:

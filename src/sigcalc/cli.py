@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .arith import bsgs_dlog, is_prime, mult_group_ops, multiplicative_order
+from .arith import bsgs_dlog, mult_group_ops, multiplicative_order
 from .charsig import (
     instance_from_json,
     instance_to_json,
@@ -113,10 +113,6 @@ def _finish(report: RunReport, args, t0: float) -> int:
 
 def cmd_dlog(args) -> int:
     p, ell, g, a = args.p, args.ell, args.g, args.a
-    if not is_prime(p):
-        raise BadInput(f"{p} is not prime")
-    if g % p == 0:
-        raise BadInput(f"g = {g} must be a unit mod {p}")
     t0 = time.perf_counter()
     report = RunReport(
         "dlog",
@@ -291,21 +287,38 @@ def cmd_ec(args) -> int:
 # verify
 
 
+# the options each suite reads, and their values when not given
+_SUITE_OPTIONS = {"reciprocity": ("trials", "p", "ell"), "rayrank": ("trials",), "lemma1": ()}
+_VERIFY_DEFAULTS = {"trials": 100, "p": 31, "ell": 5}
+_RAYRANK_FIELDS = 40
+
+
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise BadInput(f"--trials must be at least 1, got {args.trials}")
+    selected = list(_SUITE_OPTIONS) if args.suite == "all" else [args.suite]
+    read = {option for suite in selected for option in _SUITE_OPTIONS[suite]}
+    given = {option: getattr(args, option) for option in _VERIFY_DEFAULTS
+             if getattr(args, option) is not None}
+    unread = sorted(set(given) - read)
+    if unread:
+        raise BadInput(f"--suite {args.suite} reads none of "
+                       + ", ".join(f"--{option}" for option in unread))
+    trials, p, ell = {**_VERIFY_DEFAULTS, **given}.values()
+    if trials < 1:
+        raise BadInput(f"--trials must be at least 1, got {trials}")
+    if args.suite == "rayrank" and trials > _RAYRANK_FIELDS:
+        raise BadInput(f"--suite rayrank checks at most {_RAYRANK_FIELDS} fields, got {trials}")
 
     def lemma1_rows():
         instance = _lift_fixture("f7l13", args.seed)
         return lemma1_suite(instance.lifted_curve, instance.K, instance.ell, 500)
 
     suites = {
-        "reciprocity": lambda: reciprocity_suite(args.p, args.ell, args.trials, args.seed),
-        "rayrank": lambda: rayrank_suite(min(args.trials, 40)),
+        "reciprocity": lambda: reciprocity_suite(p, ell, trials, args.seed),
+        "rayrank": lambda: rayrank_suite(min(trials, _RAYRANK_FIELDS)),
         "lemma1": lemma1_rows,
     }
     failures = []
-    for suite in suites if args.suite == "all" else [args.suite]:
+    for suite in selected:
         for row in list(suites[suite]()):  # a suite that raises prints no row
             doc = {"suite": suite, **row}
             print(_json_line(doc))
@@ -371,9 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run an invariant suite")
     sp.add_argument("--suite", choices=["reciprocity", "rayrank", "lemma1", "all"],
                     required=True)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--p", type=int, default=31)
-    sp.add_argument("--ell", type=int, default=5)
+    sp.add_argument("--trials", type=int,
+                    help="reciprocity trials (default 100), rayrank fields (at most 40)")
+    sp.add_argument("--p", type=int, help="reciprocity prime (default 31)")
+    sp.add_argument("--ell", type=int, help="reciprocity degree (default 5)")
     common(sp)
     sp.set_defaults(func=cmd_verify)
     return parser

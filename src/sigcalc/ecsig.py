@@ -205,18 +205,13 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
             if f % p == 0 or D % p == 0:
                 reject("p_label_degenerate")
                 continue
+            # w = nu0^2 mod p with p not dividing f*D, so p splits and
+            # f*sqrt(D) reduces to nu0 at one place over p and to -nu0 at
+            # the other: v.  R = (mu, f*sqrt(D)).
             u_places = split_places(ell, K)
             v_places = split_places(p, K)
-            if len(v_places) != 2:
-                reject("p_not_split")
-                continue
-            # R = (mu, f*sqrt(D)); v is the place where f*sqrt(D) = nu0
             R = Point(K.element(mu, 0), K.from_sqrt_coords(0, f))
-            images = [embed(R.y, w_, 1) for w_ in v_places]
-            if nu0 not in images:
-                reject("no_v_label")
-                continue
-            vi = images.index(nu0)
+            vi = int(embed(R.y, v_places[0], 1) != nu0)
             cR_u = local_class(R, E, ell, place=u_places[0]).c
             cR_uc = local_class(R, E, ell, place=u_places[1]).c
             det = (cQ * cR_uc - cQ * cR_u) % ell

@@ -43,7 +43,6 @@ __all__ = [
     "prune_singletons",
     "solve_linear_mod_ell",
     "SolveResult",
-    "Elimination",
     "index_calculus_dlog",
     "build_theta_table",
     "rational_character_pairing",
@@ -239,41 +238,24 @@ class SolveResult:
     columns: list = field(default_factory=list)
 
 
-class Elimination:
-    """An eliminator carried across the solves of a system that only
-    grows, and the relations it already holds."""
+def solve_linear_mod_ell(relations: list[Relation], system: Eliminator,
+                         held: set) -> SolveResult:
+    """Solve a relation system over F_ell on a carried eliminator.
 
-    def __init__(self, ell: int):
-        self.eliminator = Eliminator(ell)
-        self.rows: set[Relation] = set()
-
-
-def solve_linear_mod_ell(relations: list[Relation], unknowns, ell: int,
-                         carry: Elimination | None = None) -> SolveResult:
-    """Solve a relation system over F_ell with the sparse eliminator.
-
-    Returns the value of every determined column and the solution-space
-    dimension.  Raises Inconsistent for contradictory systems and
-    RankDeficient when a requested unknown stays undetermined.  Without
-    a `carry` the rows go into a new eliminator as one batch
-    (`Eliminator.add_batch`).  A `carry` must hold only rows among
-    `relations`: it takes just the relations it lacks, as one batch,
-    and the answer is the same as afresh.
+    `system` holds the relations in `held`, all of them among
+    `relations`; it takes the relations it lacks, as one batch
+    (`Eliminator.add`), and `held` gains them.  Returns the value of
+    every determined column of `relations` and the solution-space
+    dimension over those columns.  Raises Inconsistent for
+    contradictory systems.
     """
-    requested = list(unknowns)
-    columns = sorted({col for rel in relations for col in rel.columns} | set(requested))
-    if carry is None:
-        carry = Elimination(ell)
-    new = [rel for rel in relations if rel not in carry.rows]
-    elim = carry.eliminator
-    elim.add_batch((rel.coeffs, rel.const) for rel in new)
-    carry.rows.update(new)
-    values = {col: elim.consts[col] for col in columns if elim.determined(col)}
-    missing = [u for u in requested if u not in values]
-    if missing:
-        raise RankDeficient(missing)
-    return SolveResult(values=values, nullity=len(columns) - len(elim.rows),
-                       rank=len(elim.rows), columns=columns)
+    new = [rel for rel in relations if rel not in held]
+    system.add((rel.coeffs, rel.const) for rel in new)
+    held.update(new)
+    columns = sorted({col for rel in relations for col in rel.columns})
+    values = {col: system.consts[col] for col in columns if system.determined(col)}
+    return SolveResult(values=values, nullity=len(columns) - len(system.rows),
+                       rank=len(system.rows), columns=columns)
 
 
 def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
@@ -305,7 +287,7 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
     n = len(base)
     ceiling = min(4 * (n + 16), p - 2)
     search = RelationSearch()
-    carry = Elimination(ell)
+    system, held = Eliminator(ell), set()
     relations: list[Relation] = []
     want = rounds = 0
     while True:
@@ -316,13 +298,12 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
                                        search=search, counters=counters)
         # adding rows only grows the pruned set, so the carried
         # eliminator already holds every row an earlier round kept
-        kept = prune_singletons(relations)
-        solved = solve_linear_mod_ell(kept, [], ell, carry=carry)
-        seen = {col for rel in kept for col in rel.columns}
-        if (seen and seen <= solved.values.keys()) or search.exhausted(p):
+        solved = solve_linear_mod_ell(prune_singletons(relations), system, held)
+        undetermined = [col for col in solved.columns if col not in solved.values]
+        if (solved.columns and not undetermined) or search.exhausted(p):
             return {q: solved.values[q] for q in base if q in solved.values}
         if want == ceiling:
-            raise RankDeficient(sorted(c for c in seen if c not in solved.values))
+            raise RankDeficient(undetermined)
 
 
 def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,

@@ -19,9 +19,9 @@ from sigcalc.arith import (
     least_primitive_root,
     lift_sqrt,
     mult_group_ops,
+    multiplicative_order,
     primes_up_to,
     rank_mod,
-    row_reduce_mod,
     smooth_cofactor,
     sqrt_2adic,
     sqrt_mod_prime,
@@ -36,7 +36,6 @@ from sigcalc.errors import (
     NotInSubgroup,
     NotSmooth,
     Ramified,
-    RankDeficient,
 )
 from sigcalc.indexcalc import Relation, solve_linear_mod_ell
 
@@ -435,6 +434,20 @@ class TestLeastPrimitiveRoot:
             least_primitive_root(1001)
 
 
+class TestMultiplicativeOrder:
+    @given(st.integers(2, 10**12), st.integers(1, 10**12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy(self, n, g):
+        p = sympy.nextprime(n)
+        assume(g % p)
+        assert multiplicative_order(g, p) == sympy.n_order(g, p)
+
+    @pytest.mark.parametrize("g, p", [(3, 1001), (2, 1), (2, 0), (0, 1021), (2042, 1021)])
+    def test_a_composite_p_or_a_non_unit_is_bad_input(self, g, p):
+        with pytest.raises(BadInput):
+            multiplicative_order(g, p)
+
+
 class TestIntegerCbrt:
     @given(st.integers(0, 10**60))
     @settings(max_examples=300, deadline=None)
@@ -509,35 +522,45 @@ class TestGaussReduce:
             gauss_reduce((2, 4), (-1, -2))
 
 
+def sparse_rows(dense, consts):
+    """The (coeffs, const) rows of a dense system, zero entries dropped."""
+    return [({j: c for j, c in enumerate(row) if c}, k) for row, k in zip(dense, consts)]
+
+
+def fresh_solve(relations, ell):
+    """solve_linear_mod_ell on a new eliminator that holds nothing."""
+    return solve_linear_mod_ell(relations, Eliminator(ell), set())
+
+
 class TestSparseKernel:
     @given(sparse_systems())
     @settings(max_examples=300, deadline=None)
     def test_consistent_systems(self, system):
         ell, ncols, truth, dense, consts = system
-        pivots = row_reduce_mod(
-            [(dict(enumerate(row)), k) for row, k in zip(dense, consts)], ell)
-        assert len(pivots) == oracle_rank(dense, ncols, ell)
+        elim = Eliminator(ell)
+        elim.add(sparse_rows(dense, consts))
+        assert len(elim.rows) == oracle_rank(dense, ncols, ell)
         # free columns at zero give a particular solution: pivots = rhs
         x = {j: 0 for j in range(ncols)}
-        x.update({col: k for col, (_, k) in pivots.items()})
+        x.update(elim.consts)
         for row, k in zip(dense, consts):
             assert sum(c * x[j] for j, c in enumerate(row)) % ell == k
         # determined columns carry the planted values, and are exactly
         # those whose unit vector lies in the row space
         for j in range(ncols):
             unit = [int(i == j) for i in range(ncols)]
-            determined = oracle_rank(dense + [unit], ncols, ell) == len(pivots)
-            assert (j in pivots and not pivots[j][0]) == determined
+            determined = oracle_rank(dense + [unit], ncols, ell) == len(elim.rows)
+            assert elim.determined(j) == determined
             if determined:
-                assert pivots[j][1] == truth[j]
+                assert elim.consts[j] == truth[j]
 
     @given(sparse_systems(), st.integers(1, 12))
     @settings(max_examples=200, deadline=None)
     def test_eliminator_takes_rows_one_at_a_time(self, system, shift):
         ell, ncols, truth, dense, consts = system
         elim = Eliminator(ell)
-        for n, (row, k) in enumerate(zip(dense, consts), 1):
-            elim.add({j: c for j, c in enumerate(row) if c}, k)
+        for n, (row, k) in enumerate(sparse_rows(dense, consts), 1):
+            elim.add([(row, k)])
             rank = oracle_rank(dense[:n], ncols, ell)
             assert len(elim.rows) == rank
             for j in range(ncols):
@@ -546,16 +569,17 @@ class TestSparseKernel:
                 assert elim.determined(j) == determined
                 if determined:
                     assert elim.consts[j] == truth[j]
-        batch = row_reduce_mod([(dict(enumerate(row)), k) for row, k in zip(dense, consts)], ell)
-        assert len(batch) == len(elim.rows)
-        assert {col: k for col, (row, k) in batch.items() if not row} == {
+        batch = Eliminator(ell)
+        batch.add(sparse_rows(dense, consts))
+        assert len(batch.rows) == len(elim.rows)
+        assert {col: batch.consts[col] for col in batch.rows if batch.determined(col)} == {
             col: elim.consts[col] for col in elim.rows if elim.determined(col)}
         # a row off the span's right-hand side by shift leaves the state as it was
         assume(dense and shift % ell)
         combo = [sum(row[j] for row in dense) % ell for j in range(ncols)]
         before = ({c: dict(row) for c, row in elim.rows.items()}, dict(elim.consts))
         with pytest.raises(Inconsistent):
-            elim.add({j: c for j, c in enumerate(combo) if c}, sum(consts) + shift)
+            elim.add([({j: c for j, c in enumerate(combo) if c}, sum(consts) + shift)])
         assert (elim.rows, elim.consts) == before
 
     @given(sparse_systems(), st.lists(st.integers(0, 12), max_size=4))
@@ -563,11 +587,11 @@ class TestSparseKernel:
     def test_eliminator_takes_rows_in_batches(self, system, cuts):
         # the rows in successive batches, as a carried solve feeds them
         ell, ncols, truth, dense, consts = system
-        rows = [({j: c for j, c in enumerate(row) if c}, k) for row, k in zip(dense, consts)]
+        rows = sparse_rows(dense, consts)
         elim, start = Eliminator(ell), 0
         for end in [*sorted(cuts), len(rows)]:
             end = max(start, min(end, len(rows)))
-            elim.add_batch(rows[start:end])
+            elim.add(rows[start:end])
             start = end
             rank = oracle_rank(dense[:end], ncols, ell)
             assert len(elim.rows) == rank
@@ -581,23 +605,21 @@ class TestSparseKernel:
     @given(sparse_systems())
     @settings(max_examples=200, deadline=None)
     def test_solver_rank_nullity_and_rank_deficiency(self, system):
+        # the solver reads the columns the relations hold, and leaves out
+        # of its values exactly the undetermined ones
         ell, ncols, truth, dense, consts = system
-        unknowns = [f"c{j}" for j in range(ncols)]
         rels = [Relation.make({f"c{j}": c for j, c in enumerate(row)}, k, ell)
                 for row, k in zip(dense, consts)]
+        present = [j for j in range(ncols) if any(row[j] for row in dense)]
         rank = oracle_rank(dense, ncols, ell)
-        undetermined = [u for j, u in enumerate(unknowns)
-                        if oracle_rank(dense + [[int(i == j) for i in range(ncols)]],
-                                       ncols, ell) > rank]
-        if undetermined:
-            with pytest.raises(RankDeficient) as exc:
-                solve_linear_mod_ell(rels, unknowns, ell)
-            assert exc.value.undetermined == sorted(undetermined)
-            return
-        result = solve_linear_mod_ell(rels, unknowns, ell)
+        determined = [j for j in present
+                      if oracle_rank(dense + [[int(i == j) for i in range(ncols)]],
+                                     ncols, ell) == rank]
+        result = fresh_solve(rels, ell)
         assert result.rank == rank
-        assert result.rank + result.nullity == len(result.columns) == ncols
-        assert result.values == dict(zip(unknowns, truth))
+        assert result.columns == sorted(f"c{j}" for j in present)
+        assert result.rank + result.nullity == len(present)
+        assert result.values == {f"c{j}": truth[j] for j in determined}
 
     @given(sparse_systems(), st.integers(1, 12))
     @settings(max_examples=200, deadline=None)
@@ -606,10 +628,9 @@ class TestSparseKernel:
         assume(dense and shift % ell)
         # a combination of the rows whose right-hand side is off by shift
         combo = [sum(row[j] for row in dense) % ell for j in range(ncols)]
-        rows = [(dict(enumerate(row)), k) for row, k in zip(dense, consts)]
-        rows.append((dict(enumerate(combo)), sum(consts) + shift))
+        rows = sparse_rows([*dense, combo], [*consts, sum(consts) + shift])
         with pytest.raises(Inconsistent):
-            row_reduce_mod(rows, ell)
+            Eliminator(ell).add(rows)
 
     def test_rank_mod_matches_oracle(self):
         rng = random.Random(7)
@@ -628,6 +649,6 @@ class TestSparseKernel:
             coeffs = {k: rng.randrange(ell) for k in rng.sample(sorted(truth), 4)}
             const = sum(c * truth[k] for k, c in coeffs.items())
             rels.append(Relation.make(coeffs, const, ell))
-        result = solve_linear_mod_ell(rels, list(truth), ell)
+        result = fresh_solve(rels, ell)
         assert result.values == truth
         assert result.rank == 6 and result.nullity == 0

@@ -20,7 +20,6 @@ from sigcalc.charsig import (
     signature_from_dl,
     signature_index_calculus,
     _BetaSearch,
-    _shell_point,
 )
 from sigcalc.errors import (
     BadInput,
@@ -317,7 +316,7 @@ class TestSignatureIndexCalculus:
 
         rows = 0
         for index in range(300_000):
-            rel = search.attempt(index)
+            rel = attempt(search, index)
             if isinstance(rel, str):
                 continue  # a rejection reason
             total = 1  # the theta_v(beta) = 1 contribution at v
@@ -361,6 +360,41 @@ def small_lifts(draw):
         reject()
 
 
+def shell_point(index, key):
+    """The index-th point of Z^2 taken by square shells, the reference
+    order that `_BetaSearch.walk` steps through.
+
+    Shell k holds the 8k points with max(|a|, |b|) = k, so indices
+    below (2k+1)^2 cover the square [-k, k]^2 exactly once.  Within a
+    shell the points run round the square's boundary, starting at an
+    offset that the key sets.
+    """
+    k = (isqrt(index) + 1) // 2
+    if k == 0:
+        return 0, 0
+    side, t = divmod((index - (2 * k - 1) ** 2 + key) % (8 * k), 2 * k)
+    if side == 0:
+        return k, t - k
+    if side == 1:
+        return k - t, k
+    if side == 2:
+        return -k, k - t
+    return t - k, -k
+
+
+def pair(search, index):
+    """(r, s) of attempt `index` of a search: center + a*b1 + b*b2 for
+    the index-th shell point (a, b)."""
+    a, b = shell_point(index, search.key)
+    (r0, s0), (r1, s1), (r2, s2) = search.center, search.b1, search.b2
+    return r0 + a * r1 + b * r2, s0 + a * s1 + b * s2
+
+
+def attempt(search, index):
+    """The outcome of attempt `index`, which depends on the index alone."""
+    return search.read(*pair(search, index))
+
+
 def element_route_attempt(search, index):
     """An attempt read the way the search read it before it kept alpha's
     images: beta built in K, its norm split over places by
@@ -368,7 +402,7 @@ def element_route_attempt(search, index):
     and the (place, valuation) list of a smooth beta (None otherwise)."""
     inst = search.instance
     p, ell, alpha = inst.p, inst.ell, inst.alpha
-    r, s = search.pair(index)
+    r, s = pair(search, index)
     if (r * embed(alpha, inst.place_u, 1) + s) % ell == 0:
         return "not_unit_at_u", None
     norm = abs(s * s + alpha.trace() * r * s + alpha.norm() * r * r)
@@ -399,7 +433,7 @@ def element_route_attempt(search, index):
 class TestBetaSearch:
     @given(key=st.integers(0, 2**64 - 1), k=st.integers(0, 15))
     def test_shells_cover_each_square_once(self, key, k):
-        points = [_shell_point(i, key) for i in range((2 * k + 1) ** 2)]
+        points = [shell_point(i, key) for i in range((2 * k + 1) ** 2)]
         assert sorted(points) == [(a, b) for a in range(-k, k + 1) for b in range(-k, k + 1)]
 
     @settings(max_examples=40, deadline=None,
@@ -411,7 +445,7 @@ class TestBetaSearch:
         search = _BetaSearch.start(inst, 60, seed)
         (r1, s1), (r2, s2) = search.b1, search.b2
         assert abs(r1 * s2 - s1 * r2) == p
-        pairs = [search.pair(i) for i in range((2 * k + 1) ** 2)]
+        pairs = [pair(search, i) for i in range((2 * k + 1) ** 2)]
         assert all((r * a_v + s - inst.g) % p == 0 for r, s in pairs)
         assert len(set(pairs)) == len(pairs)
 
@@ -423,7 +457,7 @@ class TestBetaSearch:
 
         def relations(seed):
             search = _BetaSearch.start(inst, 200, seed)
-            return [rel for rel in map(search.attempt, range(400)) if not isinstance(rel, str)]
+            return [rel for i in range(400) if not isinstance(rel := attempt(search, i), str)]
 
         first = relations(seed)
         assert first and relations(seed) == first
@@ -438,12 +472,12 @@ class TestBetaSearch:
         search = replace(_BetaSearch.start(inst, bound, seed), key=key)
         stop = (2 * k - 1) ** 2 + offset % (8 * k) if k else offset % 2
         walked = list(islice(search.walk(), stop))
-        assert walked == [search.pair(i) for i in range(stop)]
-        assert [search.read(r, s) for r, s in walked] == list(map(search.attempt, range(stop)))
+        assert walked == [pair(search, i) for i in range(stop)]
+        assert [search.read(r, s) for r, s in walked] == [attempt(search, i) for i in range(stop)]
 
     def test_seed_rotates_the_shells(self):
         inst = lift_unit(17, 31, 5, seed=0)
-        orders = [[_BetaSearch.start(inst, 60, seed).pair(i) for i in range(25)]
+        orders = [[pair(_BetaSearch.start(inst, 60, seed), i) for i in range(25)]
                   for seed in (0, 1)]
         assert orders[0] != orders[1]
         assert sorted(orders[0]) == sorted(orders[1])
@@ -468,7 +502,7 @@ class TestBetaSearch:
             mp.setattr(charsig, "_IMAGE_FLOOR", floor)
             search = _BetaSearch.start(inst, bound, seed)
         for index in range(first, first + 300):
-            assert search.attempt(index) == element_route_attempt(search, index)[0]
+            assert attempt(search, index) == element_route_attempt(search, index)[0]
 
     def test_attempts_match_the_element_route_on_a3_pairs(self):
         # the A3 pairs at the benchmark's bound, with the cases the integer
@@ -483,7 +517,7 @@ class TestBetaSearch:
                 search = _BetaSearch.start(inst, 150, seed)
                 for index in range(2500):
                     outcome, shares = element_route_attempt(search, index)
-                    assert search.attempt(index) == outcome
+                    assert attempt(search, index) == outcome
                     if outcome == "outside_base":
                         seen.add("outside_base")
                     for place, e in shares or ():

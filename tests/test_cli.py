@@ -6,6 +6,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from importlib import resources
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -128,10 +129,16 @@ def main_json(argv):
     ["dlog", "--p", "1021", "--ell", "5", "--g", "0", "--a", "800", "--method", "index"],
     ["dlog", "--p", "1021", "--ell", "5", "--g", "1", "--a", "800", "--method", "index"],
     ["dlog", "--p", "1021", "--ell", "5", "--g", "0", "--a", "800", "--method", "bsgs"],
+    ["dlog", "--p", "1001", "--ell", "5", "--g", "3", "--a", "7", "--method", "bsgs"],
     ["verify", "--suite", "reciprocity", "--ell", "0"],
     ["verify", "--suite", "reciprocity", "--p", "2", "--ell", "1"],
     ["verify", "--suite", "reciprocity", "--trials", "0"],
     ["verify", "--suite", "all", "--trials", "-3"],
+    # an option that no selected suite reads, or more fields than rayrank has
+    ["verify", "--suite", "lemma1", "--ell", "0", "--p", "4"],
+    ["verify", "--suite", "lemma1", "--trials", "5"],
+    ["verify", "--suite", "rayrank", "--p", "31"],
+    ["verify", "--suite", "rayrank", "--trials", "41"],
 ])
 def test_degenerate_arguments_exit_as_bad_input(argv):
     # the timeout catches a hang: with g = 0 every split has u = 0, and
@@ -193,8 +200,8 @@ class TestSignature:
         search = _BetaSearch.start(lift_unit(800, 1021, 5, 11, g=10), 80, 11)
         replay = dict.fromkeys(counters, 0)
         relations = []
-        for index in range(sum(counters.values())):
-            rel = search.attempt(index)
+        for r, s in islice(search.walk(), sum(counters.values())):
+            rel = search.read(r, s)
             outcome = rel if isinstance(rel, str) else (
                 "duplicate" if rel in relations else "accepted")
             replay[outcome] += 1

@@ -10,6 +10,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from sigcalc.arith import (
+    Eliminator,
     bsgs_dlog,
     factor_smooth,
     least_primitive_root,
@@ -38,6 +39,11 @@ from sigcalc.indexcalc import (
     solve_linear_mod_ell,
 )
 from sigcalc.seeds import rng_for
+
+
+def fresh_solve(relations, ell):
+    """solve_linear_mod_ell on a new eliminator that holds nothing."""
+    return solve_linear_mod_ell(relations, Eliminator(ell), set())
 
 
 def brute_theta(p, g):
@@ -214,8 +220,8 @@ class TestPruning:
         kept = prune_singletons(rows)
         assert kept == [rows[2], rows[4]]
         assert prune_singletons(kept) == kept
-        assert solve_linear_mod_ell(kept, ["c"], ell).values == {"c": 3}
-        assert solve_linear_mod_ell(rows, ["c"], ell).values["c"] == 3
+        assert fresh_solve(kept, ell).values == {"c": 3}
+        assert fresh_solve(rows, ell).values["c"] == 3
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.dictionaries(st.sampled_from("abcdefghij"), st.integers(1, 6),
@@ -350,8 +356,7 @@ class TestThetaTable:
 
         monkeypatch.setattr(indexcalc, "collect_relations", counting_collect)
         monkeypatch.setattr(indexcalc, "solve_linear_mod_ell",
-                            lambda relations, unknowns, ell, **kwargs:
-                            indexcalc.SolveResult({}, 0, 0))
+                            lambda relations, system, held: indexcalc.SolveResult({}, 0, 0))
         counters = {}
         with pytest.raises(RankDeficient):
             build_theta_table(1000003, 3, 2, 150, 0, counters=counters)
@@ -369,16 +374,18 @@ class TestThetaTable:
     ])
     def test_the_carried_eliminator_solves_as_a_fresh_one(self, p, ell, bound, seed,
                                                           monkeypatch):
-        # each round's carried solve against a fresh solve of the same rows,
-        # then a whole table built with fresh solves against the carried one
+        # each round's carried solve against a new eliminator fed all the
+        # kept rows, then a whole table built on new eliminators against
+        # the carried one
         import sigcalc.indexcalc as indexcalc
 
         g = least_primitive_root(p)
         solve, rounds = indexcalc.solve_linear_mod_ell, []
 
-        def both(relations, unknowns, ell, **kwargs):
-            carried = solve(relations, unknowns, ell, **kwargs)
-            rounds.append((carried, solve(relations, unknowns, ell)))
+        def both(relations, system, held):
+            carried = solve(relations, system, held)
+            assert held == set(relations)
+            rounds.append((carried, fresh_solve(relations, ell)))
             return carried
 
         monkeypatch.setattr(indexcalc, "solve_linear_mod_ell", both)
@@ -389,8 +396,7 @@ class TestThetaTable:
             assert (carried.values, carried.rank, carried.nullity, carried.columns) == \
                 (fresh.values, fresh.rank, fresh.nullity, fresh.columns)
         monkeypatch.setattr(indexcalc, "solve_linear_mod_ell",
-                            lambda relations, unknowns, ell, **kwargs:
-                            solve(relations, unknowns, ell))
+                            lambda relations, system, held: fresh_solve(relations, ell))
         fresh_counters = {}
         assert build_theta_table(p, ell, g, bound, seed, counters=fresh_counters) == table
         assert fresh_counters == counters
@@ -407,23 +413,31 @@ class TestThetaTable:
 class TestSolver:
     def test_single_pinned_unknown(self):
         rel = Relation.make({"x": 1}, 4, 7)
-        result = solve_linear_mod_ell([rel], ["x"], 7)
+        result = fresh_solve([rel], 7)
         assert result.values["x"] == 4
 
     def test_inconsistent(self):
         rels = [Relation.make({"x": 1}, 1, 7), Relation.make({"x": 1}, 2, 7)]
         with pytest.raises(Inconsistent):
-            solve_linear_mod_ell(rels, [], 7)
+            fresh_solve(rels, 7)
 
-    def test_rank_deficient_lists_unknowns(self):
+    def test_rank_deficient_lists_unknowns(self, monkeypatch):
+        # the solver leaves undetermined columns out of its values, and a
+        # theta table whose last round leaves them so lists them
+        import sigcalc.indexcalc as indexcalc
+
         rel = Relation.make({"x": 1, "y": 1}, 0, 7)
+        result = fresh_solve([rel], 7)
+        assert result.columns == ["x", "y"] and result.values == {}
+        monkeypatch.setattr(indexcalc, "solve_linear_mod_ell",
+                            lambda relations, system, held: result)
         with pytest.raises(RankDeficient) as exc:
-            solve_linear_mod_ell([rel], ["x", "y"], 7)
-        assert set(exc.value.undetermined) == {"x", "y"}
+            build_theta_table(1000003, 3, 2, 150, 0)
+        assert exc.value.undetermined == ["x", "y"]
 
     def test_solution_space_dimension(self):
         rel = Relation.make({"x": 1, "y": 1}, 0, 7)
-        result = solve_linear_mod_ell([rel], [], 7)
+        result = fresh_solve([rel], 7)
         assert result.nullity == 1
 
     def test_random_systems_against_known_solution(self):
@@ -437,11 +451,8 @@ class TestSolver:
                 coeffs = {k: rng.randrange(ell) for k in truth}
                 const = sum(c * truth[k] for k, c in coeffs.items()) % ell
                 rels.append(Relation.make(coeffs, const, ell))
-            try:
-                result = solve_linear_mod_ell(rels, list(truth), ell)
-            except RankDeficient:
-                continue
-            assert result.values == {k: v for k, v in truth.items()}
+            result = fresh_solve(rels, ell)
+            assert result.values == {k: truth[k] for k in result.values}
 
 
 class TestIndexCalculus:

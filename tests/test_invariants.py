@@ -1,7 +1,9 @@
 """Invariants hold under `python -O`: the library checks them with typed
-errors, never with `assert`, which -O strips."""
+errors, never with `assert`, which -O strips.  And every module-level
+name of the library is used by the library (or by the benchmark)."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from sigcalc.ecurve import Point
 from sigcalc.errors import VerificationFailed
 
 SRC = Path(sigcalc.__file__).resolve().parent
+SIGBENCH = Path(__file__).resolve().parents[1] / "sigbench"
 
 
 def test_library_has_no_assert_statements():
@@ -22,6 +25,27 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_has_no_test_only_names():
+    # a module-level function or class that nothing in src/ refers to
+    # (its definition and __all__'s string aside) serves the tests alone:
+    # it belongs in tests/, unless the benchmark names it
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    bench = "\n".join(path.read_text(encoding="utf-8") for path in SIGBENCH.rglob("*.py"))
+    # today the benchmark names dl_from_signature, ec_add and place_valuations
+    assert sorted(name for name in defined - used if not re.search(rf"\b{name}\b", bench)) == []
 
 
 def test_lift_ec_instance_checks_the_reductions(monkeypatch):
