@@ -527,11 +527,6 @@ def sparse_rows(dense, consts):
     return [({j: c for j, c in enumerate(row) if c}, k) for row, k in zip(dense, consts)]
 
 
-def fresh_solve(relations, ell):
-    """solve_linear_mod_ell on a new eliminator that holds nothing."""
-    return solve_linear_mod_ell(relations, Eliminator(ell), set())
-
-
 class TestSparseKernel:
     @given(sparse_systems())
     @settings(max_examples=300, deadline=None)
@@ -615,7 +610,7 @@ class TestSparseKernel:
         determined = [j for j in present
                       if oracle_rank(dense + [[int(i == j) for i in range(ncols)]],
                                      ncols, ell) == rank]
-        result = fresh_solve(rels, ell)
+        result = solve_linear_mod_ell(rels, Eliminator(ell), set())
         assert result.rank == rank
         assert result.columns == sorted(f"c{j}" for j in present)
         assert result.rank + result.nullity == len(present)
@@ -649,6 +644,6 @@ class TestSparseKernel:
             coeffs = {k: rng.randrange(ell) for k in rng.sample(sorted(truth), 4)}
             const = sum(c * truth[k] for k, c in coeffs.items())
             rels.append(Relation.make(coeffs, const, ell))
-        result = fresh_solve(rels, ell)
+        result = solve_linear_mod_ell(rels, Eliminator(ell), set())
         assert result.values == truth
         assert result.rank == 6 and result.nullity == 0

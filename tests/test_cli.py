@@ -134,11 +134,13 @@ def main_json(argv):
     ["verify", "--suite", "reciprocity", "--p", "2", "--ell", "1"],
     ["verify", "--suite", "reciprocity", "--trials", "0"],
     ["verify", "--suite", "all", "--trials", "-3"],
-    # an option that no selected suite reads, or more fields than rayrank has
+    # an option that no selected suite reads, or a given --trials above the
+    # 40 fields that rayrank checks
     ["verify", "--suite", "lemma1", "--ell", "0", "--p", "4"],
     ["verify", "--suite", "lemma1", "--trials", "5"],
     ["verify", "--suite", "rayrank", "--p", "31"],
     ["verify", "--suite", "rayrank", "--trials", "41"],
+    ["verify", "--suite", "all", "--trials", "50"],
 ])
 def test_degenerate_arguments_exit_as_bad_input(argv):
     # the timeout catches a hang: with g = 0 every split has u = 0, and

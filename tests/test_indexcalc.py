@@ -451,8 +451,11 @@ class TestSolver:
                 coeffs = {k: rng.randrange(ell) for k in truth}
                 const = sum(c * truth[k] for k, c in coeffs.items()) % ell
                 rels.append(Relation.make(coeffs, const, ell))
+            # n + 3 dense rows over F_101: every system drawn has full rank,
+            # so every unknown is determined
             result = fresh_solve(rels, ell)
-            assert result.values == {k: truth[k] for k in result.values}
+            assert result.rank == n and result.nullity == 0
+            assert result.values == truth
 
 
 class TestIndexCalculus:
