@@ -4,12 +4,14 @@ Primality, factorisation and least primitive roots, Hensel lifting of
 square roots, the 1-unit exponent of a unit modulo ell^2, a
 baby-step giant-step discrete log in batched steps, power residue tests,
 smoothness factoring, and the one sparse Gauss-Jordan eliminator over
-F_ell that every module shares, which takes rows in batches.
+F_ell that every module shares, which takes rows in batches, and the
+canonical JSON form that reports and instance files are written in.
 Everything else is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -42,10 +44,26 @@ __all__ = [
     "gauss_reduce",
     "Eliminator",
     "rank_mod",
+    "canonical_json",
     "parse_decimal",
     "parse_pair",
     "require_known_keys",
 ]
+
+
+def _decimal_strings(obj):
+    """obj with every int (bools aside) a decimal string, at any depth."""
+    if isinstance(obj, dict):
+        return {str(k): _decimal_strings(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_decimal_strings(v) for v in obj]
+    return str(obj) if isinstance(obj, int) and not isinstance(obj, bool) else obj
+
+
+def canonical_json(doc) -> str:
+    """One JSON line with sorted keys and every int a decimal string, the
+    form of reports and instance files; parse_decimal reads it back."""
+    return json.dumps(_decimal_strings(doc), sort_keys=True, separators=(", ", ": "))
 
 
 def parse_decimal(value) -> int:

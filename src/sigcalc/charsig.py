@@ -18,6 +18,7 @@ from itertools import islice
 
 from .arith import (
     Eliminator,
+    canonical_json,
     ell_power_residue_test,
     factor_smooth,
     gauss_reduce,
@@ -35,11 +36,11 @@ from .arith import (
 from .errors import (
     BadInput,
     BudgetExhausted,
+    ConditionFailure,
     DegenerateTarget,
     OracleInconsistent,
     TooLarge,
     VerificationFailed,
-    ZeroY,
 )
 from .indexcalc import Relation
 from .quadfield import (
@@ -110,7 +111,9 @@ class CharSignatureInstance:
 
     Places u, u' lie over ell (u is the canonically labelled first one)
     and v, v' over p, with v the place where alpha reduces to the
-    original target a.  alpha is a unit with N(alpha) = -1.
+    original target a.  alpha is a unit with N(alpha) = -1.  An instance
+    exists only when it passes its condition report: constructing one
+    that fails it, by `dataclasses.replace` too, raises ConditionFailure.
     """
 
     K: RealQuadField
@@ -125,9 +128,13 @@ class CharSignatureInstance:
     place_v_conj: Place
     seed: int
 
+    def __post_init__(self):
+        if not self.condition_report.all_ok:
+            raise ConditionFailure(self.condition_report)
+
     @cached_property
     def condition_report(self) -> ConditionReport:
-        """check_conditions(self), run once on first read."""
+        """check_conditions(self), run once, on construction."""
         return check_conditions(self)
 
     def residue_at_v(self) -> int:
@@ -147,9 +154,8 @@ class CharSignature:
     y: int | None = None
 
 
-def _unit_y(instance_or_alpha, place: Place, ell: int) -> int:
-    alpha = getattr(instance_or_alpha, "alpha", instance_or_alpha)
-    return teichmuller(embed(alpha, place, 2), ell)
+def _unit_y(instance: CharSignatureInstance, place: Place) -> int:
+    return teichmuller(embed(instance.alpha, place, 2), instance.ell)
 
 
 def check_conditions(instance: CharSignatureInstance) -> ConditionReport:
@@ -166,7 +172,7 @@ def check_conditions(instance: CharSignatureInstance) -> ConditionReport:
     except TooLarge:
         class_ok = False
     wild = tuple(
-        (w.root_label, _unit_y(instance, w, ell) != 0)
+        (w.root_label, _unit_y(instance, w) != 0)
         for w in (instance.place_u, instance.place_u_conj)
     )
     residue = instance.residue_at_v()
@@ -231,19 +237,19 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
         v_places = split_places(p, K)
         v_index = int(embed(K.from_sqrt_coords(0, f), v_places[0], 1) != c)
         alpha = K.from_sqrt_coords(d, f)
-        instance = CharSignatureInstance(
-            K=K, p=p, ell=ell, g=g, a=a, alpha=alpha,
-            place_u=u_places[0], place_u_conj=u_places[1],
-            place_v=v_places[v_index], place_v_conj=v_places[1 - v_index],
-            seed=seed,
-        )
-        report = instance.condition_report
-        if not report.all_ok:
+        try:
+            instance = CharSignatureInstance(
+                K=K, p=p, ell=ell, g=g, a=a, alpha=alpha,
+                place_u=u_places[0], place_u_conj=u_places[1],
+                place_v=v_places[v_index], place_v_conj=v_places[1 - v_index],
+                seed=seed,
+            )
+        except ConditionFailure as exc:
             # one count per attempt, under the first condition that fails
             failed = next(name for name, ok in (
-                ("class_number", report.class_number_ok),
-                ("unit_wild", report.unit_wild_everywhere),
-                ("target_power", report.target_not_ell_power)) if not ok)
+                ("class_number", exc.report.class_number_ok),
+                ("unit_wild", exc.report.unit_wild_everywhere),
+                ("target_power", exc.report.target_not_ell_power)) if not ok)
             reject(f"condition_{failed}")
             continue
         if alpha.norm() != -1 or instance.residue_at_v() != a:
@@ -257,21 +263,16 @@ def signature_from_dl(instance: CharSignatureInstance, dl_oracle) -> CharSignatu
 
     The oracle is called as dl_oracle(g, a) and must return the full
     discrete log m; it is verified against g^m = a before use.  With
-    y the 1-unit exponent of alpha at u, the defining relation
+    y != 0 the 1-unit exponent of alpha at u (condition 2), the relation
     y*sigma_u + m*sigma_v = 0 gives s = -m * y^-1 mod ell.
     """
-    report = instance.condition_report
-    if not report.all_ok:
-        raise BadInput(f"instance fails its conditions: {report.as_dict()}")
     p, ell = instance.p, instance.ell
     a_v = instance.residue_at_v()
     m_full = dl_oracle(instance.g, a_v)
     if pow(instance.g, m_full, p) != a_v:
         raise OracleInconsistent(f"g^{m_full} != alpha mod v")
     m = m_full % ell
-    y = _unit_y(instance, instance.place_u, ell)
-    if y == 0:
-        raise ZeroY("1-unit exponent of alpha vanishes at u")
+    y = _unit_y(instance, instance.place_u)
     s = (-m * pow(y, -1, ell)) % ell
     if s == 0:
         raise VerificationFailed("signature must be nonzero")
@@ -292,7 +293,7 @@ def dl_from_signature(a: int, g: int, p: int, ell: int, sig_oracle,
     if pow(a, (p - 1) // ell, p) == 1:
         return 0
     instance = lift_unit(a, p, ell, seed, g=g)
-    y = _unit_y(instance, instance.place_u, ell)
+    y = _unit_y(instance, instance.place_u)
     sig = sig_oracle(instance)
     s = sig.s if isinstance(sig, CharSignature) else int(sig)
     m = (-y * s) % ell
@@ -499,9 +500,6 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     """
     if bound < 2:
         raise BadInput("bound must be >= 2")
-    report = instance.condition_report
-    if not report.all_ok:
-        raise BadInput(f"instance fails its conditions: {report.as_dict()}")
     search = _BetaSearch.start(instance, bound, seed)
     system = Eliminator(instance.ell)
     seen: set = set()
@@ -537,23 +535,23 @@ INSTANCE_KEYS = ("D", "a", "alpha", "ell", "g", "p", "seed", "u_root_label", "v_
 
 def instance_to_json(instance: CharSignatureInstance) -> str:
     """Canonical JSON for an instance; numbers as decimal strings."""
-    doc = {
-        "p": str(instance.p),
-        "ell": str(instance.ell),
-        "g": str(instance.g),
-        "a": str(instance.a),
-        "D": str(instance.K.D),
-        "alpha": [str(instance.alpha.a), str(instance.alpha.b)],
-        "v_root_label": str(instance.place_v.root_label),
-        "u_root_label": str(instance.place_u.root_label),
-        "seed": str(instance.seed),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+    return canonical_json({
+        "p": instance.p,
+        "ell": instance.ell,
+        "g": instance.g,
+        "a": instance.a,
+        "D": instance.K.D,
+        "alpha": [instance.alpha.a, instance.alpha.b],
+        "v_root_label": instance.place_v.root_label,
+        "u_root_label": instance.place_u.root_label,
+        "seed": instance.seed,
+    }) + "\n"
 
 
 def instance_from_json(text: str) -> CharSignatureInstance:
     """Parse an instance file, holding it to the invariants of a lift:
-    g generates F_p^*, N(alpha) = -1 and alpha reduces to a at v."""
+    g generates F_p^*, N(alpha) = -1 and alpha reduces to a at v (all
+    BadInput), and the instance passes its conditions (ConditionFailure)."""
     doc = json.loads(text)
     require_known_keys(doc, INSTANCE_KEYS)
     p, ell = parse_decimal(doc["p"]), parse_decimal(doc["ell"])
@@ -563,11 +561,11 @@ def instance_from_json(text: str) -> CharSignatureInstance:
     v, v_conj = labelled_places(p, K, parse_decimal(doc["v_root_label"]))
     g, a = parse_decimal(doc["g"]), parse_decimal(doc["a"])
     _validate_generator(g, p)
-    instance = CharSignatureInstance(
+    # before the condition report, which needs alpha a unit
+    if alpha.norm() != -1 or embed(alpha, v, 1) != a % p:
+        raise BadInput("alpha must have norm -1 and reduce to a at v")
+    return CharSignatureInstance(
         K=K, p=p, ell=ell, g=g, a=a, alpha=alpha,
         place_u=u, place_u_conj=u_conj, place_v=v, place_v_conj=v_conj,
         seed=parse_decimal(doc["seed"]),
     )
-    if alpha.norm() != -1 or instance.residue_at_v() != a % p:
-        raise BadInput("alpha must have norm -1 and reduce to a at v")
-    return instance

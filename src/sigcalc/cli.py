@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .arith import bsgs_dlog, mult_group_ops, multiplicative_order
+from .arith import bsgs_dlog, canonical_json, mult_group_ops, multiplicative_order
 from .charsig import (
     instance_from_json,
     instance_to_json,
@@ -45,24 +45,6 @@ from .indexcalc import index_calculus_dlog, reciprocity_suite
 from .quadfield import rayrank_suite
 
 
-def _stringify(obj):
-    """Numbers become decimal strings so reports never lose precision."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    return obj
-
-
-def _json_line(doc: dict) -> str:
-    """One sorted JSON line, numbers as decimal strings."""
-    return json.dumps(_stringify(doc), sort_keys=True, separators=(", ", ": "))
-
-
 @dataclass
 class RunReport:
     """Reproducible record of one command invocation."""
@@ -86,7 +68,7 @@ class RunReport:
         }
         if timing:
             doc["wall_time_ms"] = round(self.wall_time_ms or 0.0, 3)
-        return _json_line(doc)
+        return canonical_json(doc)
 
 
 def _finish(report: RunReport, args, t0: float) -> int:
@@ -148,24 +130,31 @@ def _malformed(source: str):
 
 
 def _read_instance(path: str, parse):
-    """parse(text) of an instance file; an unreadable or malformed file
-    is BadInput."""
+    """parse(text) of an instance file; an unreadable, non-UTF-8 or
+    malformed file is BadInput."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise BadInput(f"cannot read instance file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"instance file {path!r} is not UTF-8: {exc.reason}") from None
     with _malformed(f"instance file {path!r}"):
         return parse(text)
 
 
+def _write_instance(path: str, text: str) -> None:
+    """Write an instance file; an unwritable path is BadInput."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadInput(f"cannot write instance file {path!r}: {exc.strerror}") from None
+
+
 def _load_char_instance(args):
     if args.instance:
-        instance = _read_instance(args.instance, instance_from_json)
-        report = instance.condition_report
-        if not report.all_ok:
-            raise ConditionFailure(report)
-        return instance
+        return _read_instance(args.instance, instance_from_json)
     try:
         p, ell, g, a = (int(t) for t in args.lift.split(","))
     except ValueError:
@@ -185,8 +174,7 @@ def cmd_signature(args) -> int:
         seed=args.seed,
     )
     if args.save_instance:
-        with open(args.save_instance, "w", encoding="utf-8") as fh:
-            fh.write(instance_to_json(instance))
+        _write_instance(args.save_instance, instance_to_json(instance))
     p = instance.p
 
     def dl_oracle(g, a):
@@ -241,8 +229,7 @@ def cmd_ec(args) -> int:
     t0 = time.perf_counter()
     instance = _ec_instance_from_args(args)
     if args.save_instance:
-        with open(args.save_instance, "w", encoding="utf-8") as fh:
-            fh.write(ec_instance_to_json(instance))
+        _write_instance(args.save_instance, ec_instance_to_json(instance))
     report = RunReport(
         f"ec-{args.subcommand}",
         {
@@ -323,12 +310,12 @@ def cmd_verify(args) -> int:
     for suite in selected:
         for row in list(suites[suite]()):  # a suite that raises prints no row
             doc = {"suite": suite, **row}
-            print(_json_line(doc))
+            print(canonical_json(doc))
             if not row["ok"]:
                 failures.append(doc)
-    print(_json_line({"suite": args.suite, "failures": len(failures)}))
+    print(canonical_json({"suite": args.suite, "failures": len(failures)}))
     if failures:
-        print(_json_line({"counterexample": failures[0]}), file=sys.stderr)
+        print(canonical_json({"counterexample": failures[0]}), file=sys.stderr)
         return InvariantError.exit_code
     return 0
 
@@ -400,13 +387,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SigcalcError as exc:
+        doc = {"error": type(exc).__name__}
         if isinstance(exc, ConditionFailure):
-            doc = _stringify({"error": "ConditionFailure", "report": exc.report.as_dict()})
+            doc["report"] = exc.report.as_dict()
         else:
-            doc = {"error": type(exc).__name__, "detail": str(exc)}
+            doc["detail"] = str(exc)
             if isinstance(exc, BudgetExhausted):
-                doc["counters"] = _stringify(exc.counters)
-        print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+                doc["counters"] = exc.counters
+        print(canonical_json(doc), file=sys.stderr)
         return exc.exit_code
 
 

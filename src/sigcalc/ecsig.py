@@ -14,7 +14,15 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import _primes, is_prime, jacobi, parse_decimal, parse_pair, require_known_keys
+from .arith import (
+    _primes,
+    canonical_json,
+    is_prime,
+    jacobi,
+    parse_decimal,
+    parse_pair,
+    require_known_keys,
+)
 from .errors import (
     AssumptionViolated,
     BadInput,
@@ -59,20 +67,19 @@ class EcSignatureInstance:
 
     The lifted curve E: y^2 = x^3 + a x + b_r has integer coefficients,
     good reduction at ell, and reduces to the base curve mod p.  Q is
-    rational, R has coordinates in K = Q(sqrt(D)).  The independence
-    certificate is the 2x2 matrix of local classes of Q (row 0) and R
-    (row 1) at place_u and place_u_conj (columns 0 and 1); it must be
-    invertible, and it is the one source of the classes at u and u'.
-    The triviality of the ell-part of the everywhere-locally-trivial
-    classes is an assumption flag, never computed.
+    rational, R has coordinates in K = Q(sqrt(D)); Qt, Rt are their
+    reductions at v.  The independence certificate is the 2x2 matrix of
+    local classes of Q (row 0) and R (row 1) at place_u and place_u_conj
+    (columns 0 and 1), the one source of the classes at u and u'.
+    Constructing an instance, `dataclasses.replace` included, raises
+    SingularSystem unless Q's class at u, R's at u' and the determinant
+    are nonzero.  The triviality of the ell-part of the
+    everywhere-locally-trivial classes is an assumption flag, never
+    computed.
     """
 
     p: int
     ell: int
-    base_a: int
-    base_b: int
-    Qt: Point
-    Rt: Point
     a: int
     b_r: int
     Q: Point
@@ -87,9 +94,23 @@ class EcSignatureInstance:
     seed: int
     sha_assumption: bool = True
 
+    def __post_init__(self):
+        (cQ, _), (_, cR_uc) = self.certificate
+        if cQ == 0 or cR_uc == 0 or self.certificate_det() == 0:
+            raise SingularSystem(f"the independence certificate {self.certificate} "
+                                 "is singular or fails to generate locally")
+
     @property
     def base_curve(self) -> Curve:
-        return Curve(self.base_a, self.base_b, ("fp", self.p))
+        return Curve(self.a % self.p, self.b_r % self.p, ("fp", self.p))
+
+    @cached_property
+    def Qt(self) -> Point:
+        return _reduce_point(self.Q, self.place_v)
+
+    @cached_property
+    def Rt(self) -> Point:
+        return _reduce_point(self.R, self.place_v)
 
     @cached_property
     def lifted_curve(self) -> Curve:
@@ -131,6 +152,20 @@ def _require_prime_order_base(curve: Curve, ell: int, Qt: Point):
 def _reduce_point(point: Point, place: Place) -> Point:
     """Reduction of an integral global point at a degree-1 place."""
     return Point(embed(point.x, place, 1), embed(point.y, place, 1))
+
+
+def _certified_instance(E: Curve, cQ: int, Q: Point, R: Point, K: RealQuadField,
+                        u_places, v_places, p: int, seed: int,
+                        sha_assumption: bool) -> EcSignatureInstance:
+    """The instance on E (which carries #E(F_ell)) with the certificate
+    of cQ, the rational Q's class at both places over ell, and R's
+    classes at u and u'; SingularSystem when it is not invertible."""
+    ell, d_ell = E.known_order
+    cR = tuple(local_class(R, E, ell, place=w).c for w in u_places)
+    return EcSignatureInstance(
+        p=p, ell=ell, a=E.a, b_r=E.b, Q=Q, R=R, K=K, place_u=u_places[0],
+        place_u_conj=u_places[1], place_v=v_places[0], place_v_conj=v_places[1],
+        d_ell=d_ell, certificate=((cQ, cQ), cR), seed=seed, sha_assumption=sha_assumption)
 
 
 def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
@@ -207,31 +242,19 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 continue
             # w = nu0^2 mod p with p not dividing f*D, so p splits and
             # f*sqrt(D) reduces to nu0 at one place over p and to -nu0 at
-            # the other: v.  R = (mu, f*sqrt(D)).
-            u_places = split_places(ell, K)
+            # the other: v.  R = (mu, f*sqrt(D)); conjugation maps R to -R
+            # and swaps u, u', so cR_u' = -cR_u and det = 0 covers cR_u' = 0
             v_places = split_places(p, K)
             R = Point(K.element(mu, 0), K.from_sqrt_coords(0, f))
-            vi = int(embed(R.y, v_places[0], 1) != nu0)
-            cR_u = local_class(R, E, ell, place=u_places[0]).c
-            cR_uc = local_class(R, E, ell, place=u_places[1]).c
-            det = (cQ * cR_uc - cQ * cR_u) % ell
-            if det == 0:
+            if embed(R.y, v_places[0], 1) != nu0:
+                v_places.reverse()
+            try:
+                instance = _certified_instance(E, cQ, Q, R, K, split_places(ell, K),
+                                               v_places, p, seed, True)
+            except SingularSystem:
                 reject("certificate_singular")
                 continue
-            if cR_uc == 0:
-                # relabel so that R generates E(K_u')/ell (the rho choice)
-                u_places = [u_places[1], u_places[0]]
-                cR_u, cR_uc = cR_uc, cR_u
-            certificate = ((cQ % ell, cQ % ell), (cR_u, cR_uc))
-            instance = EcSignatureInstance(
-                p=p, ell=ell, base_a=base.a, base_b=base.b, Qt=Point(x0, y0),
-                Rt=Point(mu0, nu0), a=a, b_r=b_r, Q=Q, R=R, K=K,
-                place_u=u_places[0], place_u_conj=u_places[1],
-                place_v=v_places[vi], place_v_conj=v_places[1 - vi],
-                d_ell=d_ell, certificate=certificate, seed=seed,
-            )
-            if (_reduce_point(Q, instance.place_v) != instance.Qt
-                    or _reduce_point(R, instance.place_v) != instance.Rt):
+            if instance.Qt != (x0, y0) or instance.Rt != (mu0, nu0):
                 raise VerificationFailed("lifted points do not reduce to Qt, Rt at v")
             return instance
     raise BudgetExhausted(attempts, counters)
@@ -248,16 +271,12 @@ def signature_from_ecdl(instance: EcSignatureInstance, ecdl_oracle) -> EcSignatu
     ell = instance.ell
     a_v, a_u = 1, 1
     (cQ_u, cQ_uc), (cR_u, cR_uc) = instance.certificate
-    if cQ_u == 0 or cR_uc == 0:
-        raise SingularSystem("reference points fail to generate locally")
     a_uc = cQ_uc * pow(cR_uc, -1, ell) % ell
     b_u = cR_u * pow(cQ_u, -1, ell) % ell
     b_uc = 1
     b_v = ecdl_oracle(instance.Qt, instance.Rt) % ell
-    # solve a_v + a_u*X + a_uc*Y = 0, b_v + b_u*X + b_uc*Y = 0
+    # solve a_v + a_u*X + a_uc*Y = 0, b_v + b_u*X + b_uc*Y = 0 (det != 0 by __post_init__)
     det = (a_u * b_uc - a_uc * b_u) % ell
-    if det == 0:
-        raise SingularSystem("independence certificate violated")
     inv = pow(det, -1, ell)
     alpha = (-(a_v * b_uc - a_uc * b_v)) * inv % ell
     beta = (-(a_u * b_v - b_u * a_v)) * inv % ell
@@ -273,8 +292,6 @@ def ecdl_from_signature(instance: EcSignatureInstance, sig_oracle) -> int:
     """
     ell = instance.ell
     (cQ, _), (cR, _) = instance.certificate
-    if cQ == 0:
-        raise SingularSystem("Q is locally trivial at u; instance invalid")
     n = cR * pow(cQ, -1, ell) % ell
     sig = sig_oracle(instance)
     m = (-n * sig.alpha - sig.beta) % ell
@@ -310,8 +327,6 @@ def coker_dim(instance: EcSignatureInstance, extra_places=()) -> int:
     """
     if not instance.sha_assumption:
         raise AssumptionViolated("instance built without the triviality flag")
-    if instance.certificate_det() == 0:
-        raise SingularSystem("independence certificate violated")
     ell = instance.ell
     contributing = 0
     disc = abs(instance.lifted_curve.discriminant())
@@ -376,21 +391,19 @@ EC_INSTANCE_KEYS = ("D", "Q", "R", "a", "b_r", "ell", "p", "seed", "sha_assumpti
 
 def ec_instance_to_json(instance: EcSignatureInstance) -> str:
     """Canonical JSON; numbers as decimal strings, flag as a boolean."""
-    doc = {
-        "p": str(instance.p),
-        "ell": str(instance.ell),
-        "a": str(instance.a),
-        "b_r": str(instance.b_r),
-        "Q": [str(instance.Q.x), str(instance.Q.y)],
-        "D": str(instance.K.D),
-        "R": [[str(instance.R.x.a), str(instance.R.x.b)],
-              [str(instance.R.y.a), str(instance.R.y.b)]],
-        "v_root_label": str(instance.place_v.root_label),
-        "u_root_label": str(instance.place_u.root_label),
-        "seed": str(instance.seed),
+    return canonical_json({
+        "p": instance.p,
+        "ell": instance.ell,
+        "a": instance.a,
+        "b_r": instance.b_r,
+        "Q": [instance.Q.x, instance.Q.y],
+        "D": instance.K.D,
+        "R": [[instance.R.x.a, instance.R.x.b], [instance.R.y.a, instance.R.y.b]],
+        "v_root_label": instance.place_v.root_label,
+        "u_root_label": instance.place_u.root_label,
+        "seed": instance.seed,
         "sha_assumption": instance.sha_assumption,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+    }) + "\n"
 
 
 def ec_instance_from_json(text: str) -> EcSignatureInstance:
@@ -413,20 +426,7 @@ def ec_instance_from_json(text: str) -> EcSignatureInstance:
     E = Curve(a, b_r, ("rational",))
     if not E.contains(Q) or not Curve(a, b_r, ("quad", K.D)).contains(R):
         raise BadInput("Q and R must lie on y^2 = x^3 + a*x + b_r")
-    Qt = _reduce_point(Q, v)
-    _require_prime_order_base(Curve(a % p, b_r % p, ("fp", p)), ell, Qt)
-    d_ell = ec_group_order(E.reduction(ell))
-    E = Curve(a, b_r, ("rational",), known_order=(ell, d_ell))
-    cQ = local_class(Q, E, ell).c
-    cR_u = local_class(R, E, ell, place=u).c
-    cR_uc = local_class(R, E, ell, place=u_conj).c
-    instance = EcSignatureInstance(
-        p=p, ell=ell, base_a=a % p, base_b=b_r % p, Qt=Qt,
-        Rt=_reduce_point(R, v), a=a, b_r=b_r, Q=Q, R=R, K=K,
-        place_u=u, place_u_conj=u_conj, place_v=v, place_v_conj=v_conj,
-        d_ell=d_ell, certificate=((cQ, cQ), (cR_u, cR_uc)),
-        seed=parse_decimal(doc["seed"]), sha_assumption=sha_assumption,
-    )
-    if instance.certificate_det() == 0:
-        raise SingularSystem("the independence certificate is singular")
-    return instance
+    _require_prime_order_base(Curve(a % p, b_r % p, ("fp", p)), ell, _reduce_point(Q, v))
+    E = Curve(a, b_r, ("rational",), known_order=(ell, ec_group_order(E.reduction(ell))))
+    return _certified_instance(E, local_class(Q, E, ell).c, Q, R, K, (u, u_conj),
+                               (v, v_conj), p, parse_decimal(doc["seed"]), sha_assumption)

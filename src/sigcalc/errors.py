@@ -105,7 +105,7 @@ class Inconsistent(InvariantError):
 
 
 class RankDeficient(BudgetError):
-    """Requested unknowns are not determined by the system."""
+    """At the relation ceiling, the theta table leaves `undetermined` columns."""
 
     def __init__(self, undetermined):
         self.undetermined = sorted(undetermined)
@@ -122,10 +122,6 @@ class DegenerateTarget(PreconditionError):
 
 class OracleInconsistent(InvariantError):
     """An oracle answer failed verification against the instance."""
-
-
-class ZeroY(InvariantError):
-    """The 1-unit exponent vanishes; the signature relation degenerates."""
 
 
 class BadSupport(PreconditionError):
@@ -149,4 +145,4 @@ class BadReduction(PreconditionError):
 
 
 class SingularSystem(InvariantError):
-    """The 2x2 signature system is singular; the instance is invalid."""
+    """The independence certificate is not invertible; the instance is invalid."""

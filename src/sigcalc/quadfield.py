@@ -187,11 +187,6 @@ class QuadInt:
             k >>= 1
         return result
 
-    def conjugate(self) -> "QuadInt":
-        if self.field.omega_is_half:
-            return QuadInt(self.field, self.a + self.b, -self.b)
-        return QuadInt(self.field, self.a, -self.b)
-
     def norm(self) -> int:
         if self.field.omega_is_half:
             return self.a * self.a + self.a * self.b \

@@ -11,7 +11,6 @@ from sigcalc.arith import bsgs_dlog, factor_smooth, mult_group_ops, smooth_cofac
 from sigcalc.charsig import (
     INSTANCE_KEYS,
     SIGNATURE_COLUMN,
-    check_conditions,
     dl_from_signature,
     instance_from_json,
     instance_to_json,
@@ -23,6 +22,7 @@ from sigcalc.charsig import (
 )
 from sigcalc.errors import (
     BadInput,
+    ConditionFailure,
     DegenerateTarget,
     OracleInconsistent,
     SigcalcError,
@@ -31,6 +31,7 @@ from sigcalc.errors import (
 from sigcalc.indexcalc import Relation
 from sigcalc.quadfield import RealQuadField, embed, place_valuations, split_places
 from sigcalc.seeds import rng_for
+from test_quadfield import conjugate
 
 
 def bsgs_oracle(p):
@@ -104,10 +105,15 @@ class TestConditions:
     def test_ell_power_alpha_fails_condition_two(self):
         inst = lift_unit(17, 31, 5, seed=0)
         assert inst.condition_report.unit_wild_everywhere
-        powered = replace(inst, alpha=inst.alpha**5)
+        with pytest.raises(ConditionFailure) as exc:
+            replace(inst, alpha=inst.alpha**5)
         # the replaced instance computes its own report, not the lift's
-        assert powered.condition_report == check_conditions(powered)
-        assert not any(ok for _, ok in powered.condition_report.unit_wild_at)
+        report = exc.value.report
+        assert report != inst.condition_report
+        assert not any(ok for _, ok in report.unit_wild_at)
+        # alpha^5 is a 1-unit to second order at both places over 5
+        for w in (inst.place_u, inst.place_u_conj):
+            assert teichmuller(embed(inst.alpha**5, w, 2), 5) == 0
 
     def test_condition_three_worked_value(self):
         # alpha = 17 at v and 17^6 = 8 != 1 mod 31
@@ -148,10 +154,8 @@ class TestSignatureFromDl:
         s0 = signature_from_dl(inst, bsgs_oracle(31)).s
         for k in (1, 2, 3, 4, 6):
             for sign in (1, -1):
-                alpha = inst.alpha**k * sign
-                variant = replace(inst, alpha=alpha)
-                if not variant.condition_report.all_ok:
-                    continue
+                # k prime to ell keeps every condition: replace raises otherwise
+                variant = replace(inst, alpha=inst.alpha**k * sign)
                 assert signature_from_dl(variant, bsgs_oracle(31)).s == s0
 
 
@@ -295,7 +299,7 @@ class TestSignatureIndexCalculus:
                     assert abs(xi.norm()) == q
                     if place.splitting == "ramified":
                         return xi
-                    for cand in (xi, xi.conjugate()):  # |N| = q: v_w(cand) <= 1
+                    for cand in (xi, conjugate(xi)):  # |N| = q: v_w(cand) <= 1
                         if embed(cand, place, 1) == 0:
                             return cand
             return None

@@ -461,6 +461,21 @@ class TestMalformedInstanceFile:
     def test_missing_file(self, kind, tmp_path):
         self._load(kind, tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("kind", ["signature", "ec"])
+    def test_file_not_utf8(self, kind, saved, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_bytes(json.dumps(saved[kind]).encode() + b"\xff")
+        self._load(kind, path)
+
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("kind", ["signature", "ec"])
+    def test_unwritable_save_path(self, kind, target, tmp_path):
+        path = tmp_path / "absent" / "x.json" if target == "missing_directory" else tmp_path
+        r = run_cli(*self.SAVE[kind], "--save-instance", str(path))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stderr)["error"] == "BadInput"
+
 
 DELETE = object()  # a mutation that removes the field
 

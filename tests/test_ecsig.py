@@ -200,6 +200,44 @@ class TestLift:
         assert cq1 == cq2 != 0
         assert cr_uc != 0
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_classes_of_R_over_ell_are_opposite(self, name, seed):
+        # R = (mu, f*sqrt(D)): conjugation maps R to -R and swaps u and
+        # u', so cR_u' = -cR_u, and cR_u' = 0 would make det = 0
+        inst = lift_fixture(name, seed)
+        (_, _), (cr_u, cr_uc) = inst.certificate
+        assert (cr_u + cr_uc) % inst.ell == 0
+
+    @given(name=st.sampled_from(["f7l13", "f251l271"]), k=st.integers(1, 10**6),
+           seed=st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_classes_of_R_over_ell_are_opposite_for_any_target(self, name, k, seed):
+        p, a, b, ell, Qt, _ = FIXTURES[name]
+        Rt = ec_scalar_mul(k % ell or 1, Qt, Curve(a, b, ("fp", p)))
+        inst = lift_ec_instance(a, b, Qt, Rt, p, ell, seed)
+        (_, _), (cr_u, cr_uc) = inst.certificate
+        assert (cr_u + cr_uc) % ell == 0
+
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_derived_fields_match_the_lift_inputs(self, name):
+        # base_curve, Qt and Rt are read off (a, b_r) and Q, R at v
+        p, a, b, _, Qt, Rt = FIXTURES[name]
+        inst = lift_fixture(name, 0)
+        assert inst.base_curve == Curve(a % p, b % p, ("fp", p))
+        assert (inst.Qt, inst.Rt) == (Qt, Rt)
+
+    @pytest.mark.parametrize("certificate", [
+        ((0, 1), (1, 2)),  # Q locally trivial at u, det = -1
+        ((1, 1), (2, 0)),  # R locally trivial at u', det = -2
+    ])
+    def test_locally_trivial_reference_point_raises(self, certificate):
+        # the signature system inverts cQ_u and cR_u' as well as det
+        from dataclasses import replace
+
+        with pytest.raises(SingularSystem):
+            replace(fixture_instance(), certificate=certificate)
+
 
 class TestSignatureRoundTrip:
     def test_fixture_recovers_doubling(self):
@@ -394,9 +432,8 @@ class TestCokerDim:
     def test_singular_certificate_raises(self):
         from dataclasses import replace
 
-        inst = replace(fixture_instance(), certificate=((1, 1), (1, 1)))
         with pytest.raises(SingularSystem):
-            coker_dim(inst)
+            replace(fixture_instance(), certificate=((1, 1), (1, 1)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", list(FIXTURES))
@@ -485,14 +522,20 @@ class TestScan:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        inst = fixture_instance(seed=5)
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_round_trip_bit_exact(self, name):
+        inst = lift_fixture(name, 5)
         text = ec_instance_to_json(inst)
         again = ec_instance_from_json(text)
         assert ec_instance_to_json(again) == text
+        assert again == inst
         assert again.K.D == inst.K.D
         assert again.Qt == inst.Qt and again.Rt == inst.Rt
+        assert again.base_curve == inst.base_curve
+        assert again.d_ell == inst.d_ell
         assert again.certificate == inst.certificate
+        assert (again.place_u, again.place_u_conj, again.place_v, again.place_v_conj) \
+            == (inst.place_u, inst.place_u_conj, inst.place_v, inst.place_v_conj)
         assert again.sha_assumption
 
     def test_numbers_are_decimal_strings(self):

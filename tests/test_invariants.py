@@ -28,12 +28,17 @@ def test_library_has_no_assert_statements():
 
 
 def test_library_has_no_test_only_names():
-    # a module-level function or class that nothing in src/ refers to
+    # a module-level function or class, or a non-dunder method or
+    # property of a module-level class, that nothing in src/ refers to
     # (its definition and __all__'s string aside) serves the tests alone:
     # it belongs in tests/, unless the benchmark names it
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = {node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+               if isinstance(node, (*functions, ast.ClassDef))}
+    defined |= {item.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)
+                for item in node.body
+                if isinstance(item, functions) and not re.fullmatch(r"__\w+__", item.name)}
     used = set()
     for tree in trees:
         for node in ast.walk(tree):

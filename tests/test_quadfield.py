@@ -29,6 +29,11 @@ SQUAREFREE = [D for D in range(2, 150)
               if all(e == 1 for e in sympy.factorint(D).values())]
 
 
+def conjugate(z):
+    """The Galois conjugate of z = a + b*omega: its trace minus z."""
+    return z.field.element(z.trace(), 0) - z
+
+
 def kronecker(delta: int, a: int) -> int:
     result = 1
     for p, e in sympy.factorint(a).items():
@@ -83,7 +88,7 @@ class TestFundamentalUnit:
             eps = K.fundamental_unit
             known = [eps**k for k in range(0, 15)]
             coords = {(z.a, z.b) for z in known}
-            coords |= {(z.conjugate().a, z.conjugate().b) for z in known}
+            coords |= {(conjugate(z).a, conjugate(z).b) for z in known}
             coords |= {(-a, -b) for a, b in coords}
             for a in range(-60, 61):
                 for b in range(-60, 61):
@@ -140,7 +145,7 @@ class TestPlaces:
         x = K.from_sqrt_coords(65, 1)
         w1, w2 = split_places(31, K)
         a1 = embed(x, w1, 3)
-        a2 = embed(x.conjugate(), w2, 3)
+        a2 = embed(conjugate(x), w2, 3)
         assert a1 == a2
 
     def test_embed_worked_value(self):
