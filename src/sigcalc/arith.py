@@ -38,7 +38,6 @@ __all__ = [
     "factorint",
     "least_primitive_root",
     "multiplicative_order",
-    "integer_cbrt",
     "sqrt_mod_prime",
     "jacobi",
     "gauss_reduce",
@@ -299,20 +298,6 @@ def multiplicative_order(g: int, p: int) -> int:
                 break
             order //= q
     return order
-
-
-def integer_cbrt(n: int) -> int:
-    """floor(n^(1/3)) for n >= 0, by Newton's iteration from above."""
-    if n < 0:
-        raise BadInput("n must be non-negative")
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
 
 
 def sqrt_mod_prime(n: int, q: int) -> int:

@@ -185,6 +185,13 @@ def _validate_generator(g: int, p: int):
         raise BadInput(f"{g} does not generate F_{p}^*")
 
 
+def _validate_primes(p: int, ell: int):
+    if not is_prime(p) or not is_prime(ell) or ell == 2 or p == 2:
+        raise BadInput("p and ell must be odd primes")
+    if (p - 1) % ell != 0:
+        raise BadInput(f"{ell} must divide p - 1")
+
+
 def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
               budget: int = 64) -> CharSignatureInstance:
     """Lift the target a to a norm -1 unit of a real quadratic field.
@@ -195,10 +202,7 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
     1 + d^2 is a nonzero square mod ell (so ell splits) and the
     resulting field passes every instance condition.
     """
-    if not is_prime(p) or not is_prime(ell) or ell == 2 or p == 2:
-        raise BadInput("p and ell must be odd primes")
-    if (p - 1) % ell != 0:
-        raise BadInput(f"{ell} must divide p - 1")
+    _validate_primes(p, ell)
     a %= p
     if a in (1, p - 1):
         raise DegenerateTarget("a = +-1; m is (p-1)/2 or p-1 directly")
@@ -209,6 +213,7 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
     if g is None:
         g = least_primitive_root(p)
     else:
+        g %= p
         _validate_generator(g, p)
     inv2 = pow(2, -1, p)
     b = pow(a, -1, p)
@@ -283,10 +288,13 @@ def dl_from_signature(a: int, g: int, p: int, ell: int, sig_oracle,
                       seed: int = 0) -> int:
     """m mod ell with a = g^m, from a signature oracle.
 
-    Targets that are ell-th powers answer 0 without the oracle.  The
-    oracle receives the lifted instance and returns a CharSignature;
-    m = -y*s is verified against the power-residue identity.
+    Targets that are ell-th powers answer 0 without the oracle, once p,
+    ell and g are checked.  The oracle receives the lifted instance and
+    returns a CharSignature; m = -y*s is verified against the
+    power-residue identity.
     """
+    _validate_primes(p, ell)
+    _validate_generator(g % p, p)
     a %= p
     if a == 0:
         raise BadInput("a must be a unit mod p")
@@ -294,8 +302,7 @@ def dl_from_signature(a: int, g: int, p: int, ell: int, sig_oracle,
         return 0
     instance = lift_unit(a, p, ell, seed, g=g)
     y = _unit_y(instance, instance.place_u)
-    sig = sig_oracle(instance)
-    s = sig.s if isinstance(sig, CharSignature) else int(sig)
+    s = sig_oracle(instance).s
     m = (-y * s) % ell
     lhs = pow(a, (p - 1) // ell, p)
     rhs = pow(pow(g, (p - 1) // ell, p), m, p)
@@ -550,8 +557,9 @@ def instance_to_json(instance: CharSignatureInstance) -> str:
 
 def instance_from_json(text: str) -> CharSignatureInstance:
     """Parse an instance file, holding it to the invariants of a lift:
-    g generates F_p^*, N(alpha) = -1 and alpha reduces to a at v (all
-    BadInput), and the instance passes its conditions (ConditionFailure)."""
+    a and g are residues in (0, p), g generates F_p^*, N(alpha) = -1 and
+    alpha reduces to a at v (all BadInput), and the instance passes its
+    conditions (ConditionFailure)."""
     doc = json.loads(text)
     require_known_keys(doc, INSTANCE_KEYS)
     p, ell = parse_decimal(doc["p"]), parse_decimal(doc["ell"])
@@ -560,9 +568,11 @@ def instance_from_json(text: str) -> CharSignatureInstance:
     u, u_conj = labelled_places(ell, K, parse_decimal(doc["u_root_label"]))
     v, v_conj = labelled_places(p, K, parse_decimal(doc["v_root_label"]))
     g, a = parse_decimal(doc["g"]), parse_decimal(doc["a"])
+    if not (0 < a < p and 0 < g < p):
+        raise BadInput(f"a and g must be residues in (0, {p})")
     _validate_generator(g, p)
     # before the condition report, which needs alpha a unit
-    if alpha.norm() != -1 or embed(alpha, v, 1) != a % p:
+    if alpha.norm() != -1 or embed(alpha, v, 1) != a:
         raise BadInput("alpha must have norm -1 and reduce to a at v")
     return CharSignatureInstance(
         K=K, p=p, ell=ell, g=g, a=a, alpha=alpha,

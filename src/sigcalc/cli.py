@@ -153,7 +153,7 @@ def _write_instance(path: str, text: str) -> None:
 
 
 def _load_char_instance(args):
-    if args.instance:
+    if args.instance is not None:
         return _read_instance(args.instance, instance_from_json)
     try:
         p, ell, g, a = (int(t) for t in args.lift.split(","))
@@ -173,7 +173,7 @@ def cmd_signature(args) -> int:
         },
         seed=args.seed,
     )
-    if args.save_instance:
+    if args.save_instance is not None:
         _write_instance(args.save_instance, instance_to_json(instance))
     p = instance.p
 
@@ -220,7 +220,7 @@ def _lift_fixture(name: str, seed: int):
 
 
 def _ec_instance_from_args(args):
-    if args.instance:
+    if args.instance is not None:
         return _read_instance(args.instance, ec_instance_from_json)
     return _lift_fixture(args.fixture, args.seed)
 
@@ -228,7 +228,7 @@ def _ec_instance_from_args(args):
 def cmd_ec(args) -> int:
     t0 = time.perf_counter()
     instance = _ec_instance_from_args(args)
-    if args.save_instance:
+    if args.save_instance is not None:
         _write_instance(args.save_instance, ec_instance_to_json(instance))
     report = RunReport(
         f"ec-{args.subcommand}",

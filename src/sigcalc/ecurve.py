@@ -442,7 +442,6 @@ class LocalClass:
     """
 
     c: int
-    d: int
 
 
 def _proj_add(P, Q, a: int, b3: int, N: int):
@@ -528,4 +527,4 @@ def local_class(point, curve: Curve, ell: int, place: Place | None = None) -> Lo
     X, Y, Z = _proj_mul(n, P, a, b3, N)
     if X % ell or Z % ell or Y % ell == 0:
         raise VerificationFailed(f"d*P is not in the kernel of reduction at {ell}")
-    return LocalClass((-X * pow(Y, -1, N) % N) // ell, d)
+    return LocalClass((-X * pow(Y, -1, N) % N) // ell)

@@ -1,10 +1,10 @@
 """Arithmetic of real quadratic fields K = Q(sqrt(D)).
 
-Integers of the maximal order, fundamental units by continued
-fractions, class numbers by exhaustive reduction of indefinite binary
-quadratic forms, places and their completions, the place valuations of a
-principal ideal, and the F_ell-rank of ray class groups, with the
-suite of rows that checks it on seeded fields.
+Integers of the maximal order, fundamental units from the continued
+fraction of omega, class numbers by exhaustive reduction of indefinite
+binary quadratic forms, places and their completions, the place
+valuations of a principal ideal, and the F_ell-rank of ray class groups,
+with the suite of rows that checks it on seeded fields.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .arith import (
     bsgs_dlog,
     ell_power_residue_test,
     factorint,
-    integer_cbrt,
     is_prime,
     jacobi,
     least_primitive_root,
@@ -120,22 +119,19 @@ class RealQuadField:
             return QuadInt(self, x - y, 2 * y)
         return QuadInt(self, x, y)
 
-    def one(self) -> "QuadInt":
-        return QuadInt(self, 1, 0)
-
     @cached_property
     def fundamental_unit(self) -> "QuadInt":
-        return fundamental_unit(self.D, field=self)
+        return fundamental_unit(self)
 
     @cached_property
     def unit_norm(self) -> int:
-        # parity of the continued-fraction period of sqrt(D); the index-3
-        # refinement for D = 1 mod 4 cannot change the sign
-        return -1 if _cf_period_length(self.D) % 2 else 1
+        # (-1)^period of omega's continued fraction, from the quotients
+        # alone: the unit itself can run to thousands of digits
+        return -1 if sum(1 for _ in _cf_omega(self)) % 2 else 1
 
     @cached_property
     def class_number(self) -> int:
-        return class_number(self.D, field=self)
+        return class_number(self)
 
 
 @dataclass(frozen=True)
@@ -179,7 +175,7 @@ class QuadInt:
     def __pow__(self, k: int) -> "QuadInt":
         if k < 0:
             raise BadInput("negative powers are not integral in general")
-        result, base = self.field.one(), self
+        result, base = QuadInt(self.field, 1, 0), self
         while k:
             if k & 1:
                 result = result * base
@@ -206,67 +202,40 @@ class QuadInt:
 # fundamental units
 
 
-def _cf_sqrt(D: int):
-    """Continued fraction digits of sqrt(D) through one full period.
+def _cf_omega(K: RealQuadField):
+    """Partial quotients a_0, ..., a_(k-1) of omega = (Tr omega + sqrt(D))/2
+    over one period of its continued fraction.
 
-    Yields (a_i, m_i, d_i) for i = 0..k where a_k = 2*a_0 closes the
-    period: sqrt(D) = [a_0; a_1, ..., a_k, a_1, ...].
+    The complete quotients (P + sqrt(D))/Q start at (1, 2) when
+    D = 1 mod 4 and at (0, 1) otherwise; from the second on they are
+    reduced, and the period ends when Q returns to its start value
+    (Cohen, GTM 138, Algorithm 5.7.2).  k is the period length.
     """
-    a0 = isqrt(D)
-    m, d, a = 0, 1, a0
-    yield a, m, d
-    while a != 2 * a0:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        yield a, m, d
+    D, s = K.D, isqrt(K.D)
+    P, Q = (1, 2) if K.omega_is_half else (0, 1)
+    start = Q
+    while True:
+        a = (P + s) // Q
+        yield a
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if Q == start:
+            return
 
 
-def _cf_period_length(D: int) -> int:
-    return sum(1 for _ in _cf_sqrt(D)) - 1
+def fundamental_unit(K: RealQuadField) -> QuadInt:
+    """Smallest unit > 1 of the maximal order of K.
 
-
-def _pell_unit(D: int) -> tuple[int, int, int]:
-    """Fundamental unit x + y*sqrt(D) of the order Z[sqrt(D)] with its norm."""
-    digits = [a for a, _, _ in _cf_sqrt(D)]
-    period = len(digits) - 1
-    p_prev, p = 1, digits[0]
-    q_prev, q = 0, 1
-    for a in digits[1:-1]:
+    With p/q the last convergent of one period of omega's continued
+    fraction, the unit is p - q*conj(omega); its norm is (-1)^period.
+    """
+    p_prev, p = 0, 1
+    q_prev, q = 1, 0
+    for a in _cf_omega(K):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-    return p, q, (-1) ** period
-
-
-def fundamental_unit(D: int, field: RealQuadField | None = None) -> QuadInt:
-    """Smallest unit > 1 of the maximal order of Q(sqrt(D)).
-
-    The continued fraction of sqrt(D) gives the fundamental unit of
-    Z[sqrt(D)]; for D = 1 mod 4 the maximal order may be three times
-    denser, so an exact cube-root search refines the result.
-    """
-    K = field if field is not None else RealQuadField(D)
-    if K.D != D:
-        raise BadInput("field/D mismatch")
-    x, y, _ = _pell_unit(D)
-    eps = K.from_sqrt_coords(x, y)
-    if not K.omega_is_half:
-        return eps
-    # look for (u + v*sqrt(D))/2 whose cube is eps, i.e. half-integer units;
-    # the sqrt(D)-part of the cube is (v^3*D -+ 3v)/2, so v ~ cbrt(2y/D)
-    y_est = integer_cbrt(max(2 * y // D, 1))
-    for v in range(max(1, y_est - 2), y_est + 4):
-        for norm_sign in (1, -1):
-            u_sq = v * v * D + 4 * norm_sign
-            if u_sq <= 0:
-                continue
-            u = isqrt(u_sq)
-            if u * u != u_sq or (u - v) % 2:
-                continue
-            candidate = QuadInt(K, (u - v) // 2, v)
-            if candidate ** 3 == eps:
-                return candidate
-    return eps
+    trace_omega = 1 if K.omega_is_half else 0
+    return QuadInt(K, p - q * trace_omega, q)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +296,13 @@ def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
     return (c, r, (r * r - disc) // (4 * c))
 
 
-def class_number(D: int, field: RealQuadField | None = None) -> int:
-    """Class number of Q(sqrt(D)) by exhaustive form reduction.
+def class_number(K: RealQuadField) -> int:
+    """Class number of K by exhaustive form reduction.
 
     Counts cycles of reduced indefinite forms of the field discriminant
     (the narrow class number) and corrects by the fundamental unit norm.
     Restricted to discriminants <= 1e8; raises TooLarge beyond.
     """
-    K = field if field is not None else RealQuadField(D)
     disc = K.discriminant
     if disc > CLASS_NUMBER_DISC_BOUND:
         raise TooLarge(f"discriminant {disc} exceeds {CLASS_NUMBER_DISC_BOUND}")

@@ -13,7 +13,6 @@ from sigcalc.arith import (
     factor_smooth,
     factorint,
     gauss_reduce,
-    integer_cbrt,
     is_prime,
     jacobi,
     least_primitive_root,
@@ -446,18 +445,6 @@ class TestMultiplicativeOrder:
     def test_a_composite_p_or_a_non_unit_is_bad_input(self, g, p):
         with pytest.raises(BadInput):
             multiplicative_order(g, p)
-
-
-class TestIntegerCbrt:
-    @given(st.integers(0, 10**60))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_sympy(self, n):
-        assert integer_cbrt(n) == sympy.integer_nthroot(n, 3)[0]
-
-    def test_exact_cubes_and_neighbours(self):
-        for r in range(1, 2000):
-            assert integer_cbrt(r**3) == r
-            assert integer_cbrt(r**3 - 1) == r - 1
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,11 @@ class TestLiftUnit:
         assert sum(counters.values()) == exc.value.attempts == 8
         assert counters == {"ell_not_split": 5, "condition_class_number": 3}
 
+    def test_residues_are_stored_reduced(self):
+        # 48 = 17 and 34 = 3 mod 31: an instance holds a and g in (0, p)
+        inst = lift_unit(48, 31, 5, seed=0, g=34)
+        assert (inst.a, inst.g) == (17, 3)
+
 
 class TestConditions:
     def test_ell_power_alpha_fails_condition_two(self):
@@ -159,13 +164,22 @@ class TestSignatureFromDl:
                 assert signature_from_dl(variant, bsgs_oracle(31)).s == s0
 
 
+def exploding_oracle(instance):
+    raise AssertionError("oracle must not be called")
+
+
 class TestDlFromSignature:
     def test_shortcut_for_ell_powers(self):
         # 26 = 3^5: answered without consulting the oracle
-        def exploding_oracle(instance):
-            raise AssertionError("oracle must not be called")
-
         assert dl_from_signature(26, 3, 31, 5, exploding_oracle) == 0
+
+    @pytest.mark.parametrize("a, g, p, ell", [(30, 3, 31, 7), (1, 3, 35, 17), (26, 2, 31, 5)])
+    def test_bad_input_is_rejected_before_the_shortcut(self, a, g, p, ell):
+        # 7 does not divide 30, 35 is not prime and 2 has order 5 mod 31;
+        # every target passes the ell-th power test
+        assert pow(a, (p - 1) // ell, p) == 1
+        with pytest.raises(BadInput):
+            dl_from_signature(a, g, p, ell, exploding_oracle)
 
     def test_worked_inverse_chain(self):
         def sig_oracle(instance):

@@ -462,15 +462,27 @@ class TestMalformedInstanceFile:
         self._load(kind, tmp_path / "absent.json")
 
     @pytest.mark.parametrize("kind", ["signature", "ec"])
+    def test_empty_path(self, kind):
+        self._load(kind, "")
+
+    @pytest.mark.parametrize("kind", ["signature", "ec"])
     def test_file_not_utf8(self, kind, saved, tmp_path):
         path = tmp_path / "instance.json"
         path.write_bytes(json.dumps(saved[kind]).encode() + b"\xff")
         self._load(kind, path)
 
-    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("key, value", [("a", "48"), ("g", "34")])
+    def test_residue_outside_zero_to_p(self, key, value, saved, tmp_path):
+        # 48 = 17 and 34 = 3 mod 31 pass every other check of the loader
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**saved["signature"], key: value}))
+        self._load("signature", path)
+
+    @pytest.mark.parametrize("target", ["missing_directory", "directory", "empty"])
     @pytest.mark.parametrize("kind", ["signature", "ec"])
     def test_unwritable_save_path(self, kind, target, tmp_path):
-        path = tmp_path / "absent" / "x.json" if target == "missing_directory" else tmp_path
+        path = {"missing_directory": tmp_path / "absent" / "x.json",
+                "directory": tmp_path, "empty": ""}[target]
         r = run_cli(*self.SAVE[kind], "--save-instance", str(path))
         assert r.returncode == 2
         assert "Traceback" not in r.stderr

@@ -27,11 +27,18 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _attribute_reads(trees) -> set[str]:
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_library_has_no_test_only_names():
     # a module-level function or class, or a non-dunder method or
     # property of a module-level class, that nothing in src/ refers to
     # (its definition and __all__'s string aside) serves the tests alone:
-    # it belongs in tests/, unless the benchmark names it
+    # it belongs in tests/, unless the benchmark names it; so does an
+    # annotated field of a module-level class that nothing in src/ reads
+    # as an attribute, unless the benchmark reads it
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = {node.name for tree in trees for node in tree.body
@@ -51,6 +58,12 @@ def test_library_has_no_test_only_names():
     bench = "\n".join(path.read_text(encoding="utf-8") for path in SIGBENCH.rglob("*.py"))
     # today the benchmark names dl_from_signature, ec_add and place_valuations
     assert sorted(name for name in defined - used if not re.search(rf"\b{name}\b", bench)) == []
+    fields = {item.target.id for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    bench_trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SIGBENCH.rglob("*.py")]
+    # today the benchmark reads SolveResult.rank and .nullity
+    assert sorted(fields - _attribute_reads(trees) - _attribute_reads(bench_trees)) == []
 
 
 def test_lift_ec_instance_checks_the_reductions(monkeypatch):

@@ -2,6 +2,7 @@ from math import gcd, log, pi, sin
 
 import pytest
 import sympy
+from sympy.solvers.diophantine.diophantine import diop_DN
 
 from sigcalc.arith import factor_smooth, jacobi
 from sigcalc.errors import (
@@ -14,9 +15,7 @@ from sigcalc.errors import (
 from sigcalc.quadfield import (
     Place,
     RealQuadField,
-    class_number,
     embed,
-    fundamental_unit,
     place_valuations,
     ray_class_ell_rank,
     split_places,
@@ -63,19 +62,37 @@ class TestFundamentalUnit:
     def test_small_units(self):
         # brute Pell solutions: 1+sqrt(2) (norm -1), 2+sqrt(3) (norm +1),
         # (1+sqrt(5))/2 (norm -1, the half-integer unit)
-        eps2 = fundamental_unit(2)
+        eps2 = RealQuadField(2).fundamental_unit
         assert (eps2.a, eps2.b, eps2.norm()) == (1, 1, -1)
-        eps3 = fundamental_unit(3)
+        eps3 = RealQuadField(3).fundamental_unit
         assert (eps3.a, eps3.b, eps3.norm()) == (2, 1, 1)
-        eps5 = fundamental_unit(5)
+        eps5 = RealQuadField(5).fundamental_unit
         assert (eps5.a, eps5.b) == (0, 1)  # omega = (1+sqrt(5))/2
         assert eps5.norm() == -1
 
     def test_half_integer_units(self):
         # (261 + 25 sqrt(109))/2 has norm -1; its cube is the Z[sqrt D] unit
-        eps = fundamental_unit(109)
+        eps = RealQuadField(109).fundamental_unit
         assert (2 * eps.a + eps.b, eps.b) == (261, 25)  # a + b*(1 + sqrt(109))/2
         assert eps.norm() == -1
+
+    def test_pell_oracle(self):
+        # eps^j lies in Z[sqrt(D)] with norm +1 for some j | 6 (the unit
+        # index is 1 or 3, and squaring clears norm -1); the least such
+        # power is the fundamental solution of x^2 - D*y^2 = 1
+        for D in range(2, 3000):
+            if any(e > 1 for e in sympy.factorint(D).values()):
+                continue
+            K = RealQuadField(D)
+            eps = z = K.fundamental_unit
+            for _ in range(6):
+                if z.norm() == 1 and not (K.omega_is_half and z.b % 2):
+                    break
+                z = z * eps
+            else:
+                pytest.fail(f"no power of {eps} up to 6 solves Pell's equation")
+            y = z.b // 2 if K.omega_is_half else z.b
+            assert (z.a + y if K.omega_is_half else z.a, y) == diop_DN(D, 1)[0], D
 
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefree):
@@ -100,9 +117,9 @@ class TestFundamentalUnit:
 class TestClassNumber:
     def test_reference_values(self):
         # form-class enumeration, cross-checked by the analytic oracle below
-        assert class_number(5) == 1
-        assert class_number(10) == 2
-        assert class_number(79) == 3
+        assert RealQuadField(5).class_number == 1
+        assert RealQuadField(10).class_number == 2
+        assert RealQuadField(79).class_number == 3
 
     def test_matches_analytic_oracle(self):
         for D in SQUAREFREE:
