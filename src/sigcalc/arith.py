@@ -1,11 +1,12 @@
 """Exact modular and p-adic arithmetic primitives.
 
 Primality, factorisation and least primitive roots, Hensel lifting of
-square roots, the 1-unit exponent of a unit modulo ell^2, a
-baby-step giant-step discrete log in batched steps, power residue tests,
-smoothness factoring, and the one sparse Gauss-Jordan eliminator over
-F_ell that every module shares, which takes rows in batches, and the
-canonical JSON form that reports and instance files are written in.
+square roots, the 1-unit exponent of a unit modulo ell^2, a baby-step
+giant-step discrete log in batched steps and its projection onto the
+order-ell subgroup of F_p^*, power residue tests, smoothness factoring,
+the one sparse Gauss-Jordan eliminator over F_ell that every module
+shares, which takes rows in batches, and the canonical JSON form that
+reports and instance files are written in.
 Everything else is a pure function of its inputs.
 """
 
@@ -30,6 +31,7 @@ __all__ = [
     "lift_sqrt",
     "teichmuller",
     "bsgs_dlog",
+    "dlog_mod_ell",
     "mult_group_ops",
     "ell_power_residue_test",
     "factor_smooth",
@@ -457,6 +459,14 @@ def bsgs_dlog(generator, target, group_order: int, *, identity, shift, invert,
             if m >= 0:
                 return m
     raise NotInSubgroup("target is not a multiple of the generator")
+
+
+def dlog_mod_ell(g: int, a: int, p: int, ell: int) -> int:
+    """log_g(a) mod ell in F_p^*, for a prime ell dividing p - 1 and ell
+    dividing the order of g: the log of a^e to the base g^e, e =
+    (p-1)/ell, in the order-ell subgroup (the Pohlig-Hellman step)."""
+    e = (p - 1) // ell
+    return bsgs_dlog(pow(g, e, p), pow(a, e, p), ell, **mult_group_ops(p))
 
 
 def ell_power_residue_test(a: int, p: int, ell: int) -> bool:

@@ -78,13 +78,13 @@ def pairing_column(place: Place) -> str:
 class ConditionReport:
     """Per-condition booleans for a lifted instance.
 
-    class_number_ok      : ell does not divide h_K (False when h_K is
+    class_number_ok      : ell does not divide h_K (None when h_K is
                            beyond the exhaustive bound and unknown)
     unit_wild_at         : per ell-place, 1-unit exponent of alpha nonzero
     target_not_ell_power : residue of alpha at v is not an ell-th power
     """
 
-    class_number_ok: bool
+    class_number_ok: bool | None
     unit_wild_at: tuple[tuple[int, bool], ...]
     target_not_ell_power: bool
 
@@ -94,7 +94,7 @@ class ConditionReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.class_number_ok and self.unit_wild_everywhere \
+        return self.class_number_ok is True and self.unit_wild_everywhere \
             and self.target_not_ell_power
 
     def as_dict(self) -> dict:
@@ -170,7 +170,7 @@ def check_conditions(instance: CharSignatureInstance) -> ConditionReport:
     try:
         class_ok = instance.K.class_number % ell != 0
     except TooLarge:
-        class_ok = False
+        class_ok = None
     wild = tuple(
         (w.root_label, _unit_y(instance, w) != 0)
         for w in (instance.place_u, instance.place_u_conj)
@@ -252,6 +252,7 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
         except ConditionFailure as exc:
             # one count per attempt, under the first condition that fails
             failed = next(name for name, ok in (
+                ("class_number_unknown", exc.report.class_number_ok is not None),
                 ("class_number", exc.report.class_number_ok),
                 ("unit_wild", exc.report.unit_wild_everywhere),
                 ("target_power", exc.report.target_not_ell_power)) if not ok)
@@ -266,17 +267,18 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
 def signature_from_dl(instance: CharSignatureInstance, dl_oracle) -> CharSignature:
     """Ramification signature from a discrete-log oracle.
 
-    The oracle is called as dl_oracle(g, a) and must return the full
-    discrete log m; it is verified against g^m = a before use.  With
-    y != 0 the 1-unit exponent of alpha at u (condition 2), the relation
-    y*sigma_u + m*sigma_v = 0 gives s = -m * y^-1 mod ell.
+    The oracle is called as dl_oracle(g, a) and may return any m with
+    m = log_g(a) mod ell; it is verified against a^e = g^(e*m), e =
+    (p-1)/ell, before use.  With y != 0 the 1-unit exponent of alpha at
+    u (condition 2), the relation y*sigma_u + m*sigma_v = 0 gives
+    s = -m * y^-1 mod ell.
     """
     p, ell = instance.p, instance.ell
-    a_v = instance.residue_at_v()
-    m_full = dl_oracle(instance.g, a_v)
-    if pow(instance.g, m_full, p) != a_v:
-        raise OracleInconsistent(f"g^{m_full} != alpha mod v")
-    m = m_full % ell
+    a_v, e = instance.residue_at_v(), (p - 1) // ell
+    m = dl_oracle(instance.g, a_v)
+    if pow(a_v, e, p) != pow(instance.g, e * m, p):
+        raise OracleInconsistent(f"{m} is not log_g(alpha mod v) mod {ell}")
+    m %= ell
     y = _unit_y(instance, instance.place_u)
     s = (-m * pow(y, -1, ell)) % ell
     if s == 0:
@@ -298,15 +300,13 @@ def dl_from_signature(a: int, g: int, p: int, ell: int, sig_oracle,
     a %= p
     if a == 0:
         raise BadInput("a must be a unit mod p")
-    if pow(a, (p - 1) // ell, p) == 1:
+    e = (p - 1) // ell
+    if pow(a, e, p) == 1:
         return 0
     instance = lift_unit(a, p, ell, seed, g=g)
     y = _unit_y(instance, instance.place_u)
-    s = sig_oracle(instance).s
-    m = (-y * s) % ell
-    lhs = pow(a, (p - 1) // ell, p)
-    rhs = pow(pow(g, (p - 1) // ell, p), m, p)
-    if lhs != rhs:
+    m = (-y * sig_oracle(instance).s) % ell
+    if pow(a, e, p) != pow(g, e * m, p):
         raise VerificationFailed("recovered m fails the power-residue check")
     return m
 

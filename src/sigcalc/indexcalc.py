@@ -18,11 +18,10 @@ from math import isqrt, prod
 
 from .arith import (
     Eliminator,
-    bsgs_dlog,
+    dlog_mod_ell,
     factor_smooth,
     is_prime,
     least_primitive_root,
-    mult_group_ops,
     primes_up_to,
     smooth_cofactor,
 )
@@ -406,22 +405,18 @@ def rational_character_pairing(p: int, ell: int, site, a) -> int:
     if a == 0:
         raise BadSupport("a must be nonzero")
     g = least_primitive_root(p)
-
-    def theta_mod_ell(t: int) -> int:
-        return bsgs_dlog(g, t % p, p - 1, **mult_group_ops(p)) % ell
-
     if site == "p":
         if a.numerator % p == 0 or a.denominator % p == 0:
             raise BadSupport(f"a must be a unit at {p}")
         residue = a.numerator * pow(a.denominator, -1, p) % p
-        return theta_mod_ell(residue)
+        return dlog_mod_ell(g, residue, p, ell)
     q = int(site)
     if q == p:
         raise BadSupport("use site 'p' for the ramified prime")
     if not is_prime(q):
         raise BadSupport(f"site {q} is not prime")
     v = _valuation(a, q)
-    return (-v * theta_mod_ell(q)) % ell
+    return (-v * dlog_mod_ell(g, q, p, ell)) % ell
 
 
 def reciprocity_suite(p: int, ell: int, trials: int, seed: int):

@@ -14,14 +14,13 @@ from functools import cached_property
 from math import isqrt
 
 from .arith import (
-    bsgs_dlog,
+    dlog_mod_ell,
     ell_power_residue_test,
     factorint,
     is_prime,
     jacobi,
     least_primitive_root,
     lift_sqrt,
-    mult_group_ops,
     primes_up_to,
     rank_mod,
     sqrt_2adic,
@@ -496,8 +495,7 @@ def _local_coordinate(x: QuadInt, place: Place, exponent: int, ell: int) -> int:
     residue = embed(x, place, 1)
     if residue == 0:
         raise BadInput("element is not a unit at a modulus place")
-    g = least_primitive_root(q)
-    return bsgs_dlog(g, residue, q - 1, **mult_group_ops(q)) % ell
+    return dlog_mod_ell(least_primitive_root(q), residue, q, ell)
 
 
 def ray_class_ell_rank(K: RealQuadField, ell: int,

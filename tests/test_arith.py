@@ -9,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 from sigcalc.arith import (
     Eliminator,
     bsgs_dlog,
+    dlog_mod_ell,
     ell_power_residue_test,
     factor_smooth,
     factorint,
@@ -161,6 +162,23 @@ class TestBsgs:
         g = sympy.primitive_root(p)
         m %= p - 1
         assert bsgs_dlog(g, pow(g, m, p), p - 1, **mult_group_ops(p)) == m
+
+
+class TestDlogModEll:
+    @given(st.sampled_from([p for p in primes_up_to(2000) if p > 3]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy(self, p, data):
+        # any g whose order ell divides, and any a in <g>
+        ell = data.draw(st.sampled_from(sorted(factorint(p - 1))))
+        g = data.draw(st.integers(2, p - 1))
+        assume(pow(g, (p - 1) // ell, p) != 1)
+        a = pow(g, data.draw(st.integers(0, p - 2)), p)
+        assert dlog_mod_ell(g, a, p, ell) == sympy.discrete_log(p, a, g) % ell
+
+    def test_target_outside_the_subgroup(self):
+        # 4 is a square mod 31 and 3 is not: no log of 3 to the base 4
+        with pytest.raises(NotInSubgroup):
+            dlog_mod_ell(4, 3, 31, 2)
 
 
 def reference_bsgs(generator, target, group_order, op, identity, invert):

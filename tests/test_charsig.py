@@ -98,7 +98,7 @@ class TestLiftUnit:
             lift_unit(3, 100003, 7, 0, budget=8)
         counters = exc.value.counters
         assert sum(counters.values()) == exc.value.attempts == 8
-        assert counters == {"ell_not_split": 5, "condition_class_number": 3}
+        assert counters == {"ell_not_split": 5, "condition_class_number_unknown": 3}
 
     def test_residues_are_stored_reduced(self):
         # 48 = 17 and 34 = 3 mod 31: an instance holds a and g in (0, p)
@@ -126,6 +126,28 @@ class TestConditions:
         inst = lift_unit(17, 31, 5, seed=0)
         assert inst.condition_report.target_not_ell_power
 
+    def test_unknown_class_number_is_its_own_state(self, monkeypatch):
+        # at p = 11 the fourth attempt's field has 5 | h; one past the exhaustive
+        # bound (every one at p = 100003, test_budget_counters_sum_to_attempts)
+        # has h unknown, which is neither "ell divides h" nor a pass
+        import sigcalc.quadfield as quadfield
+        from sigcalc.errors import BudgetExhausted, TooLarge
+
+        with pytest.raises(BudgetExhausted) as exc:
+            lift_unit(2, 11, 5, 0, budget=4)
+        assert exc.value.counters == {"ell_not_split": 3, "condition_class_number": 1}
+        inst = lift_unit(17, 31, 5, seed=0)
+
+        def too_large(K):
+            raise TooLarge(f"D = {K.D}")
+
+        monkeypatch.setattr(quadfield, "class_number", too_large)
+        with pytest.raises(ConditionFailure) as failure:
+            replace(inst, K=RealQuadField(inst.K.D))
+        report = failure.value.report
+        assert report.class_number_ok is None and not report.all_ok
+        assert report.as_dict()["class_number_ok"] is None
+
     def test_class_number_failure_fixture(self):
         # h(Q(sqrt 79)) = 3: a field with ell | h for ell = 3
         K = RealQuadField(79)
@@ -147,6 +169,12 @@ class TestSignatureFromDl:
         swapped = replace(inst, place_u=inst.place_u_conj, place_u_conj=inst.place_u)
         sig = signature_from_dl(swapped, bsgs_oracle(31))
         assert (sig.s, sig.y) == (4, 2)
+
+    def test_oracle_answer_is_read_mod_ell(self):
+        # 7 + 5 = 12 is log_3(17) mod 5, though 3^12 != 17 mod 31
+        inst = lift_unit(17, 31, 5, seed=0)
+        sig = signature_from_dl(inst, lambda g, a: bsgs_oracle(31)(g, a) + 5)
+        assert (sig.s, sig.m, sig.y) == (1, 2, 3)
 
     def test_wrong_oracle_rejected(self):
         inst = lift_unit(17, 31, 5, seed=0)

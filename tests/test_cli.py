@@ -53,6 +53,15 @@ class TestDlog:
         assert doc["outputs"]["m"] == "2"
         assert doc["cross_check"]["agree"] is True
 
+    def test_index_cross_checked_at_p_near_1e12(self):
+        # the check runs in the order-3 subgroup, so its cost does not
+        # grow with p
+        code, doc = main_json(["dlog", "--p", "1000000000039", "--ell", "3", "--g", "3",
+                               "--a", "5", "--method", "index"])
+        assert code == 0
+        assert doc["outputs"]["m"] == "2"
+        assert doc["cross_check"] == {"bsgs_m": "2", "agree": True}
+
     def test_index_counters_in_the_report(self):
         # the relation outcomes of every round sum to the attempts that one
         # search for as many relations makes; the rounds and the descent's
@@ -85,7 +94,7 @@ class TestDlog:
         assert code == 1  # the invariant category
         doc = json.loads(out.getvalue())
         assert doc["outputs"]["m"] == "3"
-        assert doc["cross_check"] == {"bsgs_m": "7", "agree": False}
+        assert doc["cross_check"] == {"bsgs_m": "2", "agree": False}
 
     def test_precondition_exit_code(self):
         r = run_cli("dlog", "--p", "31", "--ell", "7", "--g", "3", "--a", "17",
@@ -151,7 +160,42 @@ def test_degenerate_arguments_exit_as_bad_input(argv):
     assert json.loads(r.stderr)["error"] == "BadInput"
 
 
+@pytest.mark.parametrize("argv, ell", [
+    (["signature", "--lift", "1021,5,10,800", "--method", "both", "--B", "80"], 5),
+    (["dlog", "--p", "1021", "--ell", "5", "--g", "10", "--a", "800", "--method", "index"], 5),
+    (["verify", "--suite", "all"], 13),  # the largest ell of the rayrank fields
+])
+def test_every_dlog_in_f_p_runs_in_the_order_ell_subgroup(monkeypatch, argv, ell):
+    """No baby-step giant-step over F_p^* (int elements; the elliptic
+    ones step over points) searches a group larger than ell."""
+    import sigcalc.arith
+
+    orders, real = [], sigcalc.arith.bsgs_dlog
+
+    def recorded(generator, target, group_order, **ops):
+        if isinstance(generator, int):
+            orders.append(group_order)
+        return real(generator, target, group_order, **ops)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sigcalc") and vars(module).get("bsgs_dlog") is real:
+            monkeypatch.setattr(module, "bsgs_dlog", recorded)
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert orders and max(orders) <= ell
+
+
 class TestSignature:
+    def test_unknown_class_numbers_are_counted_apart(self):
+        # every field of the 64 lifts has a discriminant past the
+        # exhaustive class-number bound: h is unknown, not divisible by 7
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["signature", "--lift", "100003,7,2,12346", "--json"])
+        assert code == 3
+        assert json.loads(err.getvalue())["counters"] == {
+            "condition_class_number_unknown": "28", "ell_not_split": "36"}
+
     def test_lift_dl_oracle(self):
         r = run_cli("signature", "--lift", "31,5,3,17", "--json")
         assert r.returncode == 0
