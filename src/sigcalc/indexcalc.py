@@ -39,7 +39,7 @@ __all__ = [
     "RelationSearch",
     "convergent_splits",
     "collect_relations",
-    "prune_singletons",
+    "SingletonPruner",
     "solve_linear_mod_ell",
     "SolveResult",
     "index_calculus_dlog",
@@ -144,15 +144,12 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
     most one relation, and each attempt one outcome.  Trivial rows and
     repeated r are discarded.  Passing a `search` resumes it at its next
     index; the call stops early, with what it has, once every r in
-    [1, p-2] has been drawn.  `build_theta_table` calls it once a round
-    on one search: the first round asks for n/2 relations on a base of
-    n primes, and each later one brings the total to 3/2 of the last,
-    up to 4*(n + 16).  It keeps one counter per outcome ("not_smooth",
-    "trivial", "duplicate", "accepted"), summing to the attempts made;
-    they are added into `counters` when one is given, and carried by
-    the BudgetExhausted raised after budget_factor * count attempts.
-    g must be a unit mod p, or BadInput is raised.  Deterministic in
-    (inputs, seed).
+    [1, p-2] has been drawn.  It keeps one counter per outcome
+    ("not_smooth", "trivial", "duplicate", "accepted"), summing to the
+    attempts made; they are added into `counters` when one is given,
+    and carried by the BudgetExhausted raised after budget_factor *
+    count attempts.  g must be a unit mod p, or BadInput is raised.
+    Deterministic in (inputs, seed).
     """
     if (p - 1) % ell != 0:
         raise BadInput(f"{ell} must divide p - 1")
@@ -197,34 +194,42 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
     raise BudgetExhausted(index - start, tally)
 
 
-def prune_singletons(relations: list[Relation]) -> list[Relation]:
-    """Drop, repeatedly, every relation holding a column that no other
-    relation holds (LaMacchia and Odlyzko, CRYPTO '90).
-
-    Such a row constrains no other column, so the values the solver
-    determines for the remaining columns are unchanged.  One pass: the
-    rows of each column are indexed once, and dropping a row pushes
-    every column it leaves with weight 1 onto a stack.  Removal in any
-    order reaches the same rows, which keep their order.
+class SingletonPruner:
+    """The 2-core of a growing relation list: what is left once every row
+    holding a column that no other row holds is dropped, repeatedly
+    (LaMacchia and Odlyzko, CRYPTO '90); the solver's values for the
+    rest are unchanged.  The rows of each column are indexed once, as
+    they are added; each `add` peels the whole list again, since new
+    rows may hold up rows dropped before, even two that share a column.
     """
-    rows_of: dict[str, list[int]] = {}
-    for i, rel in enumerate(relations):
-        for col, _ in rel.coeffs:
-            rows_of.setdefault(col, []).append(i)
-    weight = {col: len(rows) for col, rows in rows_of.items()}
-    alive = [True] * len(relations)
-    stack = [col for col, w in weight.items() if w == 1]
-    while stack:
-        col = stack.pop()
-        if weight[col] != 1:
-            continue  # its last row went with another column
-        i = next(i for i in rows_of[col] if alive[i])
-        alive[i] = False
-        for other, _ in relations[i].coeffs:
-            weight[other] -= 1
-            if weight[other] == 1:
-                stack.append(other)
-    return [rel for rel, keep in zip(relations, alive) if keep]
+
+    def __init__(self):
+        self.relations: list[Relation] = []
+        self.rows_of: dict = {}
+
+    def add(self, new: list[Relation]) -> list[Relation]:
+        """Append `new`; the core of every relation so far, in order."""
+        relations, rows_of = self.relations, self.rows_of
+        for i, rel in enumerate(new, len(relations)):
+            for col, _ in rel.coeffs:
+                rows_of.setdefault(col, []).append(i)
+        relations += new
+        # dropping a row pushes every column it leaves with weight 1;
+        # removal in any order reaches the same rows
+        weight = {col: len(rows) for col, rows in rows_of.items()}
+        alive = [True] * len(relations)
+        stack = [col for col, w in weight.items() if w == 1]
+        while stack:
+            col = stack.pop()
+            if weight[col] != 1:
+                continue  # its last row went with another column
+            i = next(i for i in rows_of[col] if alive[i])
+            alive[i] = False
+            for other, _ in relations[i].coeffs:
+                weight[other] -= 1
+                if weight[other] == 1:
+                    stack.append(other)
+        return [rel for rel, keep in zip(relations, alive) if keep]
 
 
 @dataclass
@@ -267,13 +272,13 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
     many again each round, and at least one more than the round
     before), prunes singleton columns and solves, until every column
     left in the pruned system is determined.  The pruned set only grows
-    as relations are added, so one carried eliminator takes each
-    round's newly kept rows alone; each round's solve still reads all
-    kept rows, with the values, rank and nullity of a fresh
-    elimination.  No round asks for more than 4*(n + 16) relations in
-    all, nor for more than the p-2 distinct exponents; a round at that
-    ceiling that still leaves a column undetermined raises
-    RankDeficient.  Once every exponent r has been drawn no round can
+    as relations are added, so one carried pruner and one carried
+    eliminator take each round's new rows alone; each round's solve
+    still reads all kept rows, with the values, rank and nullity of a
+    fresh elimination.  No round asks for more than 4*(n + 16)
+    relations in all, nor for more than the p-2 distinct exponents; a
+    round at that ceiling that still leaves a column undetermined
+    raises RankDeficient.  Once every exponent r has been drawn no round can
     add a relation, and the determined part of the table is returned as
     it stands.  When a `counters` dict is given, the relation outcomes
     of every round are added into it and "theta_rounds" is set to the
@@ -287,17 +292,15 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
     ceiling = min(4 * (n + 16), p - 2)
     search = RelationSearch()
     system, held = Eliminator(ell), set()
-    relations: list[Relation] = []
+    pruner = SingletonPruner()
     want = rounds = 0
     while True:
         want = min(max(want + 1, -(-n * 3**rounds // 2 ** (rounds + 1))), ceiling)
         rounds += 1
         counters["theta_rounds"] = rounds
-        relations += collect_relations(p, ell, g, bound, want - len(relations), seed,
-                                       search=search, counters=counters)
-        # adding rows only grows the pruned set, so the carried
-        # eliminator already holds every row an earlier round kept
-        solved = solve_linear_mod_ell(prune_singletons(relations), system, held)
+        kept = pruner.add(collect_relations(p, ell, g, bound, want - len(pruner.relations),
+                                            seed, search=search, counters=counters))
+        solved = solve_linear_mod_ell(kept, system, held)
         undetermined = [col for col in solved.columns if col not in solved.values]
         if (solved.columns and not undetermined) or search.exhausted(p):
             return {q: solved.values[q] for q in base if q in solved.values}

@@ -1,4 +1,4 @@
-"""Deterministic seed derivation for reproducible randomized searches."""
+"""Deterministic random streams for reproducible randomized searches."""
 
 from __future__ import annotations
 
@@ -6,16 +6,35 @@ import hashlib
 import random
 
 
-def derive_seed(seed: int, *labels) -> int:
-    """A 64-bit child seed from a master seed and a label path.
+class _HashStream(random.Random):
+    """Bits of key, then of sha256(key || n) for n = 1, 2, ... in 8 bytes
+    big-endian (a counter-based stream: Salmon et al., SC '11), under the
+    inherited draws.  No Mersenne Twister is seeded, and `seed` raises."""
 
-    Stable across platforms and Python versions (sha256-based), so that
-    every randomized search in the toolkit replays exactly.
-    """
-    text = "/".join(str(part) for part in (seed, *labels))
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    def __init__(self, key: bytes):
+        self._key, self._counter, self.gauss_next = key, 0, None
+        self._bits, self._left = int.from_bytes(key, "big"), 256
+
+    def getrandbits(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("number of bits must be non-negative")
+        while self._left < k:
+            self._counter += 1
+            block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
+            self._bits |= int.from_bytes(block, "big") << self._left
+            self._left += 256
+        value, self._bits = self._bits & ((1 << k) - 1), self._bits >> k
+        self._left -= k
+        return value
+
+    def random(self) -> float:
+        return self.getrandbits(53) * 2.0**-53
+
+    def seed(self, *args, **kwargs):
+        raise TypeError("a derived stream cannot be re-seeded")
 
 
 def rng_for(seed: int, *labels) -> random.Random:
-    return random.Random(derive_seed(seed, *labels))
+    """The stream of sha256("seed/label/..."): the same on every platform."""
+    text = "/".join(map(str, (seed, *labels)))
+    return _HashStream(hashlib.sha256(text.encode()).digest())

@@ -29,12 +29,12 @@ from sigcalc.errors import (
 from sigcalc.indexcalc import (
     Relation,
     RelationSearch,
+    SingletonPruner,
     build_theta_table,
     _split_smooth,
     collect_relations,
     convergent_splits,
     index_calculus_dlog,
-    prune_singletons,
     rational_character_pairing,
     solve_linear_mod_ell,
 )
@@ -217,9 +217,9 @@ class TestPruning:
                 Relation.make({"c": 1, "d": 1}, 4, ell),
                 Relation.make({"c": 2}, 6, ell)]
         # a and d go first; that leaves b in one row, which goes next
-        kept = prune_singletons(rows)
+        kept = SingletonPruner().add(rows)
         assert kept == [rows[2], rows[4]]
-        assert prune_singletons(kept) == kept
+        assert SingletonPruner().add(kept) == kept
         assert fresh_solve(kept, ell).values == {"c": 3}
         assert fresh_solve(rows, ell).values["c"] == 3
 
@@ -230,17 +230,44 @@ class TestPruning:
         # what a theta round keeps, every later round keeps: the carried
         # eliminator relies on it (distinct consts tell the rows apart)
         relations = [Relation.make(coeffs, i, 29) for i, coeffs in enumerate(rows)]
-        assert set(prune_singletons(relations[:cut])) <= set(prune_singletons(relations))
+        pruner = SingletonPruner()
+        assert set(pruner.add(relations[:cut])) <= set(pruner.add(relations[cut:]))
 
     def test_a_lone_row_is_pruned(self):
-        assert prune_singletons([Relation.make({"x": 1}, 1, 5)]) == []
+        assert SingletonPruner().add([Relation.make({"x": 1}, 1, 5)]) == []
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.dictionaries(st.sampled_from("abcdefghij"), st.integers(1, 6),
                                     max_size=4), max_size=25))
     def test_one_pass_matches_the_fixed_point_loop(self, rows):
         relations = [Relation.make(coeffs, i, 7) for i, coeffs in enumerate(rows)]
-        assert prune_singletons(relations) == fixed_point_prune(relations)
+        assert SingletonPruner().add(relations) == fixed_point_prune(relations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.dictionaries(st.sampled_from("abcdefghij"),
+                                             st.integers(1, 6), max_size=4),
+                             max_size=8), max_size=6))
+    def test_the_carried_core_of_every_prefix_is_the_pruned_prefix(self, batches):
+        # a row dropped once comes back when a later batch holds it up,
+        # also when it is held up only by another dropped row
+        pruner, relations = SingletonPruner(), []
+        for batch in batches:
+            new = [Relation.make(coeffs, len(relations) + i, 7)
+                   for i, coeffs in enumerate(batch)]
+            relations += new
+            assert pruner.add(new) == fixed_point_prune(relations)
+
+    def test_two_dropped_rows_that_share_a_column_come_back_together(self):
+        # x and y each stand alone in the first batch; the second holds
+        # them up but not z, so rows 0 and 1 come back as a pair
+        ell = 7
+        first = [Relation.make({"x": 1, "z": 1}, 1, ell),
+                 Relation.make({"z": 1, "y": 1}, 2, ell)]
+        second = [Relation.make({"x": 1, "w": 1}, 3, ell),
+                  Relation.make({"y": 1, "w": 1}, 4, ell)]
+        pruner = SingletonPruner()
+        assert pruner.add(first) == []
+        assert pruner.add(second) == first + second
 
 
 def fixed_point_prune(relations):
