@@ -18,6 +18,7 @@ from math import isqrt, prod
 
 from .arith import (
     Eliminator,
+    _primes,
     dlog_mod_ell,
     factor_smooth,
     is_prime,
@@ -37,7 +38,6 @@ from .seeds import rng_for
 __all__ = [
     "Relation",
     "RelationSearch",
-    "convergent_splits",
     "collect_relations",
     "SingletonPruner",
     "solve_linear_mod_ell",
@@ -49,51 +49,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Relation:
     """A linear equation sum_i coeff_i * unknown_i = const over F_ell.
 
-    Column ids are distinct unknowns (the classical system names the
-    log of a factor-base prime q by q itself); zero coefficients are
-    dropped at construction.
+    coeffs holds (column, coefficient) pairs, sorted by column, with
+    distinct columns and every coefficient in [1, ell); const is in
+    [0, ell).  Column ids are distinct unknowns (the classical system
+    names the log of a factor-base prime q by q itself).  Two relations
+    are equal when their coeffs and consts are; the hash is taken once,
+    at construction, as the solver's sets take a relation each round.
     """
 
-    coeffs: tuple[tuple[object, int], ...]
-    const: int
+    __slots__ = ("coeffs", "const", "_hash")
+
+    def __init__(self, coeffs: tuple[tuple[object, int], ...], const: int):
+        self.coeffs, self.const = coeffs, const
+        self._hash = hash((coeffs, const))
 
     @classmethod
     def make(cls, coeffs: dict, const: int, ell: int) -> "Relation":
+        """The relation of {column: coefficient} and const, reduced mod
+        ell, with zero coefficients dropped."""
         cleaned = tuple(sorted((col, c % ell) for col, c in coeffs.items() if c % ell))
         return cls(cleaned, const % ell)
 
-    @property
-    def columns(self) -> tuple:
-        return tuple(col for col, _ in self.coeffs)
+    def __eq__(self, other):
+        if other.__class__ is not Relation:
+            return NotImplemented
+        return self.const == other.const and self.coeffs == other.coeffs
 
-    def is_trivial(self) -> bool:
-        return not self.coeffs and self.const == 0
+    def __hash__(self) -> int:
+        return self._hash
 
-
-def convergent_splits(x: int, p: int) -> list[tuple[int, int, int]]:
-    """Up to three (u, v, sigma) with x = (-1)^sigma * u / v mod p,
-    gcd(u, v) = 1 and u*v < p, from one Euclidean run on (p, x).
-
-    The run keeps r_j = t_j * x mod p.  The first is the half split
-    (r_i, |t_i|) at the first remainder below sqrt(p): u^2 < p and
-    v^2 <= p, as |t_i| <= p / r_(i-1) <= sqrt(p) (Blake, Fuji-Hara,
-    Mullin and Vanstone 1984).  Then come its neighbours
-    (r_(i-1), |t_(i-1)|) and (r_(i+1), |t_(i+1)|), skipping one with
-    t = 0 or r = 0.  Each obeys r_j * |t_j| < r_(j-1) * |t_j| <= p, as
-    r_(j-1)*|t_j| + r_j*|t_(j-1)| = p, and a common factor of r_j and
-    t_j would divide p.  x must be a unit mod p.
-    """
-    r0, r1, t0, t1 = p, x, 0, 1
-    while r1 * r1 >= p:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    q = r0 // r1
-    r2, t2 = r0 - q * r1, t0 - q * t1
-    return [(r, abs(t), int(t < 0)) for r, t in ((r1, t1), (r0, t0), (r2, t2)) if r and t]
+    def __repr__(self) -> str:
+        return f"Relation(coeffs={self.coeffs!r}, const={self.const!r})"
 
 
 def _base_bound(bound: int, p: int) -> int:
@@ -104,16 +93,40 @@ def _base_bound(bound: int, p: int) -> int:
 
 
 def _split_smooth(x: int, p: int, bound: int):
-    """(sigma, {q: e}) with x = (-1)^sigma * prod q^e mod p, read off
-    the first of `convergent_splits` x = +-u/v (the half split, then
-    its two neighbours) whose u*v is bound-smooth; None when none is."""
-    for u, v, sigma in convergent_splits(x, p):
-        uv = u * v
-        if smooth_cofactor(uv, bound) == 1:
-            # u and v are coprime, so each prime of u*v belongs to one of them
-            return sigma, {q: -e if v % q == 0 else e
-                           for q, e in factor_smooth(uv, bound).items()}
-    return None
+    """(sigma, ((q, e), ...)) with x = (-1)^sigma * prod q^e mod p, the
+    primes ascending and each e nonzero, read off the first split
+    x = +-u/v of one Euclidean run on (p, x) whose u*v is bound-smooth;
+    None when none is.
+
+    The run keeps r_j = t_j * x mod p.  The half split (r_i, |t_i|) at
+    the first remainder below sqrt(p) is screened first: u^2 < p and
+    v^2 <= p, as |t_i| <= p / r_(i-1) <= sqrt(p) (Blake, Fuji-Hara,
+    Mullin and Vanstone 1984).  Only when it is not smooth is its
+    predecessor (r_(i-1), |t_(i-1)|) tried, skipped when t = 0, and
+    only then one more step of the run taken, to its successor
+    (r_(i+1), |t_(i+1)|), skipped when r = 0.  Each split has
+    gcd(u, v) = 1 and u*v < p, as r_j * |t_j| < r_(j-1) * |t_j| <= p,
+    r_(j-1)*|t_j| + r_j*|t_(j-1)| = p, and a common factor of r_j and
+    t_j would divide p.  Each split tried costs one smooth_cofactor
+    screen, and the smooth one a factor_smooth.  x must be a unit mod p.
+    """
+    r0, r1, t0, t1 = p, x, 0, 1
+    while r1 * r1 >= p:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    # t1 and r0 are never 0; t0 is 0 when x^2 < p, and r2 when r1 = 1
+    u, t = r1, t1
+    if not (u and smooth_cofactor(u * abs(t), bound) == 1):
+        u, t = r0, t0
+        if not (t and smooth_cofactor(u * abs(t), bound) == 1):
+            q = r0 // r1
+            u, t = r0 - q * r1, t0 - q * t1
+            if not (u and smooth_cofactor(u * abs(t), bound) == 1):
+                return None
+    v = abs(t)
+    # u and v are coprime, so each prime of u*v belongs to one of them
+    return int(t < 0), tuple([(q, -e if v % q == 0 else e)
+                              for q, e in factor_smooth(u * v, bound).items()])
 
 
 @dataclass
@@ -136,20 +149,21 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
     """Harvest `count` new factor-base relations from splits of g^r.
 
     Attempt i draws r from rng_for(seed, "relation", i) and writes
-    g^r = (-1)^sigma * u/v with u*v < p, trying the three splits of
-    `convergent_splits` in turn: the half split (u, v <= sqrt(p)), then
-    its two neighbouring convergents.  For the first split whose u*v is
-    bound-smooth, sum_q (e_q(u) - e_q(v)) * theta(q) =
-    r - sigma*(p-1)/2 mod ell, as log(-1) = (p-1)/2.  One draw gives at
-    most one relation, and each attempt one outcome.  Trivial rows and
-    repeated r are discarded.  Passing a `search` resumes it at its next
-    index; the call stops early, with what it has, once every r in
-    [1, p-2] has been drawn.  It keeps one counter per outcome
-    ("not_smooth", "trivial", "duplicate", "accepted"), summing to the
-    attempts made; they are added into `counters` when one is given,
-    and carried by the BudgetExhausted raised after budget_factor *
-    count attempts.  g must be a unit mod p, or BadInput is raised.
-    Deterministic in (inputs, seed).
+    g^r = (-1)^sigma * u/v with u*v < p in one pass (`_split_smooth`:
+    the half split, u, v <= sqrt(p), then its two neighbouring
+    convergents).  For the first split whose u*v is bound-smooth,
+    sum_q (e_q(u) - e_q(v)) * theta(q) = r - sigma*(p-1)/2 mod ell, as
+    log(-1) = (p-1)/2; the relation's sorted coefficients are the
+    split's exponents mod ell, in the split's ascending order.  One draw
+    gives at most one relation, and each attempt one outcome.  Trivial
+    rows and repeated r are discarded.  Passing a `search` resumes it
+    at its next index; the call stops early, with what it has, once
+    every r in [1, p-2] has been drawn.  It keeps one counter per
+    outcome ("not_smooth", "trivial", "duplicate", "accepted"), summing
+    to the attempts made; they are added into `counters` when one is
+    given, and carried by the BudgetExhausted raised after
+    budget_factor * count attempts.  g must be a unit mod p, or
+    BadInput is raised.  Deterministic in (inputs, seed).
     """
     if (p - 1) % ell != 0:
         raise BadInput(f"{ell} must divide p - 1")
@@ -178,12 +192,13 @@ def collect_relations(p: int, ell: int, g: int, bound: int, count: int,
             tally["not_smooth"] += 1
             continue
         sigma, exponents = split
-        rel = Relation.make(exponents, r - sigma * half, ell)
-        if rel.is_trivial():
+        coeffs = tuple([(q, c) for q, e in exponents if (c := e % ell)])
+        const = (r - sigma * half) % ell
+        if not (coeffs or const):
             tally["trivial"] += 1
             continue
         drawn.add(r)
-        relations.append(rel)
+        relations.append(Relation(coeffs, const))
     search.next_index = index
     tally["accepted"] = len(relations)
     if counters is not None:
@@ -198,36 +213,44 @@ class SingletonPruner:
     """The 2-core of a growing relation list: what is left once every row
     holding a column that no other row holds is dropped, repeatedly
     (LaMacchia and Odlyzko, CRYPTO '90); the solver's values for the
-    rest are unchanged.  The rows of each column are indexed once, as
-    they are added; each `add` peels the whole list again, since new
-    rows may hold up rows dropped before, even two that share a column.
+    rest are unchanged.  Each column's weight (the rows holding it) and
+    the sum of those rows' indices are carried over all rows from call
+    to call, so a column of weight 1 names its one row.  Each `add`
+    peels copies of them, since new rows may hold up rows dropped
+    before, even two that share a column.  The core only grows as rows
+    are added, each of its columns held by two of its own rows, so the
+    peel never reaches a row of the carried core: it costs only the
+    rows outside it.
     """
 
     def __init__(self):
         self.relations: list[Relation] = []
-        self.rows_of: dict = {}
+        self.weight: dict = {}
+        self.row_sum: dict = {}
 
     def add(self, new: list[Relation]) -> list[Relation]:
         """Append `new`; the core of every relation so far, in order."""
-        relations, rows_of = self.relations, self.rows_of
+        relations, weight, row_sum = self.relations, self.weight, self.row_sum
         for i, rel in enumerate(new, len(relations)):
             for col, _ in rel.coeffs:
-                rows_of.setdefault(col, []).append(i)
+                weight[col] = weight.get(col, 0) + 1
+                row_sum[col] = row_sum.get(col, 0) + i
         relations += new
         # dropping a row pushes every column it leaves with weight 1;
         # removal in any order reaches the same rows
-        weight = {col: len(rows) for col, rows in rows_of.items()}
+        left, sums = weight.copy(), row_sum.copy()
         alive = [True] * len(relations)
-        stack = [col for col, w in weight.items() if w == 1]
+        stack = [col for col, w in left.items() if w == 1]
         while stack:
             col = stack.pop()
-            if weight[col] != 1:
+            if left[col] != 1:
                 continue  # its last row went with another column
-            i = next(i for i in rows_of[col] if alive[i])
+            i = sums[col]
             alive[i] = False
             for other, _ in relations[i].coeffs:
-                weight[other] -= 1
-                if weight[other] == 1:
+                left[other] -= 1
+                sums[other] -= i
+                if left[other] == 1:
                     stack.append(other)
         return [rel for rel, keep in zip(relations, alive) if keep]
 
@@ -247,16 +270,19 @@ def solve_linear_mod_ell(relations: list[Relation], system: Eliminator,
     """Solve a relation system over F_ell on a carried eliminator.
 
     `system` holds the relations in `held`, all of them among
-    `relations`; it takes the relations it lacks, as one batch
-    (`Eliminator.add`), and `held` gains them.  Returns the value of
-    every determined column of `relations` and the solution-space
-    dimension over those columns.  Raises Inconsistent for
-    contradictory systems.
+    `relations`, and nothing else; it takes the relations it lacks, as
+    one batch (`Eliminator.add`), and `held` gains them.  A relation
+    hashes once, so telling the new ones apart costs a set lookup each.
+    The system then holds exactly `relations`, so the columns are those
+    its `occurrences` count, with no pass over the rows.  Returns the
+    value of every determined column of `relations` and the
+    solution-space dimension over those columns.  Raises Inconsistent
+    for contradictory systems.
     """
     new = [rel for rel in relations if rel not in held]
     system.add((rel.coeffs, rel.const) for rel in new)
     held.update(new)
-    columns = sorted({col for rel in relations for col in rel.columns})
+    columns = sorted(system.occurrences)
     values = {col: system.consts[col] for col in columns if system.determined(col)}
     return SolveResult(values=values, nullity=len(columns) - len(system.rows),
                        rank=len(system.rows), columns=columns)
@@ -274,20 +300,21 @@ def build_theta_table(p: int, ell: int, g: int, bound: int, seed: int,
     left in the pruned system is determined.  The pruned set only grows
     as relations are added, so one carried pruner and one carried
     eliminator take each round's new rows alone; each round's solve
-    still reads all kept rows, with the values, rank and nullity of a
-    fresh elimination.  No round asks for more than 4*(n + 16)
+    feeds the eliminator only the kept rows it lacks and reads the
+    columns off it, with the values, rank and nullity of a fresh
+    elimination.  No round asks for more than 4*(n + 16)
     relations in all, nor for more than the p-2 distinct exponents; a
     round at that ceiling that still leaves a column undetermined
-    raises RankDeficient.  Once every exponent r has been drawn no round can
-    add a relation, and the determined part of the table is returned as
-    it stands.  When a `counters` dict is given, the relation outcomes
+    raises RankDeficient.  Once every exponent r has been drawn no
+    round can add a relation, and the determined part of the table is
+    returned as it stands.  When a `counters` dict is given, the relation outcomes
     of every round are added into it and "theta_rounds" is set to the
     rounds run.
     """
     if counters is None:
         counters = {}
     bound = _base_bound(bound, p)
-    base = primes_up_to(bound)
+    base = _primes(bound)
     n = len(base)
     ceiling = min(4 * (n + 16), p - 2)
     search = RelationSearch()
@@ -353,10 +380,10 @@ def index_calculus_dlog(p: int, ell: int, g: int, a: int, bound: int, seed: int,
             descent["descent_not_smooth"] += 1
             continue
         sigma, exponents = split
-        if any(e % ell and q not in theta for q, e in exponents.items()):
+        if any(e % ell and q not in theta for q, e in exponents):
             descent["descent_undetermined"] += 1
             continue
-        m = (sum(e * theta.get(q, 0) for q, e in exponents.items())
+        m = (sum(e * theta.get(q, 0) for q, e in exponents)
              + sigma * ((p - 1) // 2) - s) % ell
         if pow(a, (p - 1) // ell, p) != pow(h, m, p):
             raise VerificationFailed(

@@ -11,8 +11,11 @@ class _HashStream(random.Random):
     big-endian (a counter-based stream: Salmon et al., SC '11), under the
     inherited draws.  No Mersenne Twister is seeded, and `seed` raises."""
 
+    __slots__ = ("_key", "_counter", "_bits", "_left")
+    gauss_next = None  # what Random.__init__ would set; gauss() keeps its own
+
     def __init__(self, key: bytes):
-        self._key, self._counter, self.gauss_next = key, 0, None
+        self._key, self._counter = key, 0
         self._bits, self._left = int.from_bytes(key, "big"), 256
 
     def getrandbits(self, k: int) -> int:
@@ -27,6 +30,19 @@ class _HashStream(random.Random):
         self._left -= k
         return value
 
+    def randrange(self, start, stop=None, step=1):
+        """Random.randrange's draw, without its argument checks when
+        start < stop are ints and step is 1: k = (stop - start).bit_length()
+        bits, drawn again while they read stop - start or more."""
+        if not (type(start) is type(stop) is type(step) is int and step == 1 and start < stop):
+            return super().randrange(start, stop, step)
+        n = stop - start
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return start + r
+
     def random(self) -> float:
         return self.getrandbits(53) * 2.0**-53
 
@@ -36,5 +52,5 @@ class _HashStream(random.Random):
 
 def rng_for(seed: int, *labels) -> random.Random:
     """The stream of sha256("seed/label/..."): the same on every platform."""
-    text = "/".join(map(str, (seed, *labels)))
+    text = ("%s" + "/%s" * len(labels)) % (seed, *labels)
     return _HashStream(hashlib.sha256(text.encode()).digest())

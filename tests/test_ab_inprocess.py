@@ -1,0 +1,39 @@
+"""tools/ab_inprocess.py runs a mix on two checkouts in one process."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "ab_inprocess.py"
+
+
+def run_tool(parent, change, *args):
+    return subprocess.run([sys.executable, str(TOOL), str(parent), str(change), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_one_checkout_against_itself():
+    done = run_tool(ROOT, ROOT, "--workload", "dlog", "--seed", "0", "--passes", "2",
+                    "--limit", "4")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["positions"] == 4 and result["passes"] == 2
+    assert set(result["best_ops_per_s"]) == {"parent", "change"}
+    assert all(ops > 0 for ops in result["best_ops_per_s"].values())
+    assert 0 <= result["change_faster_positions"] <= 4
+
+
+def test_a_different_answer_fails(tmp_path):
+    # a parent whose index calculus answers m + 1 must not pass as equal
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    module = tmp_path / "src" / "sigcalc" / "indexcalc.py"
+    module.write_text(module.read_text() + (
+        "\n_right = index_calculus_dlog\n\n\n"
+        "def index_calculus_dlog(p, ell, *args, **kwargs):\n"
+        "    return (_right(p, ell, *args, **kwargs) + 1) % ell\n"))
+    done = run_tool(tmp_path, ROOT, "--workload", "dlog", "--passes", "1", "--limit", "2")
+    assert done.returncode == 1
+    assert "answers differ" in done.stderr

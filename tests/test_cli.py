@@ -257,7 +257,7 @@ class TestSignature:
 
         def pins_s(rels):
             # s is pinned when e_s lies in the row space of the relations
-            cols = sorted({SIGNATURE_COLUMN, *(col for rel in rels for col in rel.columns)})
+            cols = sorted({SIGNATURE_COLUMN, *(col for rel in rels for col, _ in rel.coeffs)})
             F = GF(5)
             rows = [[F(dict(rel.coeffs).get(col, 0)) for col in cols] for rel in rels]
             unit = [F(int(col == SIGNATURE_COLUMN)) for col in cols]

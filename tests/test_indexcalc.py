@@ -33,7 +33,6 @@ from sigcalc.indexcalc import (
     build_theta_table,
     _split_smooth,
     collect_relations,
-    convergent_splits,
     index_calculus_dlog,
     rational_character_pairing,
     solve_linear_mod_ell,
@@ -44,6 +43,27 @@ from sigcalc.seeds import rng_for
 def fresh_solve(relations, ell):
     """solve_linear_mod_ell on a new eliminator that holds nothing."""
     return solve_linear_mod_ell(relations, Eliminator(ell), set())
+
+
+def convergent_splits(x, p):
+    """Up to three (u, v, sigma) with x = (-1)^sigma * u / v mod p, from
+    one Euclidean run on (p, x) kept as r_j = t_j * x mod p: the half
+    split (r_i, |t_i|) at the first remainder below sqrt(p), then its
+    neighbours (r_(i-1), |t_(i-1)|) and (r_(i+1), |t_(i+1)|), skipping
+    one with t = 0 or r = 0 (the order `_split_smooth` tries them in)."""
+    r0, r1, t0, t1 = p, x, 0, 1
+    while r1 * r1 >= p:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    q = r0 // r1
+    r2, t2 = r0 - q * r1, t0 - q * t1
+    return [(r, abs(t), int(t < 0)) for r, t in ((r1, t1), (r0, t0), (r2, t2)) if r and t]
+
+
+def signed_exponents(u, v, bound):
+    """The factorisation of the bound-smooth u*v as ascending (q, e)
+    pairs, e negative for the primes of v."""
+    return tuple((q, -e if v % q == 0 else e) for q, e in factor_smooth(u * v, bound).items())
 
 
 def brute_theta(p, g):
@@ -77,7 +97,7 @@ class TestRelations:
         for rel in relations:
             value = 1
             # reconstruct g^r from the row and confirm smoothness
-            assert all(q <= 7 for q in rel.columns)
+            assert all(q <= 7 for q, _ in rel.coeffs)
 
     def test_substituting_true_thetas(self):
         # relation semantics: true discrete logs satisfy every row exactly
@@ -140,7 +160,16 @@ def half_split_smooth(x, p, bound):
     u, v, sigma = convergent_splits(x, p)[0]
     if smooth_cofactor(u * v, bound) > 1:
         return None
-    return sigma, {q: -e if v % q == 0 else e for q, e in factor_smooth(u * v, bound).items()}
+    return sigma, signed_exponents(u, v, bound)
+
+
+def three_split_smooth(x, p, bound):
+    """The relation read off the first bound-smooth split of all three
+    `convergent_splits`, formed up front, or None."""
+    for u, v, sigma in convergent_splits(x, p):
+        if smooth_cofactor(u * v, bound) == 1:
+            return sigma, signed_exponents(u, v, bound)
+    return None
 
 
 class TestSplitSmooth:
@@ -157,13 +186,37 @@ class TestSplitSmooth:
         if split is None:
             return
         sigma, exponents = split
+        assert [q for q, _ in exponents] == sorted({q for q, _ in exponents})
         value, size = (-1) ** sigma, 1
-        for q, e in exponents.items():
+        for q, e in exponents:
             assert q <= bound and sympy.isprime(q) and e
             value = value * pow(q, e, p) % p
             size *= q ** abs(e)
         assert value % p == x
         assert size <= p
+
+    @given(st.integers(5, 10**12), st.integers(1, 10**15), st.integers(2, 10**4))
+    @settings(max_examples=500, deadline=None)
+    def test_the_one_pass_split_is_the_three_split_reference(self, n, x, bound):
+        # the same split, exponents and sign as forming all three
+        # convergents first and screening them in turn
+        p = sympy.prevprime(n)
+        x %= p
+        assume(x != 0)
+        assert _split_smooth(x, p, bound) == three_split_smooth(x, p, bound)
+
+    def test_the_one_pass_split_screens_only_the_splits_it_tries(self, monkeypatch):
+        # the half split alone when it is smooth, else its neighbours in turn
+        import sigcalc.indexcalc as indexcalc
+
+        screened = []
+        monkeypatch.setattr(indexcalc, "smooth_cofactor",
+                            lambda n, bound: screened.append(n) or smooth_cofactor(n, bound))
+        for x, bound, want in ((12, 5, [15]), (12, 3, [15, 14, 10]), (2, 3, [2])):
+            screened.clear()
+            _split_smooth(x, 31, bound)
+            assert screened == want
+            assert [u * v for u, v, _ in convergent_splits(x, 31)][:len(want)] == want
 
     def test_neighbours_find_splits_the_half_split_misses(self):
         p, bound = 1000003, 150
@@ -275,8 +328,8 @@ def fixed_point_prune(relations):
     a round drops nothing."""
     kept = relations
     while True:
-        weight = Counter(col for rel in kept for col in rel.columns)
-        pruned = [rel for rel in kept if all(weight[col] > 1 for col in rel.columns)]
+        weight = Counter(col for rel in kept for col, _ in rel.coeffs)
+        pruned = [rel for rel in kept if all(weight[col] > 1 for col, _ in rel.coeffs)]
         if len(pruned) == len(kept):
             return kept
         kept = pruned
@@ -322,7 +375,7 @@ def determined_columns(relations, ell):
     """The columns of a system whose value it pins: those whose unit row
     lies in its row space over F_ell (dense rank, independent of the
     sparse eliminator)."""
-    cols = sorted({col for rel in relations for col in rel.columns})
+    cols = sorted({col for rel in relations for col, _ in rel.coeffs})
     F = GF(ell)
     rows = [[F(dict(rel.coeffs).get(col, 0)) for col in cols] for rel in relations]
 
@@ -527,6 +580,44 @@ class TestIndexCalculus:
         m = index_calculus_dlog(1021, 5, 10, 800, 10**6, seed=11)
         assert bounds == {31}  # isqrt(1021)
         assert m == index_calculus_dlog(1021, 5, 10, 800, 31, seed=11)
+
+
+# (p, ell, g, a, seed, m, counters): p the least prime past a running
+# offset from 1e6, ell the largest prime factor of p - 1, B = 150.  The
+# literal values pin the search itself: a change to the draws, the
+# splits, the relations or the rounds that alters what is tried or
+# kept changes them.  Counters in the order of PINNED_COUNTERS.
+PINNED_COUNTERS = ("not_smooth", "trivial", "duplicate", "accepted", "theta_rounds",
+                   "descent_not_smooth", "descent_undetermined")
+PINNED_SEARCHES = [
+    (1000003, 166667, 2, 857243, 0, 100004, (8, 0, 0, 27, 2, 2, 3)),
+    (1007933, 251983, 2, 164898, 1, 250095, (7, 0, 0, 27, 2, 2, 2)),
+    (1023821, 103, 2, 644720, 2, 75, (12, 0, 0, 40, 3, 0, 1)),
+    (1047587, 523793, 2, 961048, 3, 68546, (3, 0, 0, 18, 1, 0, 1)),
+    (1079269, 89939, 2, 195451, 4, 28774, (18, 0, 0, 40, 3, 0, 0)),
+    (1118867, 233, 2, 1032021, 5, 67, (11, 0, 0, 40, 3, 0, 0)),
+    (1166383, 9257, 3, 997473, 6, 7414, (8, 0, 0, 40, 3, 1, 0)),
+    (1221821, 61091, 2, 358452, 7, 11936, (5, 0, 0, 27, 2, 2, 8)),
+    (1285181, 4943, 2, 312827, 8, 2178, (17, 0, 0, 27, 2, 1, 1)),
+    (1356461, 9689, 2, 467765, 9, 3363, (7, 0, 0, 27, 2, 1, 0)),
+    (1435657, 1459, 5, 656469, 10, 455, (14, 0, 1, 40, 3, 3, 3)),
+    (1522769, 7321, 3, 1212634, 11, 775, (16, 0, 0, 27, 2, 0, 1)),
+    (1617809, 101113, 3, 1018518, 12, 55825, (9, 0, 0, 27, 2, 2, 2)),
+    (1720769, 167, 3, 838751, 13, 146, (14, 0, 0, 27, 2, 1, 0)),
+    (1831667, 953, 5, 201655, 14, 791, (16, 0, 0, 40, 3, 0, 0)),
+    (1950457, 449, 5, 1679436, 15, 443, (13, 0, 0, 40, 3, 1, 0)),
+    (2077181, 401, 2, 1817317, 16, 394, (7, 0, 0, 27, 2, 1, 1)),
+    (2211817, 587, 5, 1415462, 17, 420, (13, 0, 0, 27, 2, 1, 4)),
+    (2354413, 196201, 2, 2044000, 18, 47442, (15, 0, 0, 27, 2, 6, 6)),
+    (2504881, 71, 13, 1057365, 19, 34, (15, 0, 0, 27, 2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("p, ell, g, a, seed, m, counts", PINNED_SEARCHES)
+def test_the_search_is_pinned(p, ell, g, a, seed, m, counts):
+    counters = {}
+    assert index_calculus_dlog(p, ell, g, a, 150, seed, counters=counters) == m
+    assert counters == dict(zip(PINNED_COUNTERS, counts))
 
 
 class TestRationalCharacterPairing:
