@@ -12,6 +12,7 @@ and can also be computed by an index calculus over the field's places.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -49,6 +50,8 @@ from .quadfield import (
     RealQuadField,
     embed,
     labelled_places,
+    prime_splitting,
+    split_image,
     split_places,
     sqrt_field,
 )
@@ -70,8 +73,10 @@ __all__ = [
 SIGNATURE_COLUMN = "s"
 
 
-def pairing_column(place: Place) -> str:
-    return f"x({place.q},{place.splitting[0]}{place.root_label if place.root_label is not None else ''})"
+def pairing_column(q: int, splitting: str, root: int | None = None) -> str:
+    """The column of the pairing value at the place over q with this
+    splitting and, for a split place, root label."""
+    return f"x({q},{splitting[0]}{'' if root is None else root})"
 
 
 @dataclass(frozen=True)
@@ -332,6 +337,30 @@ def _precision_at_least(q: int, floor: int) -> int:
     return k
 
 
+def _place_table(K: RealQuadField, alpha: QuadInt, bound: int, skip: tuple[int, ...]) -> dict:
+    """The places over each prime q <= bound not in skip (a search skips
+    ell and p, whose parts of the norm go to u' and v'), keyed by q and
+    read in one pass: (column, degree) for the one place over an inert
+    or ramified q, with column None when its norm q^degree exceeds
+    bound, and (column, conjugate column, root label, k, alpha's image
+    mod q^k) for the first place over a split q, with k the least such
+    that q^k >= _IMAGE_FLOOR."""
+    table: dict = {}
+    for q in primes_up_to(bound):
+        if q in skip:
+            continue
+        splitting, roots = prime_splitting(q, K)
+        if roots:
+            k = _precision_at_least(q, _IMAGE_FLOOR)
+            table[q] = (pairing_column(q, splitting, roots[0]),
+                        pairing_column(q, splitting, roots[1]),
+                        roots[0], k, split_image(alpha, q, roots[0], k))
+        else:
+            degree = 2 if splitting == "inert" else 1
+            table[q] = (pairing_column(q, splitting) if q**degree <= bound else None, degree)
+    return table
+
+
 @dataclass(frozen=True)
 class _BetaSearch:
     """Candidates beta = r*alpha + s for one signature search.
@@ -346,58 +375,89 @@ class _BetaSearch:
     norm form).  center is the coset point that rounding (0, g) to L
     leaves, and the key, drawn once from the seed, rotates each shell.
 
-    beta's image at a split place w is r*alpha_w + s, so a relation is
-    read off in plain integers from alpha's images, which the search
-    keeps: at u mod ell^2, and at the first place over each split
-    q <= B, ell and p aside.
+    beta's image at a split place w is r*alpha_w + s, so `read` reads a
+    relation off in plain integers from alpha's images, which `start`
+    binds into it: at u mod ell^2, and at the first place over each
+    split q <= B in the place table.
     """
 
-    instance: CharSignatureInstance
-    bound: int
-    columns: dict  # base place -> column name, u' and v' included
     center: tuple[int, int]
     b1: tuple[int, int]
     b2: tuple[int, int]
     key: int
-    alpha_u2: int  # alpha's image at u mod ell^2
-    alpha_trace: int
-    alpha_norm: int
-    # prime q <= B, ell and p aside -> the columns of the places over q,
-    # the first split place first and None for a place off the base
-    over: dict
-    inert: frozenset  # the primes of `over` that stay inert
-    images: dict  # split q -> (first place, k, alpha's image there mod q^k)
+    read: Callable[[int, int], Relation | str]
 
     @classmethod
     def start(cls, instance: CharSignatureInstance, bound: int, seed: int) -> "_BetaSearch":
-        K, p, ell, g, alpha = instance.K, instance.p, instance.ell, instance.g, instance.alpha
-        columns: dict = {}
-        over: dict = {}
-        inert = set()
-        images: dict = {}
-        for q in primes_up_to(bound):
-            if q in (ell, p):
-                continue  # the norm's ell- and p-parts go to u' and v'
-            places = split_places(q, K)
-            cols = tuple(pairing_column(w) if w.norm <= bound else None for w in places)
-            columns.update((w, col) for w, col in zip(places, cols) if col)
-            over[q] = cols
-            if places[0].splitting == "inert":
-                inert.add(q)
-            elif places[0].splitting == "split":
-                k = _precision_at_least(q, _IMAGE_FLOOR)
-                images[q] = (places[0], k, embed(alpha, places[0], k))
-        for place in (instance.place_u_conj, instance.place_v_conj):
-            columns[place] = pairing_column(place)
+        p, ell, g, alpha = instance.p, instance.ell, instance.g, instance.alpha
+        table = _place_table(instance.K, alpha, bound, (ell, p))
+        u_column = pairing_column(ell, "split", instance.place_u_conj.root_label)
+        v_column = pairing_column(p, "split", instance.place_v_conj.root_label)
+        alpha_u2, ell2 = embed(alpha, instance.place_u, 2), ell * ell
+        alpha_trace, alpha_norm, make = alpha.trace(), alpha.norm(), Relation.make
+
+        def read(r: int, s_int: int) -> Relation | str:
+            """The relation of beta = r*alpha + s, or the reason for
+            rejecting it.
+
+            beta is kept a unit at u and accepted when its norm factors
+            over the base places together with the dedicated conjugate
+            columns.  Everything is read in plain integers: the norm
+            from the norm form, and beta's images at u and at the places
+            over the norm's primes from alpha's, so no element of K is
+            built.
+            """
+            beta_u = (r * alpha_u2 + s_int) % ell2
+            if beta_u % ell == 0:
+                return "not_unit_at_u"
+            # beta is a unit at u, so beta != 0 and so is its norm
+            norm = abs(s_int * s_int + alpha_trace * r * s_int + alpha_norm * r * r)
+            e_ell = 0
+            while norm % ell == 0:
+                norm //= ell
+                e_ell += 1
+            e_p = 0
+            while norm % p == 0:
+                norm //= p
+                e_p += 1
+            if smooth_cofactor(norm, bound) > 1:
+                return "not_smooth"
+            coeffs = {SIGNATURE_COLUMN: teichmuller(beta_u, ell)}
+            for q, e in factor_smooth(norm, bound).items():
+                entry = table[q]
+                if len(entry) == 2:  # the one place over q has norm q^degree
+                    column, degree = entry
+                    if column is None:
+                        return "outside_base"  # support at an inert place > sqrt(B)
+                    coeffs[column] = e // degree
+                    continue
+                column, conj_column, root, k, image = entry
+                if e >= k:  # past the image's precision: widen it, at least twofold
+                    k = max(e + 1, 2 * k)
+                    image = split_image(alpha, q, root, k)
+                    table[q] = (column, conj_column, root, k, image)
+                # the first place's share of q^e is the valuation of
+                # beta's image there, read mod q^(e+1)
+                x = (r * image + s_int) % q ** (e + 1)
+                v = 0
+                while x and x % q == 0:
+                    x //= q
+                    v += 1
+                if v:
+                    coeffs[column] = v
+                if v < e:
+                    coeffs[conj_column] = e - v
+            if e_ell:
+                coeffs[u_column] = e_ell
+            if e_p:
+                coeffs[v_column] = e_p
+            return make(coeffs, -1, ell)
+
         b1, b2 = gauss_reduce((1, -instance.residue_at_v() % p), (0, p))
         det = b1[0] * b2[1] - b1[1] * b2[0]
         c1, c2 = _nearest(-g * b2[0], det), _nearest(g * b1[0], det)
         center = (-c1 * b1[0] - c2 * b2[0], g - c1 * b1[1] - c2 * b2[1])
-        return cls(instance, bound, columns, center, b1, b2,
-                   key=rng_for(seed, "beta").getrandbits(64),
-                   alpha_u2=embed(alpha, instance.place_u, 2),
-                   alpha_trace=alpha.trace(), alpha_norm=alpha.norm(),
-                   over=over, inert=frozenset(inert), images=images)
+        return cls(center, b1, b2, key=rng_for(seed, "beta").getrandbits(64), read=read)
 
     def walk(self):
         """The candidates (r, s) = center + a*b1 + b*b2, each with
@@ -424,68 +484,6 @@ class _BetaSearch:
                     r += dr
                     s += ds
             k += 1
-
-    def _first_place_valuation(self, q: int, e: int, r: int, s: int) -> int:
-        """beta's valuation at the first place over a split q, where q^e
-        exactly divides N(beta): that of r*alpha_w + s mod q^(e+1)."""
-        place, k, image = self.images[q]
-        if e >= k:  # past the image's precision: widen it, at least twofold
-            k = max(e + 1, 2 * k)
-            image = embed(self.instance.alpha, place, k)
-            self.images[q] = (place, k, image)
-        x = (r * image + s) % q ** (e + 1)
-        v = 0
-        while x and x % q == 0:
-            x //= q
-            v += 1
-        return v
-
-    def read(self, r: int, s_int: int) -> Relation | str:
-        """The relation of beta = r*alpha + s, or the reason for rejecting
-        it.
-
-        beta is kept a unit at u and accepted when its norm factors over
-        the base places together with the dedicated conjugate columns.
-        Everything is read in plain integers: the norm from the norm
-        form, and beta's images at u and at the places over the norm's
-        primes from alpha's, so no element of K is built.
-        """
-        instance = self.instance
-        p, ell = instance.p, instance.ell
-        beta_u = (r * self.alpha_u2 + s_int) % (ell * ell)
-        if beta_u % ell == 0:
-            return "not_unit_at_u"
-        # beta is a unit at u, so beta != 0 and so is its norm
-        norm = abs(s_int * s_int + self.alpha_trace * r * s_int + self.alpha_norm * r * r)
-        e_ell = 0
-        while norm % ell == 0:
-            norm //= ell
-            e_ell += 1
-        e_p = 0
-        while norm % p == 0:
-            norm //= p
-            e_p += 1
-        if smooth_cofactor(norm, self.bound) > 1:
-            return "not_smooth"
-        coeffs: dict[str, int] = {SIGNATURE_COLUMN: teichmuller(beta_u, ell)}
-        for q, e in factor_smooth(norm, self.bound).items():
-            cols = self.over[q]
-            if len(cols) == 2:
-                v = self._first_place_valuation(q, e, r, s_int)
-                shares = ((cols[0], v), (cols[1], e - v))
-            else:  # the one place over q has norm q^2 when q stays inert
-                shares = ((cols[0], e // 2 if q in self.inert else e),)
-            for col, share in shares:
-                if not share:
-                    continue
-                if col is None:
-                    return "outside_base"  # support at an inert place > sqrt(B)
-                coeffs[col] = coeffs.get(col, 0) + share
-        if e_ell:
-            coeffs[self.columns[instance.place_u_conj]] = e_ell
-        if e_p:
-            coeffs[self.columns[instance.place_v_conj]] = e_p
-        return Relation.make(coeffs, -1, ell)
 
 
 def signature_index_calculus(instance: CharSignatureInstance, bound: int,
@@ -514,8 +512,9 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
         counters = {}
     counters.update({"not_unit_at_u": 0, "not_smooth": 0, "outside_base": 0,
                      "duplicate": 0, "accepted": 0})
+    read = search.read
     for r, s_int in islice(search.walk(), max_attempts):
-        rel = search.read(r, s_int)
+        rel = read(r, s_int)
         if isinstance(rel, str):
             counters[rel] += 1
             continue

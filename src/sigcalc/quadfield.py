@@ -41,8 +41,10 @@ __all__ = [
     "Place",
     "fundamental_unit",
     "class_number",
+    "prime_splitting",
     "split_places",
     "labelled_places",
+    "split_image",
     "embed",
     "place_valuations",
     "ray_class_ell_rank",
@@ -242,7 +244,8 @@ def fundamental_unit(K: RealQuadField) -> QuadInt:
 
 
 def _reduced_forms(disc: int) -> list[tuple[int, int, int]]:
-    """All reduced indefinite forms (a, b, c) of discriminant disc.
+    """The reduced indefinite forms (a, b, c) of discriminant disc with
+    a > 0.
 
     For each b the leading coefficients a are the divisors of
     m = (disc - b^2)/4 in [(s-b)/2 + 1, (s+b)/2], s = isqrt(disc).  An
@@ -265,42 +268,32 @@ def _reduced_forms(disc: int) -> list[tuple[int, int, int]]:
                 small[b].append(q)
     forms: list[tuple[int, int, int]] = []
     for b, odd_primes in small.items():
-        m = (disc - b * b) // 4
-        lo = (s - b) // 2 + 1
-        hi = (s + b) // 2
-        if hi < lo:
-            continue
-        rest = m
+        lo, hi = (s - b) // 2 + 1, (s + b) // 2
+        m = rest = (disc - b * b) // 4
         divisors = [1]
         for q in (2, *odd_primes):
-            powers = [1]
+            count, power = len(divisors), 1
             while rest % q == 0:
                 rest //= q
-                powers.append(powers[-1] * q)
-            divisors = [d * t for d in divisors for t in powers]
+                power *= q
+                divisors += [d * power for d in divisors[:count]]
         if rest > 1:
             divisors += [d * rest for d in divisors]
-        for a in sorted(d for d in divisors if lo <= d <= hi):
-            c = -(m // a)
-            forms.append((a, b, c))
-            forms.append((-a, b, -c))
+        forms += [(a, b, -(m // a)) for a in divisors if lo <= a <= hi]
     return forms
-
-
-def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
-    """Reduction step; permutes the reduced forms along their cycles."""
-    _, b, c = form
-    two_c = 2 * abs(c)
-    r = s - (s + b) % two_c
-    return (c, r, (r * r - disc) // (4 * c))
 
 
 def class_number(K: RealQuadField) -> int:
     """Class number of K by exhaustive form reduction.
 
-    Counts cycles of reduced indefinite forms of the field discriminant
-    (the narrow class number) and corrects by the fundamental unit norm.
-    Restricted to discriminants <= 1e8; raises TooLarge beyond.
+    Counts the cycles of the reduced indefinite forms of the field
+    discriminant (the narrow class number) and corrects by the
+    fundamental unit norm.  The reduction step rho maps (a, b, c) to
+    (c, r, (r^2 - disc)/4c) with r = -b mod 2|c| in (s - 2|c|, s],
+    s = isqrt(disc); it flips the sign of a, so the forms with a > 0 of
+    each rho-cycle make one cycle of rho^2, and only those are walked
+    (Cohen, GTM 138, section 5.6).  Restricted to discriminants <= 1e8;
+    raises TooLarge beyond.
     """
     disc = K.discriminant
     if disc > CLASS_NUMBER_DISC_BOUND:
@@ -316,10 +309,14 @@ def class_number(K: RealQuadField) -> int:
         g = f
         while True:
             unseen.discard(g)
-            g = _rho(g, disc, s)
+            _, b, c = g  # c < 0, and the form rho gives has a = c, c > 0
+            b = s - (s + b) % (-2 * c)
+            a = (b * b - disc) // (4 * c)
+            b = s - (s + b) % (2 * a)
+            g = (a, b, (b * b - disc) // (4 * a))
             if g == f:
                 break
-            if g not in unseen and g != f:  # pragma: no cover - sanity
+            if g not in unseen:  # pragma: no cover - sanity
                 raise ArithmeticError("form cycle left the reduced set")
     narrow = cycles
     return narrow if K.unit_norm == -1 else narrow // 2
@@ -357,34 +354,38 @@ class Place:
         return f"Place(q={self.q}, {self.splitting}{tag} | D={self.D})"
 
 
-def split_places(q: int, K: RealQuadField) -> list[Place]:
-    """The places of K above the rational prime q.
-
-    Splitting is decided by the Kronecker symbol of the discriminant;
-    split places come back ordered with the canonically labelled one
-    first.
-    """
+def prime_splitting(q: int, K: RealQuadField) -> tuple[str, tuple[int, ...]]:
+    """How the prime q splits in K ("split", "inert" or "ramified"), by
+    the Kronecker symbol of the discriminant, with the root labels of
+    the two places over a split q, the canonical one first (see Place),
+    and none otherwise.  q is not tested for primality."""
     D = K.D
     if q == 2:
         if D % 4 != 1:
-            return [Place(D, 2, "ramified")]
-        if D % 8 == 1:
-            s = sqrt_2adic(D, 8) % 8
-            if s % 4 != 1:
-                s = (-s) % 8
-            return [Place(D, 2, "split", s), Place(D, 2, "split", (-s) % 8)]
-        return [Place(D, 2, "inert")]
-    if not is_prime(q):
-        raise BadInput(f"{q} is not prime")
+            return "ramified", ()
+        if D % 8 != 1:
+            return "inert", ()
+        s = sqrt_2adic(D, 8) % 8
+        if s % 4 != 1:
+            s = (-s) % 8
+        return "split", (s, (-s) % 8)
     if K.discriminant % q == 0:
-        return [Place(D, q, "ramified")]
-    symbol = jacobi(D % q, q)
-    if symbol == -1:
-        return [Place(D, q, "inert")]
+        return "ramified", ()
+    if jacobi(D % q, q) == -1:
+        return "inert", ()
     r = sqrt_mod_prime(D % q, q)
     if not 1 <= r <= (q - 1) // 2:
         r = q - r
-    return [Place(D, q, "split", r), Place(D, q, "split", q - r)]
+    return "split", (r, q - r)
+
+
+def split_places(q: int, K: RealQuadField) -> list[Place]:
+    """The places of K above the rational prime q, a split pair ordered
+    with the canonically labelled one first."""
+    if not is_prime(q):
+        raise BadInput(f"{q} is not prime")
+    splitting, roots = prime_splitting(q, K)
+    return [Place(K.D, q, splitting, root) for root in roots] or [Place(K.D, q, splitting)]
 
 
 def labelled_places(q: int, K: RealQuadField, root_label: int) -> tuple[Place, Place]:
@@ -397,15 +398,22 @@ def labelled_places(q: int, K: RealQuadField, root_label: int) -> tuple[Place, P
     return (places[0], places[1]) if labels[0] == root_label else (places[1], places[0])
 
 
-def _sqrtD_image(place: Place, k: int) -> int:
-    """The image of sqrt(D) in the completion at a split place, mod q**k."""
-    D, q = place.D, place.q
-    if q == 2:
+def split_image(x: QuadInt, q: int, root: int, k: int) -> int:
+    """x's image mod q**k at the split place over q with the root label
+    root, unchecked: embed's arithmetic for callers that keep no Place."""
+    D, mod = x.field.D, q**k
+    if q == 2:  # the root of D in Z_2 that is 1 mod 4, or its negative
         s = sqrt_2adic(D, k + 3)
-        if place.root_label % 4 != 1:
-            s = -s
-        return s % (1 << (k + 3))
-    return lift_sqrt(D, place.root_label, q, k)
+        s = (s if root % 4 == 1 else -s) % (1 << (k + 3))
+    else:
+        s = lift_sqrt(D, root, q, k)
+    if not x.field.omega_is_half:
+        omega = s
+    elif q == 2:
+        omega = (1 + s) // 2
+    else:
+        omega = (1 + s) * pow(2, -1, mod)
+    return (x.a + x.b * omega) % mod
 
 
 def embed(x, place: Place, k: int) -> int:
@@ -418,26 +426,17 @@ def embed(x, place: Place, k: int) -> int:
     """
     if k < 1:
         raise BadInput("precision k must be >= 1")
-    q = place.q
-    mod = q**k
     if isinstance(x, int):
-        return x % mod
+        return x % place.q**k
     if not isinstance(x, QuadInt):
         raise BadInput(f"cannot embed {type(x).__name__}")
     if x.field.D != place.D:
         raise BadInput("element and place belong to different fields")
     if x.b == 0:
-        return x.a % mod
+        return x.a % place.q**k
     if place.splitting != "split":
         raise Ramified(f"no degree-1 embedding at {place}")
-    s = _sqrtD_image(place, k)
-    if not x.field.omega_is_half:
-        omega = s
-    elif q == 2:
-        omega = (1 + s) // 2
-    else:
-        omega = (1 + s) * pow(2, -1, mod)
-    return (x.a + x.b * omega) % mod
+    return split_image(x, place.q, place.root_label, k)
 
 
 # ---------------------------------------------------------------------------

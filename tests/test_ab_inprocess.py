@@ -37,3 +37,22 @@ def test_a_different_answer_fails(tmp_path):
     done = run_tool(tmp_path, ROOT, "--workload", "dlog", "--passes", "1", "--limit", "2")
     assert done.returncode == 1
     assert "answers differ" in done.stderr
+
+
+def test_different_signature_counters_fail(tmp_path):
+    # a parent whose signature search returns the same s after one more
+    # duplicate attempt must not pass as equal
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    module = tmp_path / "src" / "sigcalc" / "charsig.py"
+    module.write_text(module.read_text() + (
+        "\n_right = signature_index_calculus\n\n\n"
+        "def signature_index_calculus(*args, counters=None, **kwargs):\n"
+        "    sig = _right(*args, counters=counters, **kwargs)\n"
+        "    if counters is not None:\n"
+        "        counters['duplicate'] += 1\n"
+        "    return sig\n"))
+    done = run_tool(tmp_path, ROOT, "--workload", "signature", "--passes", "1", "--limit", "2")
+    assert done.returncode == 1
+    assert "answers differ" in done.stderr and "'duplicate'" in done.stderr
+    done = run_tool(ROOT, ROOT, "--workload", "signature", "--passes", "1", "--limit", "2")
+    assert done.returncode == 0, done.stderr

@@ -12,8 +12,9 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def run_lines(seed, setup, ops, rss, sha, ok=True):
-    env = {"env": {"seed": seed, "nproc": 2, "python": "3.11.7", "src_sha256": sha},
+def run_lines(seed, setup, ops, rss, sha, ok=True, commit=None):
+    env = {"env": {"seed": seed, "nproc": 2, "python": "3.11.7", "src_sha256": sha,
+                   "commit": commit},
            "summary": {"failed_frac": 0.0}, "workload": "ec"}
     result = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
         "setup_s": {"value": setup, "unit": "s"},
@@ -50,6 +51,34 @@ def test_folds_pairs_into_the_dlog_layout(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["workloads"]) == {"ec", "dlog"}
     assert doc["workloads"]["dlog"]["change_better_in_pairs"]["best_ops_per_s"] == "0/3"
+
+
+def test_another_parent_starts_a_fresh_document(tmp_path):
+    parent, change, out = tmp_path / "p.log", tmp_path / "c.log", tmp_path / "BENCH_ec.json"
+    old = {"what": "an older change", "claim": "its claim", "method": "its method",
+           "parent": {"commit": None}, "change": {"commit": "c0"},
+           "workloads": {"dlog": {"parent": {"src_sha256": "old"}}}}
+    out.write_text(json.dumps(old))
+    write(parent, [run_lines(0, 0.5, 20.0, 25.0, "aa")])
+    write(change, [run_lines(0, 0.5, 30.0, 25.0, "bb")])
+    # no commit recorded: another parent src_sha256 starts afresh
+    assert bench_pairs.main([str(out), "ec", str(parent), str(change)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["what"], doc["claim"], doc["change"]) == ("", "", {"commit": None})
+    assert "older" not in doc["method"] and set(doc["workloads"]) == {"ec"}
+    # a recorded commit decides: the same commit keeps the document
+    doc.update(what="this change", parent={"commit": "p1"})
+    out.write_text(json.dumps(doc))
+    write(parent, [run_lines(0, 0.5, 20.0, 25.0, "zz", commit="p1")])
+    assert bench_pairs.main([str(out), "dlog", str(parent), str(change)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["what"] == "this change" and set(doc["workloads"]) == {"ec", "dlog"}
+    # and another commit starts afresh
+    write(parent, [run_lines(0, 0.5, 20.0, 25.0, "zz", commit="p2")])
+    assert bench_pairs.main([str(out), "dlog", str(parent), str(change)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["what"] == "" and doc["parent"] == {"commit": "p2"}
+    assert set(doc["workloads"]) == {"dlog"}
 
 
 def test_seeds_must_pair_up(tmp_path):

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, reject, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
 
 import sigcalc.charsig as charsig
 from sigcalc.arith import bsgs_dlog, factor_smooth, mult_group_ops, smooth_cofactor, teichmuller
@@ -32,6 +32,11 @@ from sigcalc.indexcalc import Relation
 from sigcalc.quadfield import RealQuadField, embed, place_valuations, split_places
 from sigcalc.seeds import rng_for
 from test_quadfield import conjugate
+
+
+def column(place):
+    """The pairing column of a place."""
+    return pairing_column(place.q, place.splitting, place.root_label)
 
 
 def bsgs_oracle(p):
@@ -349,16 +354,18 @@ class TestSignatureIndexCalculus:
         oracle_x = {}
         search = _BetaSearch.start(inst, bound, 0)
         base = [w for q in sympy.primerange(2, bound + 1) for w in split_places(q, inst.K)
-                if w.norm <= bound and w not in (inst.place_u, inst.place_v)]
+                if w.norm <= bound and w.q not in (ell, p)]
+        table = charsig._place_table(inst.K, inst.alpha, bound, (ell, p))
+        assert table_columns(table) == [column(place) for place in base]
         places = (*base, inst.place_u_conj, inst.place_v_conj)
-        assert search.columns == {place: pairing_column(place) for place in places}
         for place in places:
             xi = generator_of(place)
             if xi is None:
                 continue
-            oracle_x[pairing_column(place)] = (-(y_u(xi) * s_true + theta_v(xi))) % ell
-        # require the oracle to cover the base: h = 1 guarantees generators
-        assert len(oracle_x) == len(search.columns)
+            oracle_x[column(place)] = (-(y_u(xi) * s_true + theta_v(xi))) % ell
+        # require the oracle to cover the base and u', v': h = 1
+        # guarantees generators; a relation's column outside it fails
+        assert len(oracle_x) == len(places)
 
         rows = 0
         for index in range(300_000):
@@ -375,6 +382,12 @@ class TestSignatureIndexCalculus:
             if rows >= 25:
                 break
         assert rows >= 25
+
+
+def table_columns(table):
+    """The columns of a place table, in order, off-base places aside."""
+    return [col for entry in table.values()
+            for col in (entry[:2] if len(entry) == 5 else entry[:1]) if col is not None]
 
 
 def _integral_half(K, X, b):
@@ -441,12 +454,12 @@ def attempt(search, index):
     return search.read(*pair(search, index))
 
 
-def element_route_attempt(search, index):
-    """An attempt read the way the search read it before it kept alpha's
-    images: beta built in K, its norm split over places by
-    place_valuations, and its image at u by embed.  Returns the outcome
-    and the (place, valuation) list of a smooth beta (None otherwise)."""
-    inst = search.instance
+def element_route_attempt(search, inst, bound, index):
+    """An attempt of the search for inst at bound, read the way the
+    search read it before it kept alpha's images: beta built in K, its
+    norm split over places by place_valuations, and its image at u by
+    embed, the columns by pairing_column.  Returns the outcome and the
+    (place, valuation) list of a smooth beta (None otherwise)."""
     p, ell, alpha = inst.p, inst.ell, inst.alpha
     r, s = pair(search, index)
     if (r * embed(alpha, inst.place_u, 1) + s) % ell == 0:
@@ -459,21 +472,60 @@ def element_route_attempt(search, index):
     while norm % p == 0:
         norm //= p
         e_p += 1
-    if smooth_cofactor(norm, search.bound) > 1:
+    if smooth_cofactor(norm, bound) > 1:
         return "not_smooth", None
     beta = r * alpha + inst.K.element(s, 0)
-    shares = place_valuations(beta, factor_smooth(norm, search.bound))
-    columns = search.columns
+    shares = place_valuations(beta, factor_smooth(norm, bound))
     coeffs = {SIGNATURE_COLUMN: teichmuller(embed(beta, inst.place_u, 2), ell)}
     for place, e in shares:
-        if place not in columns:
+        if place.norm > bound:  # the base is the places of norm <= bound
             return "outside_base", shares
-        coeffs[columns[place]] = coeffs.get(columns[place], 0) + e
+        coeffs[column(place)] = coeffs.get(column(place), 0) + e
     if e_ell:
-        coeffs[columns[inst.place_u_conj]] = e_ell
+        coeffs[column(inst.place_u_conj)] = e_ell
     if e_p:
-        coeffs[columns[inst.place_v_conj]] = e_p
+        coeffs[column(inst.place_v_conj)] = e_p
     return Relation.make(coeffs, -1, ell), shares
+
+
+def reference_place_table(K, alpha, bound, skip):
+    """The search's place table read off split_places, pairing_column and
+    embed, place by place."""
+    table = {}
+    for q in sympy.primerange(2, bound + 1):
+        if q in skip:
+            continue
+        places = split_places(q, K)
+        first = places[0]
+        if first.splitting != "split":
+            table[q] = (column(first) if first.norm <= bound else None, first.degree)
+            continue
+        k = 1
+        while q**k < charsig._IMAGE_FLOOR:
+            k += 1
+        table[q] = (column(first), column(places[1]), first.root_label, k, embed(alpha, first, k))
+    return table
+
+
+class TestPlaceTable:
+    @settings(max_examples=200, deadline=None)
+    @given(D=st.integers(2, 10**5).filter(lambda D: max(sympy.factorint(D).values()) == 1),
+           bound=st.integers(2, 400), a=st.integers(-10**9, 10**9),
+           b=st.integers(-10**9, 10**9),
+           skip=st.lists(st.integers(2, 420).filter(sympy.isprime), min_size=2, max_size=2))
+    # 2 split (D = 1 mod 8), inert (5 mod 8) and ramified (2, 3 mod 4);
+    # ramified 3 and 5 over D = 15; inert 3 (9 = B) and 5 (25 > B)
+    # over D = 2; ell and p below B, skipped
+    @example(D=17, bound=60, a=3, b=1, skip=[7, 13])
+    @example(D=5, bound=60, a=-2, b=5, skip=[11, 31])
+    @example(D=3, bound=2, a=1, b=1, skip=[5, 7])
+    @example(D=15, bound=30, a=4, b=-1, skip=[7, 29])
+    @example(D=2, bound=9, a=1, b=1, skip=[7, 401])
+    def test_matches_the_places(self, D, bound, a, b, skip):
+        K = RealQuadField(D)
+        alpha = K.element(a, b)
+        assert charsig._place_table(K, alpha, bound, tuple(skip)) == \
+            reference_place_table(K, alpha, bound, skip)
 
 
 class TestBetaSearch:
@@ -548,7 +600,7 @@ class TestBetaSearch:
             mp.setattr(charsig, "_IMAGE_FLOOR", floor)
             search = _BetaSearch.start(inst, bound, seed)
         for index in range(first, first + 300):
-            assert attempt(search, index) == element_route_attempt(search, index)[0]
+            assert attempt(search, index) == element_route_attempt(search, inst, bound, index)[0]
 
     def test_attempts_match_the_element_route_on_a3_pairs(self):
         # the A3 pairs at the benchmark's bound, with the cases the integer
@@ -562,7 +614,7 @@ class TestBetaSearch:
                 inst = lift_unit(a, p, ell, seed)
                 search = _BetaSearch.start(inst, 150, seed)
                 for index in range(2500):
-                    outcome, shares = element_route_attempt(search, index)
+                    outcome, shares = element_route_attempt(search, inst, 150, index)
                     assert attempt(search, index) == outcome
                     if outcome == "outside_base":
                         seen.add("outside_base")

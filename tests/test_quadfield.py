@@ -1,10 +1,10 @@
-from math import gcd, log, pi, sin
+from math import gcd, isqrt, log, pi, sin
 
 import pytest
 import sympy
 from sympy.solvers.diophantine.diophantine import diop_DN
 
-from sigcalc.arith import factor_smooth, jacobi
+from sigcalc.arith import factor_smooth, jacobi, primes_up_to, sqrt_mod_prime
 from sigcalc.errors import (
     BadInput,
     ClassNumberDivisible,
@@ -56,6 +56,74 @@ def analytic_class_number(D: int) -> int:
     total = sum(kronecker(delta, a) * log(2 * sin(pi * a / delta))
                 for a in range(1, delta) if gcd(a, delta) == 1)
     return round(-total / (2 * log(eps_val)))
+
+
+def all_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
+    """Every reduced indefinite form of discriminant disc, (a, b, c) and
+    (-a, b, -c) alike: for each b, the divisors a of m = (disc - b^2)/4
+    in [(s-b)/2 + 1, (s+b)/2], s = isqrt(disc), from the odd primes
+    sieved over b, 2 and the one prime they leave."""
+    s = isqrt(disc)
+    b_start = 2 - (disc & 1)
+    small = {b: [] for b in range(b_start, s + 1, 2)}
+    for q in primes_up_to(isqrt(disc // 4))[1:]:
+        if jacobi(disc, q) == -1:
+            continue
+        r = sqrt_mod_prime(disc, q)
+        for root in {r, (q - r) % q}:
+            first = root if (root - b_start) % 2 == 0 else root + q
+            if first < b_start:
+                first += 2 * q
+            for b in range(first, s + 1, 2 * q):
+                small[b].append(q)
+    forms = []
+    for b, odd_primes in small.items():
+        m = (disc - b * b) // 4
+        lo, hi = (s - b) // 2 + 1, (s + b) // 2
+        rest = m
+        divisors = [1]
+        for q in (2, *odd_primes):
+            powers = [1]
+            while rest % q == 0:
+                rest //= q
+                powers.append(powers[-1] * q)
+            divisors = [d * t for d in divisors for t in powers]
+        if rest > 1:
+            divisors += [d * rest for d in divisors]
+        for a in sorted(d for d in divisors if lo <= d <= hi):
+            forms += [(a, b, -(m // a)), (-a, b, m // a)]
+    return forms
+
+
+def all_forms_class_number(D: int) -> int:
+    """Reference for class_number's walk of rho^2 over the reduced forms
+    with a > 0: the cycles of rho over every reduced form, corrected by
+    the unit norm."""
+    K = RealQuadField(D)
+    disc = K.discriminant
+    s = isqrt(disc)
+    forms = all_reduced_forms(disc)
+    unseen = set(forms)
+    cycles = 0
+    for f in forms:
+        if f not in unseen:
+            continue
+        cycles += 1
+        g = f
+        while True:
+            unseen.discard(g)
+            _, b, c = g
+            r = s - (s + b) % (2 * abs(c))
+            g = (c, r, (r * r - disc) // (4 * c))
+            if g == f:
+                break
+            assert g in unseen, "form cycle left the reduced set"
+    return cycles if K.unit_norm == -1 else cycles // 2
+
+
+# the lifted fields of the benchmark's seed-0 signature mix
+SIGNATURE_MIX_FIELDS = (2026, 442, 730, 290, 1090, 9026, 842, 2402, 842, 74, 11026, 4762,
+                        2810, 1522, 2210, 26, 226, 122, 82, 226)
 
 
 class TestFundamentalUnit:
@@ -120,6 +188,12 @@ class TestClassNumber:
         assert RealQuadField(5).class_number == 1
         assert RealQuadField(10).class_number == 2
         assert RealQuadField(79).class_number == 3
+
+    def test_matches_the_all_forms_cycle_count(self):
+        fields = [D for D in range(2, 6000) if max(sympy.factorint(D).values()) == 1]
+        assert len(fields) == 3645
+        for D in (*fields, *SIGNATURE_MIX_FIELDS):
+            assert RealQuadField(D).class_number == all_forms_class_number(D), D
 
     def test_matches_analytic_oracle(self):
         for D in SQUAREFREE:

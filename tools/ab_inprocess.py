@@ -8,8 +8,8 @@ sigbench/inputs.py's for the seed (taken from CHANGE), with each op's
 search seed and retries derived as sigbench/run.py derives them.  Each
 pass runs every position of the mix on both trees, alternating which
 runs first; a position keeps its fastest time on each tree, and every
-answer (with the search counters, on dlog) must be the same on both,
-or the tool exits 1.  The result line gives each tree's ops per second
+answer, with the index-calculus search's counters, must be the same on
+both, or the tool exits 1.  The result line gives each tree's ops per second
 over the fastest times and the positions where CHANGE was faster.
 
 This reads a speedup with less noise than separate runs; it does not
@@ -56,12 +56,14 @@ def signature_op(lib, inputs, t, seed):
         return arith.bsgs_dlog(g, a, t.p - 1, **ops)
 
     inst = charsig.lift_unit(t.a, t.p, t.ell, seed, g=t.g)
+    counters = {}
     s_index = charsig.signature_index_calculus(inst, inputs.SIGNATURE_BOUND, seed,
-                                               max_attempts=inputs.SIGNATURE_BUDGET)
+                                               max_attempts=inputs.SIGNATURE_BUDGET,
+                                               counters=counters)
     s_oracle = charsig.signature_from_dl(inst, oracle)
     m = charsig.dl_from_signature(t.a, t.g, t.p, t.ell,
                                   lambda i: charsig.signature_from_dl(i, oracle), seed=seed)
-    return s_index.s, s_oracle.s, m
+    return s_index.s, s_oracle.s, m, counters
 
 
 WORKLOADS = {

@@ -5,9 +5,12 @@
 Each log holds the stdout of successive `sigbench/run.py --trace 0` runs
 of one workload on one side; the i-th parent and i-th change runs form
 pair i and must share a seed; a run with no result line failed.  The
-workload's entry in the BENCH file (created in BENCH_dlog.json's layout
-when absent) becomes each side's quartiles of BENCHMARK.json's
-end-to-end metrics and the pairs the change won on each.
+workload's entry in the BENCH file becomes each side's quartiles of
+BENCHMARK.json's end-to-end metrics and the pairs the change won on
+each.  The file starts afresh, in BENCH_dlog.json's layout, when it is
+absent or measured another parent: one whose recorded commit differs
+from the parent runs' or, where it records none, one with another
+parent src_sha256.
 """
 
 import json
@@ -57,19 +60,31 @@ def fold(bench: dict, workload: str, parent: list, change: list, metrics: dict) 
     return bench
 
 
+def same_parent(bench: dict, env: dict) -> bool:
+    """Whether a BENCH document measured the parent the runs with this
+    env measured."""
+    commit = bench["parent"].get("commit")
+    if commit is not None:
+        return commit == env.get("commit")
+    return all(entry["parent"]["src_sha256"] == env.get("src_sha256")
+               for entry in bench.get("workloads", {}).values())
+
+
 def main(argv) -> int:
     out, workload, parent_log, change_log = argv
     metrics = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     parent, change = (read_runs(Path(f).read_text().splitlines())
                       for f in (parent_log, change_log))
     env = parent[0]["env"]
-    bench = json.loads(Path(out).read_text()) if Path(out).exists() else {
-        "what": "", "claim": "",
-        "command": "python3 sigbench/run.py --workload W --seed N --seconds S --trace 0",
-        "method": "one parent and one change run per seed, alternating which runs first; "
-                  "quartiles by the inclusive method",
-        "machine": {"nproc": env.get("nproc"), "python": env.get("python")},
-        "parent": {"commit": env.get("commit")}, "change": {"commit": None}}
+    bench = json.loads(Path(out).read_text()) if Path(out).exists() else None
+    if bench is None or not same_parent(bench, env):
+        bench = {
+            "what": "", "claim": "",
+            "command": "python3 sigbench/run.py --workload W --seed N --seconds S --trace 0",
+            "method": "one parent and one change run per seed, alternating which runs first; "
+                      "quartiles by the inclusive method",
+            "machine": {"nproc": env.get("nproc"), "python": env.get("python")},
+            "parent": {"commit": env.get("commit")}, "change": {"commit": None}}
     Path(out).write_text(json.dumps(fold(bench, workload, parent, change, metrics),
                                     indent=2) + "\n")
     return 0
