@@ -413,11 +413,15 @@ def bsgs_dlog(generator, target, group_order: int, *, identity, shift, invert,
     be hashable.  Baby steps are multiples j*generator, giant steps
     subtract a fixed stride from the target, both taken in batches.  A
     table may also supply key(e), shared by e and -e alone (a point's
-    x-coordinate): then the baby steps run over j in [0, s] with s about
-    sqrt(group_order/2), giant step i matches m = i*(2s + 1) +- j (the
-    negation map), and the stride is 2s + 1.  Without a key the baby
-    steps run over [0, s) with s = ceil(sqrt(group_order)), giant step i
-    matches m = i*s + j, and the stride is s.
+    x-coordinate): then the baby steps run over j in [0, s] with
+    s = isqrt(n)//2 for n = group_order, giant step i matches
+    m = i*(2s + 1) +- j (the negation map), and the stride is 2s + 1.
+    That s balances the s baby steps against the n/(4s) giant steps a
+    search takes on average; sqrt(n/2) would balance them against the
+    n/(2s) of the worst case.  Without a key the baby steps run over
+    [0, s) with s = ceil(sqrt(n)), giant step i matches m = i*s + j,
+    and the stride is s.  A batch of giant steps whose keys all miss
+    the table costs one set check.
     """
     if group_order < 1:
         raise BadInput("group order must be positive")
@@ -427,7 +431,7 @@ def bsgs_dlog(generator, target, group_order: int, *, identity, shift, invert,
         stride = baby.pop()
         keys, low, span = baby, 0, s
     else:
-        s = isqrt(group_order // 2)
+        s = isqrt(group_order) // 2
         baby = _multiples(generator, s + 2, identity, shift)
         stride = shift([baby.pop()], baby[s])[0]  # (s + 1) + s
         keys, low, span = list(map(key, baby)), -s, 2 * s + 1
@@ -446,8 +450,10 @@ def bsgs_dlog(generator, target, group_order: int, *, identity, shift, invert,
     for start in range(0, giants, width):
         if start:
             gammas = shift(gammas, leap)
-        hits = map(table.get, gammas if key is None else map(key, gammas))
-        for n, j in enumerate(hits):
+        keyed = gammas if key is None else list(map(key, gammas))
+        if table.keys().isdisjoint(keyed):
+            continue
+        for n, j in enumerate(map(table.get, keyed)):
             if j is None:
                 continue
             base, P = (start + n) * span, baby[j]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 from .arith import (
     _primes,
@@ -36,6 +37,7 @@ from .ecurve import (
     Point,
     ec_group_order,
     ec_scalar_mul,
+    ell_may_divide_order,
     hasse_interval,
     local_class,
 )
@@ -44,6 +46,7 @@ from .quadfield import (
     RealQuadField,
     embed,
     labelled_places,
+    prime_splitting,
     split_places,
     sqrt_field,
 )
@@ -159,9 +162,18 @@ def _certified_instance(E: Curve, cQ: int, Q: Point, R: Point, K: RealQuadField,
                         sha_assumption: bool) -> EcSignatureInstance:
     """The instance on E (which carries #E(F_ell)) with the certificate
     of cQ, the rational Q's class at both places over ell, and R's
-    classes at u and u'; SingularSystem when it is not invertible."""
+    classes at u and u'; SingularSystem when it is not invertible.
+
+    When R = (x, y) has x rational and y in Q*sqrt(D), as every lifted
+    R has, conjugation maps R to -R and swaps u and u', so R's class at
+    u' is minus its class at u and only that one is computed.
+    """
     ell, d_ell = E.known_order
-    cR = tuple(local_class(R, E, ell, place=w).c for w in u_places)
+    cR_u = local_class(R, E, ell, place=u_places[0]).c
+    if R.x.b == 0 and R.y.trace() == 0:
+        cR = (cR_u, -cR_u % ell)
+    else:
+        cR = (cR_u, local_class(R, E, ell, place=u_places[1]).c)
     return EcSignatureInstance(
         p=p, ell=ell, a=E.a, b_r=E.b, Q=Q, R=R, K=K, place_u=u_places[0],
         place_u_conj=u_places[1], place_v=v_places[0], place_v_conj=v_places[1],
@@ -242,8 +254,8 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
                 continue
             # w = nu0^2 mod p with p not dividing f*D, so p splits and
             # f*sqrt(D) reduces to nu0 at one place over p and to -nu0 at
-            # the other: v.  R = (mu, f*sqrt(D)); conjugation maps R to -R
-            # and swaps u, u', so cR_u' = -cR_u and det = 0 covers cR_u' = 0
+            # the other: v.  R = (mu, f*sqrt(D)), so cR_u' = -cR_u and
+            # det = 0 covers cR_u' = 0
             v_places = split_places(p, K)
             R = Point(K.element(mu, 0), K.from_sqrt_coords(0, f))
             if embed(R.y, v_places[0], 1) != nu0:
@@ -357,27 +369,31 @@ def scan_torsion_places(curve: Curve, K: RealQuadField, ell: int,
     """Degree-1 good-reduction places w of norm <= bound, away from ell,
     where ell divides the reduced group order.
 
-    A prime q whose Hasse interval holds no multiple of ell is skipped
-    before its places are split or its curve counted.  So nothing is
-    counted, and the scan is empty, whenever bound < (sqrt(ell)-1)^2:
-    the Hasse interval keeps ell-torsion away from small residue fields.
+    The scan is empty, and nothing is counted, when
+    bound + 1 + isqrt(4*bound) < ell: the Hasse interval of every
+    q <= bound then lies below ell.  Otherwise a prime q is skipped
+    before its curve is counted when its Hasse interval holds no
+    multiple of ell, when q is inert in K, or when a point of E(F_q)
+    shows that ell does not divide the order (ell_may_divide_order);
+    the places over q are built only at a hit.
     """
     if not isinstance(curve.a, int) or not isinstance(curve.b, int):
         raise BadInput("scanning needs an integral model")
-    disc = abs(curve.discriminant())
     hits: list[tuple[Place, int]] = []
+    if bound + 1 + isqrt(4 * bound) < ell:
+        return hits
+    disc = abs(curve.discriminant())
     for q in _primes(bound):
         if q == 2 or q == ell or disc % q == 0:
             continue
         lo, hi = hasse_interval(q)
-        if hi // ell * ell < lo:
-            continue  # no multiple of ell can be #E(F_q)
-        degree_one = [w for w in split_places(q, K) if w.degree == 1 and w.norm <= bound]
-        if not degree_one:
+        if hi // ell * ell < lo or prime_splitting(q, K)[0] == "inert":
             continue
-        order = ec_group_order(curve.reduction(q))
-        if order % ell == 0:
-            hits.extend((w, order) for w in degree_one)
+        reduced = curve.reduction(q)
+        if ell_may_divide_order(reduced, ell):
+            order = ec_group_order(reduced)
+            if order % ell == 0:
+                hits.extend((w, order) for w in split_places(q, K))
     return hits
 
 

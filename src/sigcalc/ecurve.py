@@ -19,11 +19,12 @@ curve_group_ops feeds one modular inversion per batch of additions
 (Montgomery's trick) and the x-coordinate as a negation-map key.
 
 The class of a point in E(Q_ell)/ell is read from d*P, d = #E(F_ell),
-computed exactly in E(Z/ell^2): a Montgomery ladder on the complete
-projective addition law of Renes, Costello and Batina, reduced mod
-ell^2.  That law fails over F_ell only on pairs whose difference has
-order 2, so every result mod ell^2 is primitive and no precision is
-tracked.
+computed exactly in E(Z/ell^2) on the complete projective formulas of
+Renes, Costello and Batina, reduced mod ell^2: with d = 2^v * m, m odd,
+v doublings and then a double-and-add by m.  Their addition law fails
+over F_ell only on pairs whose difference has order 2, and the chain
+adds only within the odd-order subgroup, so every result mod ell^2 is
+primitive and no precision is tracked.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
@@ -53,6 +55,7 @@ __all__ = [
     "ec_add",
     "ec_scalar_mul",
     "ec_group_order",
+    "ell_may_divide_order",
     "hasse_interval",
     "curve_group_ops",
     "h1_local_dim",
@@ -166,8 +169,9 @@ def _fp_mul(n: int, P, a: int, q: int):
     while n:
         if n & 1:
             result = _fp_add(result, P, a, q)
-        P = _fp_add(P, P, a, q)
         n >>= 1
+        if n:
+            P = _fp_add(P, P, a, q)
     return result
 
 
@@ -357,6 +361,29 @@ def ec_group_order(curve: Curve) -> int:
     return _enumerated_order(a, b, q)
 
 
+def ell_may_divide_order(curve: Curve, ell: int) -> bool:
+    """False when ell cannot divide #E(F_q): no multiple of ell lies in
+    the Hasse interval, or a point of E(F_q) with y != 0 survives every
+    multiple of ell there (#E kills every point).  Up to two such points
+    are tried; True when none of them proves it."""
+    q = _fp_modulus(curve)
+    a, b = curve.a % q, curve.b % q
+    lo, hi = hasse_interval(q)
+    first = -(-lo // ell) * ell
+    if first > hi:
+        return False
+    for P in islice((P for P in _first_points(a, b, q) if P[1]), 2):
+        T = _fp_mul(ell, P, a, q)
+        R = _fp_mul(first // ell, T, a, q)  # first*P, then each later multiple
+        for _ in range(first, hi + 1, ell):
+            if R is None:
+                break
+            R = _fp_add(R, T, a, q)
+        else:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # local cohomology dimension at a degree-1 place
 
@@ -465,15 +492,22 @@ def _proj_add(P, Q, a: int, b3: int, N: int):
     return (t3 * s - t5 * v) % N, (s * t + w * v) % N, (t5 * t + t3 * w) % N
 
 
-def _proj_mul(n: int, P, a: int, b3: int, N: int):
-    """n*P for n >= 0 by a Montgomery ladder; R1 - R0 = P throughout."""
-    R0, R1 = (0, 1, 0), P
-    for bit in bin(n)[2:]:
-        if bit == "1":
-            R0, R1 = _proj_add(R0, R1, a, b3, N), _proj_add(R1, R1, a, b3, N)
-        else:
-            R0, R1 = _proj_add(R0, R0, a, b3, N), _proj_add(R0, R1, a, b3, N)
-    return R0
+def _proj_double(P, a: int, b3: int, N: int):
+    """2P on an (X, Y, Z) tuple mod N of a point on the curve, b3 = 3b.
+
+    Renes, Costello and Batina, Algorithm 3: Algorithm 1 at P = Q with
+    the curve equation folded into Z.  P - P = O never has order 2, so
+    over F_ell no input is an exception.
+    """
+    X, Y, Z = P
+    t0, t1, t2 = X * X, Y * Y, Z * Z
+    t3, xz, yz = 2 * X * Y, 2 * X * Z, 2 * Y * Z
+    at2 = a * t2
+    u = (a * xz + b3 * t2) % N
+    v = (a * (t0 - at2) + b3 * xz) % N
+    w = (3 * t0 + at2) % N
+    s, t = t1 - u, t1 + u
+    return (t3 * s - yz * v) % N, (s * t + w * v) % N, 4 * yz * t1 % N
 
 
 def _projective_mod(point, place: Place | None, ell: int):
@@ -508,7 +542,9 @@ def local_class(point, curve: Curve, ell: int, place: Place | None = None) -> Lo
     by ell; d is read off the curve's known_order when that holds it
     and counted otherwise.  d*P lies in the kernel of reduction; it is
     computed exactly in E(Z/ell^2), and c = (z/ell) mod ell with
-    z = -X/Y.
+    z = -X/Y.  With d = 2^v * m, m odd, one chain computes it: v
+    complete doublings, then a left-to-right double-and-add by m on
+    2^v * P, whose reduction has odd order.
     """
     reduced = curve.reduction(ell)  # BadInput unless the model is integral
     if reduced.is_singular():
@@ -519,12 +555,18 @@ def local_class(point, curve: Curve, ell: int, place: Place | None = None) -> Lo
         raise BadReduction(f"ell divides the reduced order {d}")
     N = ell * ell
     a, b3 = curve.a % N, 3 * curve.b % N
-    P, n = _projective_mod(point, place, ell), d
-    if P[1] % ell == 0 and P[2] % ell:
-        # P reduces to a point of order 2, the one ladder difference the
-        # complete law does not cover: d is even, and d*P = (d/2)*(2P)
-        P, n = _proj_add(P, P, a, b3, N), d // 2
-    X, Y, Z = _proj_mul(n, P, a, b3, N)
+    G = _projective_mod(point, place, ell)
+    v = (d & -d).bit_length() - 1  # d = 2^v * m with m odd
+    for _ in range(v):
+        G = _proj_double(G, a, b3, N)
+    # G reduces into the odd-order subgroup: R - G = (k - 1)*G never has
+    # order 2, so no sum below is an exception of the complete law
+    R = G
+    for bit in bin(d >> v)[3:]:
+        R = _proj_double(R, a, b3, N)
+        if bit == "1":
+            R = _proj_add(R, G, a, b3, N)
+    X, Y, Z = R
     if X % ell or Z % ell or Y % ell == 0:
         raise VerificationFailed(f"d*P is not in the kernel of reduction at {ell}")
     return LocalClass((-X * pow(Y, -1, N) % N) // ell)

@@ -56,3 +56,21 @@ def test_different_signature_counters_fail(tmp_path):
     assert "answers differ" in done.stderr and "'duplicate'" in done.stderr
     done = run_tool(ROOT, ROOT, "--workload", "signature", "--passes", "1", "--limit", "2")
     assert done.returncode == 0, done.stderr
+
+
+def test_a_different_ec_answer_fails(tmp_path):
+    # a parent whose scan reports every hit's order one higher must not
+    # pass as equal
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    module = tmp_path / "src" / "sigcalc" / "ecsig.py"
+    module.write_text(module.read_text() + (
+        "\n_right = scan_torsion_places\n\n\n"
+        "def scan_torsion_places(*args):\n"
+        "    return [(w, order + 1) for w, order in _right(*args)]\n"))
+    args = ("--workload", "ec", "--passes", "1")
+    done = run_tool(tmp_path, ROOT, *args)
+    assert done.returncode == 1
+    assert "answers differ" in done.stderr
+    done = run_tool(ROOT, ROOT, *args, "--limit", "3")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["positions"] == 3

@@ -289,6 +289,22 @@ class TestBsgsTables:
         got, want = curve_dlogs(curve, G, T, n, False)
         assert got == want
 
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_least_m_in_every_cyclic_group_up_to_64(self, keyed):
+        # Z/n for n = 1..64: a generator of every order, every target, and
+        # search ranges of n and about n/2; key(e) is shared by e and -e
+        for n in range(1, 65):
+            ops = {"identity": 0, "shift": lambda es, t, n=n: [(e + t) % n for e in es],
+                   "invert": lambda e, n=n: -e % n}
+            if keyed:
+                ops["key"] = lambda e, n=n: min(e, -e % n)
+            for g in {n // d for d in range(1, n + 1) if n % d == 0}:
+                for bound in {n, n // 2 + 1}:
+                    for t in range(n):
+                        want = next((m for m in range(bound) if m * g % n == t), None)
+                        assert dlog_or_none(bsgs_dlog, g % n, t, bound, **ops) == want, \
+                            (n, g, bound, t)
+
     def test_named_cases(self):
         # y^2 = x^3 + 1 over F_5: E = Z/6, (4, 0) of order 2, (0, 1) of order 3
         curve = Curve(0, 1, ("fp", 5))
@@ -306,10 +322,10 @@ class TestBsgsTables:
             bsgs_dlog(G3, G2, 50, **ops)
         with pytest.raises(NotInSubgroup):
             bsgs_dlog(G6, G2, 3, **ops)  # 3*G6 = G2 lies outside [0, 3)
-        # order 4 = 2s for s = isqrt(10 // 2): the second giant step meets
+        # order 4 = 2s for s = isqrt(16) // 2: the second giant step meets
         # 2*G4 = -2*G4, and m = 5 - 2 is the least, not 5 + 2
         curve4 = Curve(1, 2, ("fp", 5))
-        assert bsgs_dlog(Point(1, 3), Point(1, 2), 10, **curve_group_ops(curve4)) == 3
+        assert bsgs_dlog(Point(1, 3), Point(1, 2), 16, **curve_group_ops(curve4)) == 3
 
 
 class TestPowerResidue:

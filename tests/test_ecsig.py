@@ -1,7 +1,9 @@
+from math import isqrt
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sigcalc.arith import bsgs_dlog, jacobi, primes_up_to, rank_mod
+from sigcalc.arith import bsgs_dlog, is_prime, jacobi, primes_up_to, rank_mod, sqrt_mod_prime
 from sigcalc.ecsig import (
     EC_INSTANCE_KEYS,
     coker_dim,
@@ -52,6 +54,12 @@ def lift_fixture(name, seed):
 def fixture_instance(seed=0):
     return lift_ec_instance(FIXTURE["a"], FIXTURE["b"], FIXTURE["Qt"],
                             FIXTURE["Rt"], FIXTURE["p"], FIXTURE["ell"], seed)
+
+
+def classes_over_ell(instance):
+    """R's local classes at u and u', each computed on its own."""
+    return tuple(local_class(instance.R, instance.lifted_curve, instance.ell, place=w).c
+                 for w in (instance.place_u, instance.place_u_conj))
 
 
 def ecdl_oracle_for(instance):
@@ -178,7 +186,7 @@ class TestLift:
 
     def test_local_classes_take_the_counted_order(self, monkeypatch):
         # the lift and the loader hand #E(F_ell) to local_class on the
-        # curve's known_order
+        # curve's known_order: Q's class and R's class at u, twice
         import sigcalc.ecsig as ecsig
 
         orders = []
@@ -191,7 +199,7 @@ class TestLift:
         inst = fixture_instance()
         ec_instance_from_json(ec_instance_to_json(inst))
         assert orders and all(known and known[0] == inst.ell for known in orders)
-        assert orders[-6:] == [(inst.ell, inst.d_ell)] * 6
+        assert orders[-4:] == [(inst.ell, inst.d_ell)] * 4
 
     def test_rho_convention_holds(self):
         # R generates E(K_u')/ell and Q generates at u and v
@@ -200,14 +208,35 @@ class TestLift:
         assert cq1 == cq2 != 0
         assert cr_uc != 0
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("name", list(FIXTURES))
     def test_classes_of_R_over_ell_are_opposite(self, name, seed):
         # R = (mu, f*sqrt(D)): conjugation maps R to -R and swaps u and
-        # u', so cR_u' = -cR_u, and cR_u' = 0 would make det = 0
+        # u', so cR_u' = -cR_u, and cR_u' = 0 would make det = 0; the
+        # certificate reads cR_u' off that identity, the oracle computes
+        # R's class at each place
         inst = lift_fixture(name, seed)
+        assert inst.certificate[1] == classes_over_ell(inst)
         (_, _), (cr_u, cr_uc) = inst.certificate
         assert (cr_u + cr_uc) % inst.ell == 0
+
+    def test_R_of_another_shape_gets_both_classes(self):
+        # R = (sqrt(22), 1 + sqrt(22)) on y^2 = x^3 - 20x + 23, with the
+        # rational Q = (1, 2): conjugation does not map R to -R, and R's
+        # classes at the places over 13 are 7 and 1, not opposite
+        import sigcalc.ecsig as ecsig
+        from sigcalc.quadfield import RealQuadField
+
+        K, ell = RealQuadField(22), 13
+        d = ec_group_order(Curve(-20, 23, ("fp", ell)))
+        E = Curve(-20, 23, ("rational",), known_order=(ell, d))
+        Q, R = Point(1, 2), Point(K.from_sqrt_coords(0, 1), K.from_sqrt_coords(1, 1))
+        assert Curve(-20, 23, ("quad", 22)).contains(R)
+        u = split_places(ell, K)
+        inst = ecsig._certified_instance(E, local_class(Q, E, ell).c, Q, R, K, u,
+                                         split_places(3, K), 3, 0, True)
+        assert inst.certificate[1] == tuple(local_class(R, E, ell, place=w).c for w in u) \
+            == (7, 1)
 
     @given(name=st.sampled_from(["f7l13", "f251l271"]), k=st.integers(1, 10**6),
            seed=st.integers(0, 3))
@@ -216,6 +245,7 @@ class TestLift:
         p, a, b, ell, Qt, _ = FIXTURES[name]
         Rt = ec_scalar_mul(k % ell or 1, Qt, Curve(a, b, ("fp", p)))
         inst = lift_ec_instance(a, b, Qt, Rt, p, ell, seed)
+        assert inst.certificate[1] == classes_over_ell(inst)
         (_, _), (cr_u, cr_uc) = inst.certificate
         assert (cr_u + cr_uc) % ell == 0
 
@@ -460,6 +490,35 @@ class TestCokerDim:
                 assert coker_dim(inst, [places[0]]) == 0
 
 
+def brute_scan(E, K, ell, bound):
+    """The scan's hits from a count of E(F_q) at every good odd q <= bound
+    but ell, kept at the degree-1 places over q."""
+    disc = abs(E.discriminant())
+    hits = []
+    for q in primes_up_to(bound):
+        if q in (2, ell) or disc % q == 0:
+            continue
+        order = ec_group_order(E.reduction(q))
+        hits += [(w, order) for w in split_places(q, K) if w.degree == 1 and order % ell == 0]
+    return hits
+
+
+def small_prime_order_curve(seed):
+    """(p, a, b, ell, Qt): a seeded curve over F_p, 50 < p < 400, of prime
+    order ell, and a point on it."""
+    r = rng_for(seed, "scan-curve")
+    while True:
+        p = r.choice([q for q in primes_up_to(400) if q > 50])
+        a, b = r.randrange(p), r.randrange(1, p)
+        curve = Curve(a, b, ("fp", p))
+        if curve.is_singular():
+            continue
+        ell = ec_group_order(curve)
+        if ell != p and is_prime(ell):
+            x = next(x for x in range(p) if jacobi((x**3 + a * x + b) % p, p) == 1)
+            return p, a, b, ell, Point(x, sqrt_mod_prime((x**3 + a * x + b) % p, p))
+
+
 class TestScan:
     def test_hits_cross_checked_by_enumeration(self):
         inst = fixture_instance()
@@ -489,17 +548,7 @@ class TestScan:
     def test_screen_matches_an_unscreened_loop(self, name):
         inst = lift_fixture(name, 0)
         E, K, ell = inst.lifted_curve, inst.K, inst.ell
-        disc = abs(E.discriminant())
-        expected = []
-        for q in primes_up_to(1000):
-            if q in (2, ell) or disc % q == 0:
-                continue
-            degree_one = [w for w in split_places(q, K) if w.degree == 1 and w.norm <= 1000]
-            if degree_one:
-                order = ec_group_order(E.reduction(q))
-                if order % ell == 0:
-                    expected.extend((w, order) for w in degree_one)
-        assert scan_torsion_places(E, K, ell, 1000) == expected
+        assert scan_torsion_places(E, K, ell, 1000) == brute_scan(E, K, ell, 1000)
 
     @pytest.mark.parametrize("name", ["f4003l4111", "f11003l11093"])
     def test_no_curve_counted_below_the_hasse_bound(self, monkeypatch, name):
@@ -512,6 +561,48 @@ class TestScan:
 
         monkeypatch.setattr(ecsig, "ec_group_order", forbidden)
         assert scan_torsion_places(inst.lifted_curve, inst.K, inst.ell, 1000) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_screen_matches_a_brute_count_on_small_ell(self, seed):
+        p, a, b, ell, Qt = small_prime_order_curve(seed)
+        Rt = ec_scalar_mul(rng_for(seed, "scan-m").randrange(1, ell), Qt,
+                           Curve(a, b, ("fp", p)))
+        inst = lift_ec_instance(a, b, Qt, Rt, p, ell, seed)
+        E, K = inst.lifted_curve, inst.K
+        for bound in (300, 1000):
+            assert scan_torsion_places(E, K, ell, bound) == brute_scan(E, K, ell, bound)
+
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_nothing_is_counted_up_to_the_early_exit_bound(self, monkeypatch, name):
+        # the largest bound with bound + 1 + isqrt(4*bound) < ell walks no
+        # prime; one more and the scan is the brute one again
+        import sigcalc.ecsig as ecsig
+
+        inst = lift_fixture(name, 0)
+        E, K, ell = inst.lifted_curve, inst.K, inst.ell
+        bound = max(n for n in range(ell) if n + 1 + isqrt(4 * n) < ell)
+
+        def forbidden(*args):
+            raise AssertionError("a prime was walked")
+
+        with monkeypatch.context() as patch:
+            for attr in ("ec_group_order", "ell_may_divide_order", "prime_splitting"):
+                patch.setattr(ecsig, attr, forbidden)
+            assert scan_torsion_places(E, K, ell, bound) == []
+        assert scan_torsion_places(E, K, ell, bound + 1) == brute_scan(E, K, ell, bound + 1)
+
+    def test_a_ramified_place_is_scanned(self):
+        # 13 divides #E(F_37) = 39 for y^2 = x^3 + 3; in Q(sqrt(37)) the
+        # place over 37 is ramified, of degree 1
+        from sigcalc.quadfield import RealQuadField
+
+        E, K, ell = Curve(0, 3, ("rational",)), RealQuadField(37), 13
+        order = ec_group_order(E.reduction(37))
+        assert order % ell == 0
+        hits = scan_torsion_places(E, K, ell, 100)
+        assert (split_places(37, K)[0], order) in hits
+        assert split_places(37, K)[0].splitting == "ramified"
+        assert hits == brute_scan(E, K, ell, 100)
 
     def test_small_bound_is_empty(self):
         inst = fixture_instance()
@@ -584,8 +675,10 @@ class TestSerialization:
         import sigcalc.ecsig as ecsig
         from sigcalc.ecurve import LocalClass
 
+        # R's class at u' is minus its class at u, so the certificate
+        # ((cQ, cQ), (c, -c)) is singular only for c = 0
         text = ec_instance_to_json(fixture_instance())
         monkeypatch.setattr(ecsig, "local_class",
-                            lambda point, curve, ell, place=None: LocalClass(1))
+                            lambda point, curve, ell, place=None: LocalClass(0 if place else 1))
         with pytest.raises(SingularSystem):
             ec_instance_from_json(text)

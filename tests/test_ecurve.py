@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sigcalc.ecurve as ecurve
-from sigcalc.arith import bsgs_dlog, jacobi, lift_sqrt, primes_up_to, sqrt_mod_prime
+from sigcalc.arith import bsgs_dlog, factorint, jacobi, lift_sqrt, primes_up_to, sqrt_mod_prime
 from sigcalc.cli import load_fixture
 from sigcalc.ecurve import (
     Curve,
@@ -15,11 +15,11 @@ from sigcalc.ecurve import (
     ec_add,
     ec_group_order,
     ec_scalar_mul,
+    ell_may_divide_order,
     h1_local_dim,
     hasse_interval,
     local_class,
     _proj_add,
-    _proj_mul,
     _projective_mod,
 )
 from sigcalc.errors import (
@@ -237,6 +237,7 @@ class TestGroupOrder:
 
 
 PRIMES_BELOW_3000 = [q for q in primes_up_to(3000) if q > 2]
+SMALL_PRIMES = primes_up_to(100)
 
 
 @st.composite
@@ -314,6 +315,25 @@ class TestCountingProperties:
         assert ec_scalar_mul(-n, P, curve) == ec_neg(ec_scalar_mul(n, P, curve), curve)
 
 
+    @given(fp_curves(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_screen_never_rejects_a_dividing_ell(self, curve, data):
+        # ell from the order's prime factors half the time
+        order = brute_order(curve)
+        factors = sorted(factorint(order)) or SMALL_PRIMES
+        ell = data.draw(st.sampled_from(factors) | st.sampled_from(SMALL_PRIMES))
+        if order % ell == 0:
+            assert ell_may_divide_order(curve, ell)
+
+    def test_screen_rejects_most_non_dividing_primes(self):
+        # the screen must do work: at q = 1009 and ell = 13 it rules out
+        # most curves whose order 13 does not divide
+        curves = [Curve(a, 7, ("fp", 1009)) for a in range(40)]
+        rejected = [c for c in curves if not ell_may_divide_order(c, 13)]
+        assert all(ec_group_order(c) % 13 for c in rejected)
+        assert len(rejected) >= 30
+
+
 class TestCompositeModuli:
     @pytest.mark.parametrize("q", [15, 3 * 10007])
     def test_group_order_rejects_composite_q(self, q):
@@ -378,6 +398,33 @@ class TestH1LocalDim:
         if inert:
             with pytest.raises(BadInput):
                 h1_local_dim(E, inert[0], 13)
+
+
+def _proj_mul(n: int, P, a: int, b3: int, N: int):
+    """n*P for n >= 0 by a Montgomery ladder on the complete law,
+    R1 - R0 = P throughout: the reference scalar multiplication mod
+    ell^2, exception-free unless P reduces to a point of order 2."""
+    R0, R1 = (0, 1, 0), P
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            R0, R1 = _proj_add(R0, R1, a, b3, N), _proj_add(R1, R1, a, b3, N)
+        else:
+            R0, R1 = _proj_add(R0, R0, a, b3, N), _proj_add(R0, R1, a, b3, N)
+    return R0
+
+
+def ladder_class(point, curve: Curve, ell: int, place=None) -> int:
+    """local_class's value read off the ladder: d*P, with d*P = (d/2)*(2P)
+    when P reduces to a point of order 2, the ladder's one exception."""
+    N = ell * ell
+    a, b3 = curve.a % N, 3 * curve.b % N
+    d = ec_group_order(curve.reduction(ell))
+    P, n = _projective_mod(point, place, ell), d
+    if P[1] % ell == 0 and P[2] % ell:
+        P, n = _proj_add(P, P, a, b3, N), d // 2
+    X, Y, Z = _proj_mul(n, P, a, b3, N)
+    assert X % ell == 0 == Z % ell and Y % ell
+    return (-X * pow(Y, -1, N) % N) // ell
 
 
 def in_ell_E(W, curve: Curve, ell: int) -> bool:
@@ -502,6 +549,36 @@ class TestLocalClass:
         assume(d % ell != 0 and d <= 20)
         P = rational_mul(k, Point(x, y), a)
         assert local_class(P, E, ell).c == exact_class(P, E, ell)
+
+    @settings(max_examples=300, deadline=None)
+    @example(ell=7, a=0, x=3, y=0, kind="two_torsion")  # (3, 0) has order 2, d = 12
+    @example(ell=5, a=1, x=1, y=3, kind="kernel")
+    @given(ell=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 101, 1009]),
+           a=st.integers(0, 10**6), x=st.integers(0, 10**6), y=st.integers(0, 10**6),
+           kind=st.sampled_from(["any", "even_order", "two_torsion", "kernel"]))
+    def test_chain_matches_the_ladder(self, ell, a, x, y, kind):
+        # random residues mod ell^2 (b is fixed by the point); a point
+        # reducing to 2-torsion, a curve of even reduced order, or a
+        # point in the kernel of reduction, ord(P mod ell)*P over Q
+        N = ell * ell
+        a, x, y = a % N, x % N, y % N
+        if kind == "two_torsion":
+            y = y * ell % N
+        E = Curve(a, y * y - x**3 - a * x, ("rational",))
+        assume(E.discriminant() % ell != 0)
+        reduced = E.reduction(ell)
+        d = ec_group_order(reduced)
+        assume(d % ell != 0)
+        if kind == "even_order":
+            assume(d % 2 == 0)
+        P = Point(x, y)
+        if kind == "kernel":
+            order = next(k for k in range(1, d + 1)
+                         if ec_scalar_mul(k, P, reduced) is INFINITY)
+            assume(order <= 12)
+            P = rational_mul(order, P, a)
+            assume(P is not INFINITY)
+        assert local_class(P, E, ell).c == ladder_class(P, E, ell)
 
     def test_known_order_is_not_recounted(self, monkeypatch):
         E, P = Curve(0, 3, ("rational",)), Point(1, 2)

@@ -8,9 +8,11 @@ sigbench/inputs.py's for the seed (taken from CHANGE), with each op's
 search seed and retries derived as sigbench/run.py derives them.  Each
 pass runs every position of the mix on both trees, alternating which
 runs first; a position keeps its fastest time on each tree, and every
-answer, with the index-calculus search's counters, must be the same on
-both, or the tool exits 1.  The result line gives each tree's ops per second
-over the fastest times and the positions where CHANGE was faster.
+answer, with the index-calculus search's counters (and, for ec, the
+certificate, both classes, the coker dimensions and the scan's hits
+with their orders), must be the same on both, or the tool exits 1.
+The result line gives each tree's ops per second over the fastest
+times and the positions where CHANGE was faster.
 
 This reads a speedup with less noise than separate runs; it does not
 replace the paired `sigbench/run.py` runs that BENCH files record.
@@ -66,9 +68,30 @@ def signature_op(lib, inputs, t, seed):
     return s_index.s, s_oracle.s, m, counters
 
 
+def ec_op(lib, inputs, t, seed):
+    ecsig, ecurve = lib.ecsig, lib.ecurve
+    base = t.base
+    inst = ecsig.lift_ec_instance(base.a, base.b, ecurve.Point(*base.Qt), ecurve.Point(*t.Rt),
+                                  base.q, base.ell, seed)
+    ops = ecurve.curve_group_ops(inst.base_curve)
+    sig = ecsig.signature_from_ecdl(
+        inst, lambda Qb, Rb: lib.arith.bsgs_dlog(Qb, Rb, base.ell, **ops))
+    m = ecsig.ecdl_from_signature(inst, lambda _inst: sig)
+    cQ, cR = (ecurve.local_class(P, inst.lifted_curve, base.ell, place=inst.place_u).c
+              for P in (inst.Q, inst.R))
+    dims = (ecsig.coker_dim(inst), ecsig.coker_dim(inst, [inst.place_v]),
+            ecsig.coker_dim(inst, [inst.place_v, inst.place_v_conj]))
+    hits = ecsig.scan_torsion_places(inst.lifted_curve, inst.K, base.ell, inputs.EC_SCAN_BOUND)
+    # places as plain tuples: each checkout has its own Place class
+    return (inst.certificate, inst.d_ell, sig.alpha, sig.beta, m, cQ, cR, dims,
+            [(w.q, w.splitting, w.root_label, order) for w, order in hits])
+
+
 WORKLOADS = {
     "dlog": (lambda inputs, seed: inputs.dlog_targets(seed), dlog_op),
     "signature": (lambda inputs, seed: inputs.signature_targets(seed), signature_op),
+    "ec": (lambda inputs, seed: inputs.ec_targets(seed, Path(inputs.__file__).parents[1] / "src"),
+           ec_op),
 }
 
 
