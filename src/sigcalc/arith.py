@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, inf, isqrt, prod
 
 from .errors import (
     BadInput,
@@ -207,21 +207,30 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
 
 
-def _brent_rho(n: int) -> int:
-    """A proper factor of the odd composite n (Brent's variant of
-    Pollard rho, with deterministic increments c = 1, 2, ...)."""
+def _brent_rho(n: int, left: float) -> tuple[int, float]:
+    """(g, left): a proper factor g of the odd composite n (Brent's variant
+    of Pollard rho, with deterministic increments c = 1, 2, ...) and what
+    remains of a budget of `left` steps y -> y^2 + c.  g = 0, at once,
+    when the next run of steps would overspend the budget."""
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
+            left -= r
+            if left < 0:
+                return 0, left
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                steps = min(128, r - k)
+                left -= steps
+                if left < 0:
+                    return 0, left
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)
@@ -230,20 +239,24 @@ def _brent_rho(n: int) -> int:
         if g == n:  # the batched product overshot: step back one at a time
             g = 1
             while g == 1:
+                left -= 1
+                if left < 0:
+                    return 0, left
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if g != n:
-            return g
+            return g, left
 
 
 _TRIAL_BOUND = 1 << 10
 
 
-def factorint(n: int) -> dict[int, int]:
+def factorint(n: int, max_steps: int | None = None) -> dict[int, int] | None:
     """Prime factorisation {prime: exponent} of n >= 1, primes ascending.
 
     Trial division by the primes below 2^10, then Brent-Pollard rho on
-    whatever composite cofactor remains.
+    whatever composite cofactor remains.  Given max_steps, None when rho
+    needs more than max_steps steps over the whole of n.
     """
     if n < 1:
         raise BadInput("n must be a positive integer")
@@ -261,10 +274,13 @@ def factorint(n: int) -> dict[int, int]:
     def prime(m):
         return m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m)
 
+    left = inf if max_steps is None else max_steps
     while n > 1:
         q = n
         while not prime(q):
-            q = _brent_rho(q)
+            q, left = _brent_rho(q, left)
+            if not q:
+                return None
         e = 0
         while n % q == 0:
             n //= q

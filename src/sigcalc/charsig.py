@@ -236,7 +236,11 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
         if wl == 0 or jacobi(wl, ell) != 1:
             reject("ell_not_split")
             continue
-        K, f = sqrt_field(w)
+        field = sqrt_field(w)
+        if field is None:
+            reject("value_unfactored")
+            continue
+        K, f = field
         if K is None or f % p == 0 or K.D % p == 0:
             reject("p_side_degenerate")
             continue

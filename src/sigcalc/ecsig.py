@@ -241,7 +241,11 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
             if w % ell and jacobi(w % ell, ell) != 1:
                 reject("ell_not_split")
                 continue
-            K, f = sqrt_field(w)
+            field = sqrt_field(w)
+            if field is None:
+                reject("cubic_value_unfactored")
+                continue
+            K, f = field
             if K is None:
                 reject("cubic_value_square")
                 continue

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-import random
 
 
-class _HashStream(random.Random):
+class _HashStream:
     """Bits of key, then of sha256(key || n) for n = 1, 2, ... in 8 bytes
-    big-endian (a counter-based stream: Salmon et al., SC '11), under the
-    inherited draws.  No Mersenne Twister is seeded, and `seed` raises."""
+    big-endian (a counter-based stream: Salmon et al., SC '11), taken
+    lowest first by the two draws the searches make."""
 
     __slots__ = ("_key", "_counter", "_bits", "_left")
-    gauss_next = None  # what Random.__init__ would set; gauss() keeps its own
 
     def __init__(self, key: bytes):
         self._key, self._counter = key, 0
@@ -30,27 +28,23 @@ class _HashStream(random.Random):
         self._left -= k
         return value
 
-    def randrange(self, start, stop=None, step=1):
-        """Random.randrange's draw, without its argument checks when
-        start < stop are ints and step is 1: k = (stop - start).bit_length()
-        bits, drawn again while they read stop - start or more."""
-        if not (type(start) is type(stop) is type(step) is int and step == 1 and start < stop):
-            return super().randrange(start, stop, step)
+    def randrange(self, start: int, stop: int) -> int:
+        """Uniform in [start, stop), drawn as CPython's randrange(start, stop)
+        draws it: k = (stop - start).bit_length() bits, drawn again while
+        they read stop - start or more."""
         n = stop - start
+        if n <= 0:
+            raise ValueError(f"empty range for randrange({start}, {stop})")
         k = n.bit_length()
         r = self.getrandbits(k)
         while r >= n:
             r = self.getrandbits(k)
         return start + r
 
-    def random(self) -> float:
-        return self.getrandbits(53) * 2.0**-53
 
-    def seed(self, *args, **kwargs):
-        raise TypeError("a derived stream cannot be re-seeded")
-
-
-def rng_for(seed: int, *labels) -> random.Random:
-    """The stream of sha256("seed/label/..."): the same on every platform."""
+def rng_for(seed: int, *labels) -> _HashStream:
+    """The stream of sha256("seed/label/...") with its two draws,
+    getrandbits and randrange.  No stdlib draw code reads its bits, so it
+    is the same on every platform and Python version."""
     text = ("%s" + "/%s" * len(labels)) % (seed, *labels)
     return _HashStream(hashlib.sha256(text.encode()).digest())

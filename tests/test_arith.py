@@ -450,6 +450,40 @@ class TestFactorint:
         with pytest.raises(BadInput):
             factorint(0)
 
+    # 1 + 48592009976^2, two 36-bit primes: about 2e5 Brent-rho steps
+    SEMIPRIME = 42389895973 * 55701562349
+
+    def steps_needed(self, n):
+        """The least max_steps under which factorint(n, max_steps) answers."""
+        if factorint(n, 0) is not None:
+            return 0
+        lo, hi = 0, 1  # factorint(n, lo) gives up
+        while factorint(n, hi) is None:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if factorint(n, mid) is None else (lo, mid)
+        return hi
+
+    def test_a_capped_run_answers_within_its_steps_and_gives_up_past_them(self):
+        for n in (self.SEMIPRIME, 35238019653472453639561, 1009 * 1013 * 2**40):
+            steps = self.steps_needed(n)
+            assert factorint(n, steps) == factorint(n)
+            if steps:
+                assert factorint(n, steps - 1) is None
+        assert 2**17 < self.steps_needed(self.SEMIPRIME) < 2**19
+        # the most steps any cubic value of the seed-0 ec benchmark mix needs
+        assert self.steps_needed(35238019653472453639561) == 1790
+
+    @given(st.integers(1, 10**24), st.sampled_from([0, 1, 100, 4096]))
+    @settings(max_examples=200, deadline=None)
+    def test_a_cap_never_changes_an_answer(self, n, cap):
+        capped = factorint(n, cap)
+        assert capped is None or capped == factorint(n)
+        large = [q for q, e in factorint(n).items() for _ in range(e) if q > 2**10]
+        if len(large) < 2:  # trial division leaves 1 or a prime: no rho step
+            assert capped == factorint(n)
+
 
 class TestLeastPrimitiveRoot:
     def test_small_primes(self):

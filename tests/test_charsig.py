@@ -67,7 +67,7 @@ class TestLiftUnit:
 
         calls = []
         factorint = quadfield.factorint
-        monkeypatch.setattr(quadfield, "factorint", lambda n: calls.append(n) or factorint(n))
+        monkeypatch.setattr(quadfield, "factorint", lambda n, *cap: calls.append(n) or factorint(n, *cap))
         inst = lift_unit(17, 31, 5, seed=0)
         assert inst.K.D == 4226
         assert calls == [4226]
@@ -104,6 +104,19 @@ class TestLiftUnit:
         counters = exc.value.counters
         assert sum(counters.values()) == exc.value.attempts == 8
         assert counters == {"ell_not_split": 5, "condition_class_number_unknown": 3}
+
+    def test_a_value_past_the_rho_cap_is_counted_and_skipped(self):
+        # a = 3040730277 mod p = 48592010587 gives d = 48592009976 and
+        # w = 1 + d^2 = 42389895973 * 55701562349, two 36-bit primes: the
+        # lift gives w up and moves on to d + p
+        from sigcalc.errors import BudgetExhausted
+
+        for budget, counters in ((1, {"value_unfactored": 1}),
+                                 (2, {"value_unfactored": 1,
+                                      "condition_class_number_unknown": 1})):
+            with pytest.raises(BudgetExhausted) as exc:
+                lift_unit(3040730277, 48592010587, 7, 0, budget=budget)
+            assert exc.value.counters == counters
 
     def test_residues_are_stored_reduced(self):
         # 48 = 17 and 34 = 3 mod 31: an instance holds a and g in (0, p)

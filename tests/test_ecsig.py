@@ -159,6 +159,27 @@ class TestLift:
                              budget=5)
         assert factored == []
 
+    def test_a_cubic_value_past_the_rho_cap_is_counted_and_skipped(self, monkeypatch):
+        # the first cubic value of f7l13's lift is swapped for w = p1*p2,
+        # two 36-bit primes: it is counted, and the sweep moves on
+        import sigcalc.ecsig as ecsig
+        from sigcalc.errors import BudgetExhausted
+
+        sqrt_field, tried = ecsig.sqrt_field, []
+
+        def plant_first(w):
+            tried.append(w)
+            return sqrt_field(42389895973 * 55701562349 if len(tried) == 1 else w)
+
+        monkeypatch.setattr(ecsig, "sqrt_field", plant_first)
+        with pytest.raises(BudgetExhausted) as exc:
+            lift_ec_instance(0, 3, Point(1, 2), Point(6, 3), 7, 13, 0, budget=2)
+        assert exc.value.counters == {"ell_not_split": 1, "cubic_value_unfactored": 1}
+        tried.clear()
+        inst = fixture_instance()
+        mu = inst.R.x.a
+        assert len(tried) == 2 and tried[1] == mu**3 + inst.a * mu + inst.b_r
+
     @given(st.sampled_from((3, 5, 7, 11, 13, 10007, 11093)), st.integers(1, 10**15))
     @settings(max_examples=200, deadline=None)
     def test_cubic_value_and_kernel_share_the_symbol_at_ell(self, ell, w):
@@ -176,7 +197,7 @@ class TestLift:
 
         calls = []
         factorint = quadfield.factorint
-        monkeypatch.setattr(quadfield, "factorint", lambda n: calls.append(n) or factorint(n))
+        monkeypatch.setattr(quadfield, "factorint", lambda n, *cap: calls.append(n) or factorint(n, *cap))
         inst = fixture_instance(seed)
         mu = inst.R.x.a
         w = mu**3 + inst.a * mu + inst.b_r
@@ -507,9 +528,10 @@ def small_prime_order_curve(seed):
     """(p, a, b, ell, Qt): a seeded curve over F_p, 50 < p < 400, of prime
     order ell, and a point on it."""
     r = rng_for(seed, "scan-curve")
+    primes = [q for q in primes_up_to(400) if q > 50]
     while True:
-        p = r.choice([q for q in primes_up_to(400) if q > 50])
-        a, b = r.randrange(p), r.randrange(1, p)
+        p = primes[r.randrange(0, len(primes))]
+        a, b = r.randrange(0, p), r.randrange(1, p)
         curve = Curve(a, b, ("fp", p))
         if curve.is_singular():
             continue

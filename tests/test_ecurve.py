@@ -54,13 +54,13 @@ def brute_order(curve: Curve) -> int:
 def random_point(curve: Curve, rng):
     q = curve.base[1]
     while True:
-        x = rng.randrange(q)
+        x = rng.randrange(0, q)
         f = (x**3 + curve.a * x + curve.b) % q
         if f == 0:
             return Point(x, 0)
         if jacobi(f, q) == 1:
             y = sqrt_mod_prime(f, q)
-            return Point(x, rng.choice([y, q - y]))
+            return Point(x, (y, q - y)[rng.randrange(0, 2)])
 
 
 def rational_mul(n: int, P, a):
@@ -112,8 +112,8 @@ class TestGroupLaw:
     def test_axioms_random_triples(self):
         rng = rng_for(1, "axioms")
         for _ in range(8):
-            q = rng.choice([101, 103, 107])
-            a, b = rng.randrange(q), rng.randrange(q)
+            q = (101, 103, 107)[rng.randrange(0, 3)]
+            a, b = rng.randrange(0, q), rng.randrange(0, q)
             c = Curve(a, b, ("fp", q))
             if c.is_singular():
                 continue
@@ -198,8 +198,8 @@ class TestGroupOrder:
         old = ec.ENUMERATION_LIMIT
         try:
             for _ in range(6):
-                q = rng.choice([2003, 2011, 2017])
-                a, b = rng.randrange(q), rng.randrange(q)
+                q = (2003, 2011, 2017)[rng.randrange(0, 3)]
+                a, b = rng.randrange(0, q), rng.randrange(0, q)
                 c = Curve(a, b, ("fp", q))
                 if c.is_singular():
                     continue
@@ -219,7 +219,7 @@ class TestGroupOrder:
             if q < limit // 2:
                 continue
             for _ in range(3):
-                a, b = rng.randrange(q), rng.randrange(q)
+                a, b = rng.randrange(0, q), rng.randrange(0, q)
                 if (4 * a**3 + 27 * b * b) % q:
                     assert ec_group_order(Curve(a, b, ("fp", q))) == \
                         ecurve._enumerated_order(a, b, q)
@@ -228,8 +228,8 @@ class TestGroupOrder:
         assert hasse_interval(211) == (183, 241)  # 2*sqrt(211) = 29.05...
         rng = rng_for(8, "hasse")
         for _ in range(10):
-            q = rng.choice([211, 223, 227])
-            c = Curve(rng.randrange(q), rng.randrange(q), ("fp", q))
+            q = (211, 223, 227)[rng.randrange(0, 3)]
+            c = Curve(rng.randrange(0, q), rng.randrange(0, q), ("fp", q))
             if c.is_singular():
                 continue
             lo, hi = hasse_interval(q)

@@ -525,10 +525,10 @@ class TestSolver:
         ell = 101
         for _ in range(20):
             n = rng.randrange(2, 8)
-            truth = {f"u{i}": rng.randrange(ell) for i in range(n)}
+            truth = {f"u{i}": rng.randrange(0, ell) for i in range(n)}
             rels = []
             for _ in range(n + 3):
-                coeffs = {k: rng.randrange(ell) for k in truth}
+                coeffs = {k: rng.randrange(0, ell) for k in truth}
                 const = sum(c * truth[k] for k, c in coeffs.items()) % ell
                 rels.append(Relation.make(coeffs, const, ell))
             # n + 3 dense rows over F_101: every system drawn has full rank,

@@ -14,6 +14,7 @@ from sigcalc.errors import (
 )
 from sigcalc.quadfield import (
     Place,
+    SQRT_FIELD_RHO_STEPS,
     RealQuadField,
     embed,
     place_valuations,
@@ -428,6 +429,13 @@ def test_sqrt_field():
     assert (K, f) == (RealQuadField(22), 10)
     assert (K.omega_is_half, K.discriminant) == (False, 88)
     assert sqrt_field(49) == (None, 7)
+    # two 36-bit primes take about 2e5 rho steps, past the lifts' cap;
+    # squarefree_kernel without a cap still factors them
+    w = 42389895973 * 55701562349
+    assert sqrt_field(w) is None
+    assert squarefree_kernel(w) == (w, 1)
+    assert squarefree_kernel(w, SQRT_FIELD_RHO_STEPS) is None
+    assert sqrt_field(w * 4) is None
     # the field of a non-squarefree D given directly is still refused
     with pytest.raises(NotSquarefree):
         RealQuadField(2200)
