@@ -50,7 +50,6 @@ __all__ = [
     "ray_class_ell_rank",
     "rayrank_fields",
     "rayrank_suite",
-    "squarefree_kernel",
     "sqrt_field",
 ]
 
@@ -60,31 +59,22 @@ CLASS_NUMBER_DISC_BOUND = 10**8
 SQRT_FIELD_RHO_STEPS = 1 << 12
 
 
-def squarefree_kernel(n: int, max_steps: int | None = None) -> tuple[int, int] | None:
-    """Write n = f**2 * D with D squarefree; returns (D, f). n > 0.
-    None when factoring n takes more than max_steps rho steps."""
+def sqrt_field(n: int) -> tuple["RealQuadField | None", int] | None:
+    """(K, f) with n = f**2 * D, D squarefree and K = Q(sqrt(D)) =
+    Q(sqrt(n)), from one factorisation of n; K is None when n is a square.
+    n > 0.  None when the factorisation takes more than
+    SQRT_FIELD_RHO_STEPS Brent-rho steps, so that a lift moves on to its
+    next value and never stalls."""
     if n <= 0:
         raise BadInput("n must be positive")
-    factors = factorint(n, max_steps)
+    factors = factorint(n, SQRT_FIELD_RHO_STEPS)
     if factors is None:
         return None
-    d, f = 1, 1
+    D, f = 1, 1
     for p, e in factors.items():
         f *= p ** (e // 2)
         if e % 2:
-            d *= p
-    return d, f
-
-
-def sqrt_field(n: int) -> tuple["RealQuadField | None", int] | None:
-    """(K, f) with n = f**2 * D and K = Q(sqrt(D)) = Q(sqrt(n)), from one
-    factorisation of n; K is None when n is a square.  n > 0.  None when
-    the factorisation takes more than SQRT_FIELD_RHO_STEPS Brent-rho
-    steps, so that a lift moves on to its next value and never stalls."""
-    kernel = squarefree_kernel(n, SQRT_FIELD_RHO_STEPS)
-    if kernel is None:
-        return None
-    D, f = kernel
+            D *= p
     if D == 1:
         return None, f
     K = RealQuadField.__new__(RealQuadField)

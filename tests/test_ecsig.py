@@ -1,9 +1,9 @@
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sigcalc.arith import bsgs_dlog, is_prime, jacobi, primes_up_to, rank_mod, sqrt_mod_prime
+from sigcalc.arith import bsgs_dlog, factorint, is_prime, jacobi, primes_up_to, rank_mod, sqrt_mod_prime
 from sigcalc.ecsig import (
     EC_INSTANCE_KEYS,
     coker_dim,
@@ -24,7 +24,7 @@ from sigcalc.ecurve import (
     local_class,
 )
 from sigcalc.errors import BadInput, SingularSystem, VerificationFailed
-from sigcalc.quadfield import embed, split_places, squarefree_kernel
+from sigcalc.quadfield import embed, split_places
 from sigcalc.seeds import rng_for
 
 FIXTURE = dict(a=0, b=3, p=7, ell=13, Qt=Point(1, 2), Rt=Point(6, 3))
@@ -183,10 +183,10 @@ class TestLift:
     @given(st.sampled_from((3, 5, 7, 11, 13, 10007, 11093)), st.integers(1, 10**15))
     @settings(max_examples=200, deadline=None)
     def test_cubic_value_and_kernel_share_the_symbol_at_ell(self, ell, w):
-        # the screen before squarefree_kernel rejects exactly what the
-        # check on D would: w = f^2 * D, with ell dividing neither
+        # the screen before sqrt_field rejects exactly what the check on
+        # its squarefree D would: w = f^2 * D, with ell dividing neither
         assume(w % ell)
-        D, _ = squarefree_kernel(w)
+        D = prod(q for q, e in factorint(w).items() if e % 2)
         assert jacobi(w % ell, ell) == jacobi(D % ell, ell)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

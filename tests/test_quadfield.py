@@ -4,7 +4,7 @@ import pytest
 import sympy
 from sympy.solvers.diophantine.diophantine import diop_DN
 
-from sigcalc.arith import factor_smooth, jacobi, primes_up_to, sqrt_mod_prime
+from sigcalc.arith import factor_smooth, factorint, jacobi, primes_up_to, sqrt_mod_prime
 from sigcalc.errors import (
     BadInput,
     ClassNumberDivisible,
@@ -21,7 +21,6 @@ from sigcalc.quadfield import (
     ray_class_ell_rank,
     split_places,
     sqrt_field,
-    squarefree_kernel,
 )
 from sigcalc.seeds import rng_for
 
@@ -419,9 +418,12 @@ class TestRayClassRank:
 
 
 def test_squarefree_kernel():
-    assert squarefree_kernel(2200) == (22, 10)
-    assert squarefree_kernel(1) == (1, 1)
-    assert squarefree_kernel(4226) == (4226, 1)
+    # sqrt_field writes n = f**2 * D with D squarefree
+    assert sqrt_field(2200) == (RealQuadField(22), 10)
+    assert sqrt_field(1) == (None, 1)
+    assert sqrt_field(4226) == (RealQuadField(4226), 1)
+    with pytest.raises(BadInput):
+        sqrt_field(0)
 
 
 def test_sqrt_field():
@@ -430,11 +432,11 @@ def test_sqrt_field():
     assert (K.omega_is_half, K.discriminant) == (False, 88)
     assert sqrt_field(49) == (None, 7)
     # two 36-bit primes take about 2e5 rho steps, past the lifts' cap;
-    # squarefree_kernel without a cap still factors them
+    # factorint without a cap still factors them
     w = 42389895973 * 55701562349
     assert sqrt_field(w) is None
-    assert squarefree_kernel(w) == (w, 1)
-    assert squarefree_kernel(w, SQRT_FIELD_RHO_STEPS) is None
+    assert factorint(w) == {42389895973: 1, 55701562349: 1}
+    assert factorint(w, SQRT_FIELD_RHO_STEPS) is None
     assert sqrt_field(w * 4) is None
     # the field of a non-squarefree D given directly is still refused
     with pytest.raises(NotSquarefree):
