@@ -24,7 +24,6 @@ from .arith import (
     factor_smooth,
     gauss_reduce,
     is_prime,
-    jacobi,
     least_primitive_root,
     multiplicative_order,
     parse_decimal,
@@ -50,10 +49,9 @@ from .quadfield import (
     RealQuadField,
     embed,
     labelled_places,
+    lifted_field,
     prime_splitting,
     split_image,
-    split_places,
-    sqrt_field,
 )
 from .seeds import rng_for
 
@@ -204,8 +202,8 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
     With b = a^-1, c = (a+b)/2, d = (a-b)/2 mod p, the element
     alpha = gamma + d with gamma^2 = 1 + d^2 has norm -1 and reduces to
     a at the place v where gamma = c.  d sweeps d, d+p, d+2p, ... until
-    1 + d^2 is a nonzero square mod ell (so ell splits) and the
-    resulting field passes every instance condition.
+    quadfield.lifted_field takes the field of 1 + d^2 (ell and p split
+    in it) and the field passes every instance condition.
     """
     _validate_primes(p, ell)
     a %= p
@@ -231,32 +229,17 @@ def lift_unit(a: int, p: int, ell: int, seed: int, g: int | None = None,
 
     for r in range(budget):
         d = d0 + r * p
-        w = 1 + d * d
-        wl = w % ell
-        if wl == 0 or jacobi(wl, ell) != 1:
-            reject("ell_not_split")
+        # 1 + d^2 = c^2 mod p, and gamma = f*sqrt(D) reduces to c at v
+        lifted = lifted_field(1 + d * d, ell, p, c)
+        if isinstance(lifted, str):
+            reject(lifted)
             continue
-        field = sqrt_field(w)
-        if field is None:
-            reject("value_unfactored")
-            continue
-        K, f = field
-        if K is None or f % p == 0 or K.D % p == 0:
-            reject("p_side_degenerate")
-            continue
-        # w = f^2*D is a nonzero square mod ell, and w = c^2 mod p with
-        # p not dividing f*D, so ell and p split, and gamma = f*sqrt(D)
-        # reduces to c at one place over p and to -c at the other: v
-        u_places = split_places(ell, K)
-        v_places = split_places(p, K)
-        v_index = int(embed(K.from_sqrt_coords(0, f), v_places[0], 1) != c)
+        K, f, (u, u_conj), (v, v_conj) = lifted
         alpha = K.from_sqrt_coords(d, f)
         try:
             instance = CharSignatureInstance(
-                K=K, p=p, ell=ell, g=g, a=a, alpha=alpha,
-                place_u=u_places[0], place_u_conj=u_places[1],
-                place_v=v_places[v_index], place_v_conj=v_places[1 - v_index],
-                seed=seed,
+                K=K, p=p, ell=ell, g=g, a=a, alpha=alpha, place_u=u,
+                place_u_conj=u_conj, place_v=v, place_v_conj=v_conj, seed=seed,
             )
         except ConditionFailure as exc:
             # one count per attempt, under the first condition that fails

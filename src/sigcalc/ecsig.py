@@ -19,7 +19,6 @@ from .arith import (
     _primes,
     canonical_json,
     is_prime,
-    jacobi,
     parse_decimal,
     parse_pair,
     require_known_keys,
@@ -46,9 +45,9 @@ from .quadfield import (
     RealQuadField,
     embed,
     labelled_places,
+    lifted_field,
     prime_splitting,
     split_places,
-    sqrt_field,
 )
 
 __all__ = [
@@ -187,10 +186,10 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
 
     Q lifts Qt to a rational point by sweeping the y-coordinate through
     v + r*p (which fixes b_r); the sweep rejects curves with bad or
-    ell-divisible reduction at ell.  R lifts Rt into E(K) with
-    K = Q(sqrt(squarefree kernel of the cubic value)); the sweep keeps
-    retrying until ell splits in K and the independence certificate is
-    invertible.  Deterministic given (inputs, seed).  budget bounds the
+    ell-divisible reduction at ell.  R lifts Rt into E(K), with K the
+    field quadfield.lifted_field takes from the cubic value; the sweep
+    keeps retrying until it takes one and the independence certificate
+    is invertible.  Deterministic given (inputs, seed).  budget bounds the
     attempts, each a rejected Q-lift or one R-lift tried on an accepted
     one, and each rejection counts once under its reason.
     """
@@ -232,41 +231,17 @@ def lift_ec_instance(base_a: int, base_b: int, Qt: Point, Rt: Point,
             continue
         for r2 in range(min(32, budget - attempts)):
             mu = mu0 + r2 * p
-            w = mu**3 + a * mu + b_r
-            if w <= 0:
-                reject("cubic_value_not_positive")
+            # w = nu0^2 mod p, and f*sqrt(D) reduces to nu0 at v
+            lifted = lifted_field(mu**3 + a * mu + b_r, ell, p, nu0)
+            if isinstance(lifted, str):
+                reject(lifted)
                 continue
-            # w = f^2 * D, so when ell does not divide w the symbols of w
-            # and D at ell agree: reject before factoring w
-            if w % ell and jacobi(w % ell, ell) != 1:
-                reject("ell_not_split")
-                continue
-            field = sqrt_field(w)
-            if field is None:
-                reject("cubic_value_unfactored")
-                continue
-            K, f = field
-            if K is None:
-                reject("cubic_value_square")
-                continue
-            D = K.D
-            if D % ell == 0 or jacobi(D % ell, ell) != 1:
-                reject("ell_not_split")
-                continue
-            if f % p == 0 or D % p == 0:
-                reject("p_label_degenerate")
-                continue
-            # w = nu0^2 mod p with p not dividing f*D, so p splits and
-            # f*sqrt(D) reduces to nu0 at one place over p and to -nu0 at
-            # the other: v.  R = (mu, f*sqrt(D)), so cR_u' = -cR_u and
-            # det = 0 covers cR_u' = 0
-            v_places = split_places(p, K)
+            K, f, u_places, v_places = lifted
+            # R = (mu, f*sqrt(D)), so cR_u' = -cR_u and det = 0 covers cR_u' = 0
             R = Point(K.element(mu, 0), K.from_sqrt_coords(0, f))
-            if embed(R.y, v_places[0], 1) != nu0:
-                v_places.reverse()
             try:
-                instance = _certified_instance(E, cQ, Q, R, K, split_places(ell, K),
-                                               v_places, p, seed, True)
+                instance = _certified_instance(E, cQ, Q, R, K, u_places, v_places, p,
+                                               seed, True)
             except SingularSystem:
                 reject("certificate_singular")
                 continue

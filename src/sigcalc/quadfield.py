@@ -44,6 +44,7 @@ __all__ = [
     "prime_splitting",
     "split_places",
     "labelled_places",
+    "lifted_field",
     "split_image",
     "embed",
     "place_valuations",
@@ -55,7 +56,8 @@ __all__ = [
 
 CLASS_NUMBER_DISC_BOUND = 10**8
 # a power of two, at least twice the most rho steps (1,790) that any lift
-# of the seed-0 benchmark mixes or of the golden reports needs
+# of the seed-0 benchmark mixes or of the golden reports needs; it also
+# bounds the factorisation of a D read from an instance file
 SQRT_FIELD_RHO_STEPS = 1 << 12
 
 
@@ -94,7 +96,10 @@ class RealQuadField:
     def __init__(self, D: int):
         if D <= 1:
             raise BadInput("D must be > 1")
-        if any(e > 1 for e in factorint(D).values()):
+        factors = factorint(D, SQRT_FIELD_RHO_STEPS)
+        if factors is None:
+            raise TooLarge(f"D = {D} does not factor in {SQRT_FIELD_RHO_STEPS} rho steps")
+        if any(e > 1 for e in factors.values()):
             raise NotSquarefree(f"{D} is not squarefree")
         self._set_D(D)
 
@@ -398,6 +403,37 @@ def labelled_places(q: int, K: RealQuadField, root_label: int) -> tuple[Place, P
     if len(places) != 2 or root_label not in labels:
         raise BadInput(f"no split place over {q} has the root label {root_label}")
     return (places[0], places[1]) if labels[0] == root_label else (places[1], places[0])
+
+
+def lifted_field(w: int, ell: int, p: int, root: int) -> tuple | str:
+    """The field K = Q(sqrt(D)) of a lift's value w = f**2 * D, as
+    (K, f, (u, u'), (v, v')) with u the canonically labelled place over
+    the odd prime ell and v the place over the odd prime p at which
+    f*sqrt(D) reduces to root (w = root**2 mod p), or the reason w is
+    rejected.  ell's splitting is decided exactly before w is factored:
+    with w = ell**(2j) * w' and ell**2 not dividing w', ell ramifies if
+    it divides w', and otherwise w' = f'**2 * D with ell dividing
+    neither f' nor D, so ell splits exactly when w' is a square mod ell."""
+    if w <= 0:
+        return "value_not_positive"
+    rest, ell2 = w, ell * ell
+    while rest % ell2 == 0:
+        rest //= ell2
+    if jacobi(rest, ell) != 1:
+        return "ell_not_split"
+    field = sqrt_field(w)
+    if field is None:
+        return "value_unfactored"
+    K, f = field
+    if K is None:
+        return "value_square"
+    if f % p == 0 or K.D % p == 0:
+        return "p_degenerate"
+    # D = (root/f)**2 mod p is then a nonzero square, so p splits
+    u_places, v_places = split_places(ell, K), split_places(p, K)
+    if embed(K.from_sqrt_coords(0, f), v_places[0], 1) != root % p:
+        v_places.reverse()
+    return K, f, tuple(u_places), tuple(v_places)
 
 
 def split_image(x: QuadInt, q: int, root: int, k: int) -> int:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_inprocess.py"
 
@@ -74,3 +76,23 @@ def test_a_different_ec_answer_fails(tmp_path):
     done = run_tool(ROOT, ROOT, *args, "--limit", "3")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["positions"] == 3
+
+
+@pytest.mark.parametrize("workload, module, lift", [
+    ("signature", "charsig", "lift_unit"),
+    ("ec", "ecsig", "lift_ec_instance"),
+])
+def test_a_different_lifted_instance_fails(tmp_path, workload, module, lift):
+    # a parent whose lift records the next seed in its instance answers
+    # the same everywhere else, and must still not pass as equal
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    path = tmp_path / "src" / "sigcalc" / f"{module}.py"
+    path.write_text(path.read_text() + (
+        f"\n_right = {lift}\n\n\n"
+        f"def {lift}(*args, **kwargs):\n"
+        "    from dataclasses import replace\n"
+        "    instance = _right(*args, **kwargs)\n"
+        "    return replace(instance, seed=instance.seed + 1)\n"))
+    done = run_tool(tmp_path, ROOT, "--workload", workload, "--passes", "1", "--limit", "1")
+    assert done.returncode == 1
+    assert "answers differ" in done.stderr and '"seed": ' in done.stderr

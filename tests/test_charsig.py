@@ -118,6 +118,34 @@ class TestLiftUnit:
                 lift_unit(3040730277, 48592010587, 7, 0, budget=budget)
             assert exc.value.counters == counters
 
+    def test_ell_squared_dividing_the_value_still_splits(self):
+        # at d = 18968, 1 + d^2 = 5^2 * 14391401 with 14391401 = 1 mod 5, so
+        # 5 splits in Q(sqrt(14391401)), and alpha = d + 5*sqrt(D)
+        inst = lift_unit(621, 1021, 5, 0, g=10)
+        assert 1 + 18968**2 == 5**2 * 14391401
+        assert inst.K.D == 14391401 and inst.K.class_number == 256
+        assert inst.alpha == inst.K.from_sqrt_coords(18968, 5)
+        assert inst.residue_at_v() == 621
+
+    def test_a_p_degenerate_value_is_counted(self, monkeypatch):
+        # no target reaches it: 1 + d^2 = c^2 mod p, and c = 0 only when
+        # a^2 = -1, whose order 4 divides (p-1)/ell, so a is an ell-th
+        # power and refused first.  The field of 1 + 65^2 at (31, 5) is
+        # planted with f = 31
+        import sigcalc.quadfield as quadfield
+        from sigcalc.errors import BudgetExhausted
+
+        sqrt_field = quadfield.sqrt_field
+
+        def plant(w):
+            K, f = sqrt_field(w)
+            return K, 31 * f
+
+        monkeypatch.setattr(quadfield, "sqrt_field", plant)
+        with pytest.raises(BudgetExhausted) as exc:
+            lift_unit(17, 31, 5, seed=0, budget=3)
+        assert exc.value.counters == {"ell_not_split": 2, "p_degenerate": 1}
+
     def test_residues_are_stored_reduced(self):
         # 48 = 17 and 34 = 3 mod 31: an instance holds a and g in (0, p)
         inst = lift_unit(48, 31, 5, seed=0, g=34)

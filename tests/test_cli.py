@@ -449,6 +449,20 @@ class TestEc:
         assert "Traceback" not in r.stderr
         assert json.loads(r.stderr)["error"] == "BadInput"
 
+    def test_instance_file_with_a_d_past_the_rho_cap_is_too_large(self, tmp_path):
+        # D = two 36-bit primes: the loader gives its factorisation up after
+        # the lifts' rho cap, before anything else is read
+        path = tmp_path / "ec.json"
+        assert run_cli("ec", "coker", "--fixture", "f7l13",
+                       "--save-instance", str(path)).returncode == 0
+        doc = json.loads(path.read_text())
+        doc["D"] = str(42389895973 * 55701562349)
+        path.write_text(json.dumps(doc))
+        r = run_cli("ec", "coker", "--instance", str(path), "--json")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stderr)["error"] == "TooLarge"
+
 
 class TestMalformedInstanceFile:
     """Every broken instance file exits 2 through BadInput, never a traceback."""

@@ -149,11 +149,11 @@ class TestLift:
     def test_ell_not_split_rejected_before_factoring(self, monkeypatch):
         # the five rejections above come from the symbol of the cubic
         # value at ell; none of the five cubic values is factored
-        import sigcalc.ecsig as ecsig
+        import sigcalc.quadfield as quadfield
         from sigcalc.errors import BudgetExhausted
 
         factored = []
-        monkeypatch.setattr(ecsig, "sqrt_field", factored.append)
+        monkeypatch.setattr(quadfield, "sqrt_field", factored.append)
         with pytest.raises(BudgetExhausted):
             lift_ec_instance(*F11003[1:3], *F11003[4:], F11003[0], F11003[3], 0,
                              budget=5)
@@ -162,23 +162,60 @@ class TestLift:
     def test_a_cubic_value_past_the_rho_cap_is_counted_and_skipped(self, monkeypatch):
         # the first cubic value of f7l13's lift is swapped for w = p1*p2,
         # two 36-bit primes: it is counted, and the sweep moves on
-        import sigcalc.ecsig as ecsig
+        import sigcalc.quadfield as quadfield
         from sigcalc.errors import BudgetExhausted
 
-        sqrt_field, tried = ecsig.sqrt_field, []
+        sqrt_field, tried = quadfield.sqrt_field, []
 
         def plant_first(w):
             tried.append(w)
             return sqrt_field(42389895973 * 55701562349 if len(tried) == 1 else w)
 
-        monkeypatch.setattr(ecsig, "sqrt_field", plant_first)
+        monkeypatch.setattr(quadfield, "sqrt_field", plant_first)
         with pytest.raises(BudgetExhausted) as exc:
             lift_ec_instance(0, 3, Point(1, 2), Point(6, 3), 7, 13, 0, budget=2)
-        assert exc.value.counters == {"ell_not_split": 1, "cubic_value_unfactored": 1}
+        assert exc.value.counters == {"ell_not_split": 1, "value_unfactored": 1}
         tried.clear()
         inst = fixture_instance()
         mu = inst.R.x.a
         assert len(tried) == 2 and tried[1] == mu**3 + inst.a * mu + inst.b_r
+
+    @pytest.mark.parametrize("p, a, b, ell, Qt, Rt, budget, counters", [
+        # b_r = 16 at y = 4: 4*2^3 + 27*16^2 = 6944 = 0 mod 7
+        (5, 2, 1, 7, Point(0, 4), Point(1, 2), 1, {"bad_reduction_at_ell": 1}),
+        # b_r = 6 at y = 4: y^2 = x^3 + x + 6 has 13 points over F_13
+        (11, 1, 6, 13, Point(2, 4), Point(5, 9), 1, {"ell_divides_reduced_order": 1}),
+        # b_r = 9 at y = 3 reduces badly at 7; b_r = 64 at y = 8 gives cQ = 0
+        (5, 2, 4, 7, Point(0, 3), Point(4, 4), 2,
+         {"bad_reduction_at_ell": 1, "Q_trivial_at_ell": 1}),
+        # the second cubic value gives cR_u = 0, so det = -2*cQ*cR_u = 0
+        (5, 2, 4, 7, Point(0, 2), Point(4, 1), 2,
+         {"ell_not_split": 1, "certificate_singular": 1}),
+    ])
+    def test_each_rejection_is_counted(self, p, a, b, ell, Qt, Rt, budget, counters):
+        from sigcalc.errors import BudgetExhausted
+
+        with pytest.raises(BudgetExhausted) as exc:
+            lift_ec_instance(a, b, Qt, Rt, p, ell, 0, budget=budget)
+        assert exc.value.counters == counters
+
+    def test_a_p_degenerate_value_is_counted(self, monkeypatch):
+        # no base reaches it: the cubic value is nu0^2 mod p, and nu0 != 0
+        # because a curve of odd prime order has no point of order 2.  The
+        # field of f7l13's second cubic value is planted with f = 7
+        import sigcalc.quadfield as quadfield
+        from sigcalc.errors import BudgetExhausted
+
+        sqrt_field = quadfield.sqrt_field
+
+        def plant(w):
+            K, f = sqrt_field(w)
+            return K, 7 * f
+
+        monkeypatch.setattr(quadfield, "sqrt_field", plant)
+        with pytest.raises(BudgetExhausted) as exc:
+            lift_ec_instance(0, 3, Point(1, 2), Point(6, 3), 7, 13, 0, budget=2)
+        assert exc.value.counters == {"ell_not_split": 1, "p_degenerate": 1}
 
     @given(st.sampled_from((3, 5, 7, 11, 13, 10007, 11093)), st.integers(1, 10**15))
     @settings(max_examples=200, deadline=None)

@@ -2,9 +2,10 @@ from math import gcd, isqrt, log, pi, sin
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 from sympy.solvers.diophantine.diophantine import diop_DN
 
-from sigcalc.arith import factor_smooth, factorint, jacobi, primes_up_to, sqrt_mod_prime
+from sigcalc.arith import factor_smooth, factorint, is_prime, jacobi, primes_up_to, sqrt_mod_prime
 from sigcalc.errors import (
     BadInput,
     ClassNumberDivisible,
@@ -17,7 +18,9 @@ from sigcalc.quadfield import (
     SQRT_FIELD_RHO_STEPS,
     RealQuadField,
     embed,
+    lifted_field,
     place_valuations,
+    prime_splitting,
     ray_class_ell_rank,
     split_places,
     sqrt_field,
@@ -441,3 +444,55 @@ def test_sqrt_field():
     # the field of a non-squarefree D given directly is still refused
     with pytest.raises(NotSquarefree):
         RealQuadField(2200)
+
+
+def test_a_field_past_the_rho_cap_is_too_large():
+    # a D read from a file is factored under the lifts' cap: two 36-bit
+    # primes take about 2e5 rho steps
+    with pytest.raises(TooLarge):
+        RealQuadField(42389895973 * 55701562349)
+
+
+# w = 4226 = 1 + 65^2 is the worked lift's value at (p, ell) = (31, 5):
+# 4226 = 1 mod 5 and 65 = 3 mod 31, so w = 10 = 14^2 mod 31
+K4226 = RealQuadField(4226)
+U4226 = (Place(4226, 5, "split", 1), Place(4226, 5, "split", 4))
+V14, V17 = Place(4226, 31, "split", 14), Place(4226, 31, "split", 17)
+
+
+@pytest.mark.parametrize("w, ell, p, root, expected", [
+    (0, 5, 31, 0, "value_not_positive"),
+    (-4226, 5, 31, 14, "value_not_positive"),
+    (2, 5, 31, 8, "ell_not_split"),  # 2 is not a square mod 5
+    (50, 5, 31, 18, "ell_not_split"),  # 5 divides 50 once: it ramifies
+    (42389895973 * 55701562349, 7, 31, 1, "value_unfactored"),  # (w/7) = 1
+    (49, 3, 31, 7, "value_square"),
+    (9 * 4226, 5, 3, 0, "p_degenerate"),  # 3 divides f = 3
+    (4226, 5, 2113, 0, "p_degenerate"),  # 4226 = 2 * 2113 = D
+    (4226, 5, 31, 14, (K4226, 1, U4226, (V14, V17))),
+    (4226, 5, 31, 17, (K4226, 1, U4226, (V17, V14))),  # -14: v is the other place
+    (25 * 4226, 5, 31, 70 % 31, (K4226, 5, U4226, (V14, V17))),  # 5^2 | w, 4226 = 1 mod 5
+])
+def test_lifted_field(monkeypatch, w, ell, p, root, expected):
+    import sigcalc.quadfield as quadfield
+
+    factored = []
+    monkeypatch.setattr(quadfield, "factorint",
+                        lambda n, *cap: factored.append(n) or factorint(n, *cap))
+    assert lifted_field(w, ell, p, root) == expected
+    # ell's splitting is decided before w is factored, and w is factored once
+    refused = expected in ("value_not_positive", "ell_not_split")
+    assert factored == ([] if refused else [w])
+
+
+@given(st.sampled_from((3, 5, 7, 11, 13, 10007)), st.integers(0, 4), st.integers(1, 10**10))
+@settings(max_examples=300, deadline=None)
+def test_ell_not_split_is_the_splitting_of_the_field(ell, j, rest):
+    # w = ell^j * rest, so ell divides w to every power; p is the least
+    # prime above 10^6 at which w is a nonzero square, so the p side passes
+    w = ell**j * rest
+    field = sqrt_field(w)
+    assume(field is not None and field[0] is not None)
+    p = next(q for q in range(10**6 + 1, 10**7, 2) if is_prime(q) and jacobi(w, q) == 1)
+    verdict = lifted_field(w, ell, p, sqrt_mod_prime(w % p, p))
+    assert (verdict == "ell_not_split") == (prime_splitting(ell, field[0])[0] != "split")

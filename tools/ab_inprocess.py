@@ -8,9 +8,10 @@ sigbench/inputs.py's for the seed (taken from CHANGE), with each op's
 search seed and retries derived as sigbench/run.py derives them.  Each
 pass runs every position of the mix on both trees, alternating which
 runs first; a position keeps its fastest time on each tree, and every
-answer, with the index-calculus search's counters (and, for ec, the
-certificate, both classes, the coker dimensions and the scan's hits
-with their orders), must be the same on both, or the tool exits 1.
+answer, with the lifted instance's JSON, the index-calculus search's
+counters (and, for ec, the certificate, both classes, the coker
+dimensions and the scan's hits with their orders), must be the same on
+both, or the tool exits 1.
 The result line gives each tree's ops per second over the fastest
 times and the positions where CHANGE was faster.
 
@@ -65,7 +66,7 @@ def signature_op(lib, inputs, t, seed):
     s_oracle = charsig.signature_from_dl(inst, oracle)
     m = charsig.dl_from_signature(t.a, t.g, t.p, t.ell,
                                   lambda i: charsig.signature_from_dl(i, oracle), seed=seed)
-    return s_index.s, s_oracle.s, m, counters
+    return charsig.instance_to_json(inst), s_index.s, s_oracle.s, m, counters
 
 
 def ec_op(lib, inputs, t, seed):
@@ -83,7 +84,8 @@ def ec_op(lib, inputs, t, seed):
             ecsig.coker_dim(inst, [inst.place_v, inst.place_v_conj]))
     hits = ecsig.scan_torsion_places(inst.lifted_curve, inst.K, base.ell, inputs.EC_SCAN_BOUND)
     # places as plain tuples: each checkout has its own Place class
-    return (inst.certificate, inst.d_ell, sig.alpha, sig.beta, m, cQ, cR, dims,
+    return (ecsig.ec_instance_to_json(inst), inst.certificate, inst.d_ell, sig.alpha, sig.beta,
+            m, cQ, cR, dims,
             [(w.q, w.splitting, w.root_label, order) for w, order in hits])
 
 
