@@ -385,18 +385,13 @@ def teichmuller(x: int, ell: int) -> int:
     """The 1-unit exponent y in [0, ell) of a unit x mod ell**2, written
     as xi*(1 + y*ell) with xi^(ell-1) = 1.
 
-    xi is obtained as the fixed point of repeated ell-th powering mod
-    ell**2 (one powering already lands on the fixed point at this
-    precision), then y = ((x * xi^-1 mod ell^2) - 1) / ell.
+    x^(ell-1) = (1 + y*ell)^(ell-1) = 1 - y*ell mod ell^2, so y is read
+    off one power: y = ((1 - x^(ell-1)) mod ell^2) / ell.
     """
     m = ell * ell
-    x %= m
     if x % ell == 0:
-        raise NotAUnit(f"{x} is divisible by {ell}")
-    xi = pow(x, ell, m)
-    while pow(xi, ell, m) != xi:
-        xi = pow(xi, ell, m)
-    return (x * pow(xi, -1, m) % m - 1) // ell
+        raise NotAUnit(f"{x % m} is divisible by {ell}")
+    return (1 - pow(x, ell - 1, m)) % m // ell
 
 
 def mult_group_ops(p: int) -> dict:

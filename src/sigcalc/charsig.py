@@ -310,38 +310,23 @@ def _nearest(n: int, d: int) -> int:
     return (2 * n + d) // (2 * d)
 
 
-# alpha's image at a split place over q is first kept mod the least
-# power of q >= this: a norm divisible by that power, which would widen
-# it, turns up about once in as many norms
-_IMAGE_FLOOR = 1 << 20
-
-
-def _precision_at_least(q: int, floor: int) -> int:
-    """The least k >= 1 with q^k >= floor."""
-    k, power = 1, q
-    while power < floor:
-        k, power = k + 1, power * q
-    return k
-
-
-def _place_table(K: RealQuadField, alpha: QuadInt, bound: int, skip: tuple[int, ...]) -> dict:
+def _place_table(K: RealQuadField, bound: int, skip: tuple[int, ...]) -> dict:
     """The places over each prime q <= bound not in skip (a search skips
     ell and p, whose parts of the norm go to u' and v'), keyed by q and
     read in one pass: (column, degree) for the one place over an inert
     or ramified q, with column None when its norm q^degree exceeds
-    bound, and (column, conjugate column, root label, k, alpha's image
-    mod q^k) for the first place over a split q, with k the least such
-    that q^k >= _IMAGE_FLOOR."""
+    bound, and (column, conjugate column, omega mod the first place) for
+    a split q."""
+    omega = K.element(0, 1)
     table: dict = {}
     for q in primes_up_to(bound):
         if q in skip:
             continue
         splitting, roots = prime_splitting(q, K)
         if roots:
-            k = _precision_at_least(q, _IMAGE_FLOOR)
             table[q] = (pairing_column(q, splitting, roots[0]),
                         pairing_column(q, splitting, roots[1]),
-                        roots[0], k, split_image(alpha, q, roots[0], k))
+                        split_image(omega, q, roots[0], 1))
         else:
             degree = 2 if splitting == "inert" else 1
             table[q] = (pairing_column(q, splitting) if q**degree <= bound else None, degree)
@@ -362,10 +347,10 @@ class _BetaSearch:
     norm form).  center is the coset point that rounding (0, g) to L
     leaves, and the key, drawn once from the seed, rotates each shell.
 
-    beta's image at a split place w is r*alpha_w + s, so `read` reads a
-    relation off in plain integers from alpha's images, which `start`
-    binds into it: at u mod ell^2, and at the first place over each
-    split q <= B in the place table.
+    `start` maps center, b1 and b2 once to beta's coordinates, beta =
+    x0 + x1*omega with (x0, x1) = (r*a0 + s, r*a1) for alpha = a0 +
+    a1*omega, so the walk yields (x0, x1) and `read` takes any beta of
+    O_K, with no alpha in it.
     """
 
     center: tuple[int, int]
@@ -376,29 +361,31 @@ class _BetaSearch:
 
     @classmethod
     def start(cls, instance: CharSignatureInstance, bound: int, seed: int) -> "_BetaSearch":
-        p, ell, g, alpha = instance.p, instance.ell, instance.g, instance.alpha
-        table = _place_table(instance.K, alpha, bound, (ell, p))
+        p, ell, g, K = instance.p, instance.ell, instance.g, instance.K
+        table = _place_table(K, bound, (ell, p))
         u_column = pairing_column(ell, "split", instance.place_u_conj.root_label)
         v_column = pairing_column(p, "split", instance.place_v_conj.root_label)
-        alpha_u2, ell2 = embed(alpha, instance.place_u, 2), ell * ell
-        alpha_trace, alpha_norm, make = alpha.trace(), alpha.norm(), Relation.make
+        omega = K.element(0, 1)
+        omega_u2, ell2 = embed(omega, instance.place_u, 2), ell * ell
+        omega_trace, omega_norm, make = omega.trace(), omega.norm(), Relation.make
 
-        def read(r: int, s_int: int) -> Relation | str:
-            """The relation of beta = r*alpha + s, or the reason for
+        def read(x0: int, x1: int) -> Relation | str:
+            """The relation of beta = x0 + x1*omega, or the reason for
             rejecting it.
 
             beta is kept a unit at u and accepted when its norm factors
             over the base places together with the dedicated conjugate
             columns.  Everything is read in plain integers: the norm
-            from the norm form, and beta's images at u and at the places
-            over the norm's primes from alpha's, so no element of K is
+            from omega's norm form, beta's image at u from omega's mod
+            ell^2, and its share at the places over a split q from
+            omega's residue at the first place, so no element of K is
             built.
             """
-            beta_u = (r * alpha_u2 + s_int) % ell2
+            beta_u = (x0 + x1 * omega_u2) % ell2
             if beta_u % ell == 0:
                 return "not_unit_at_u"
             # beta is a unit at u, so beta != 0 and so is its norm
-            norm = abs(s_int * s_int + alpha_trace * r * s_int + alpha_norm * r * r)
+            norm = abs(x0 * x0 + omega_trace * x0 * x1 + omega_norm * x1 * x1)
             e_ell = 0
             while norm % ell == 0:
                 norm //= ell
@@ -418,18 +405,14 @@ class _BetaSearch:
                         return "outside_base"  # support at an inert place > sqrt(B)
                     coeffs[column] = e // degree
                     continue
-                column, conj_column, root, k, image = entry
-                if e >= k:  # past the image's precision: widen it, at least twofold
-                    k = max(e + 1, 2 * k)
-                    image = split_image(alpha, q, root, k)
-                    table[q] = (column, conj_column, root, k, image)
-                # the first place's share of q^e is the valuation of
-                # beta's image there, read mod q^(e+1)
-                x = (r * image + s_int) % q ** (e + 1)
-                v = 0
-                while x and x % q == 0:
-                    x //= q
-                    v += 1
+                column, conj_column, omega_w = entry
+                # q^c | beta in O_K = Z[omega] gives both places q^c; the
+                # rest of q^e goes to the one place at which beta/q^c is
+                # 0 mod q (the degree-one prime rule)
+                y0, y1, c = x0, x1, 0
+                while y0 % q == 0 and y1 % q == 0:
+                    y0, y1, c = y0 // q, y1 // q, c + 1
+                v = e - c if (y0 + y1 * omega_w) % q == 0 else c
                 if v:
                     coeffs[column] = v
                 if v < e:
@@ -444,32 +427,35 @@ class _BetaSearch:
         det = b1[0] * b2[1] - b1[1] * b2[0]
         c1, c2 = _nearest(-g * b2[0], det), _nearest(g * b1[0], det)
         center = (-c1 * b1[0] - c2 * b2[0], g - c1 * b1[1] - c2 * b2[1])
+        a0, a1 = instance.alpha.a, instance.alpha.b
+        center, b1, b2 = ((r * a0 + s, r * a1) for r, s in (center, b1, b2))
         return cls(center, b1, b2, key=rng_for(seed, "beta").getrandbits(64), read=read)
 
     def walk(self):
-        """The candidates (r, s) = center + a*b1 + b*b2, each with
-        r*a_v + s = g mod p, for the points (a, b) of Z^2 shell by shell:
-        shell k holds the 8k points with max(|a|, |b|) = k, and runs
-        round its square's boundary as a closed loop, each step adding
-        +-b1 or +-b2 to (r, s).  Side 0 runs from (k, -k) towards (k, k)
-        and the others follow counter-clockwise; the loop starts at point
-        t of side `side`, with side, t = divmod(key % 8k, 2k)."""
-        (r0, s0), (r1, s1), (r2, s2) = self.center, self.b1, self.b2
+        """The coordinates (x0, x1) = center + a*b1 + b*b2, each with
+        beta = x0 + x1*omega = g at v, for the points (a, b) of Z^2
+        shell by shell: shell k holds the 8k points with max(|a|, |b|) =
+        k, and runs round its square's boundary as a closed loop, each
+        step adding +-b1 or +-b2 to (x0, x1).  Side 0 runs from (k, -k)
+        towards (k, k) and the others follow counter-clockwise; the loop
+        starts at point t of side `side`, with side, t = divmod(key %
+        8k, 2k)."""
+        (c0, c1), (u0, u1), (w0, w1) = self.center, self.b1, self.b2
         # the direction of each side of a shell, counter-clockwise
-        steps = ((r2, s2), (-r1, -s1), (-r2, -s2), (r1, s1))
+        steps = ((w0, w1), (-u0, -u1), (-w0, -w1), (u0, u1))
         yield self.center
         k = 1
         while True:
             side, t = divmod(self.key % (8 * k), 2 * k)
             a, b = ((k, t - k), (k - t, k), (-k, k - t), (t - k, -k))[side]
-            r, s = r0 + a * r1 + b * r2, s0 + a * s1 + b * s2
+            x0, x1 = c0 + a * u0 + b * w0, c1 + a * u1 + b * w1
             for d, run in ((side, 2 * k - t), (side + 1, 2 * k), (side + 2, 2 * k),
                            (side + 3, 2 * k), (side, t)):
-                dr, ds = steps[d % 4]
+                d0, d1 = steps[d % 4]
                 for _ in range(run):
-                    yield r, s
-                    r += dr
-                    s += ds
+                    yield x0, x1
+                    x0 += d0
+                    x1 += d1
             k += 1
 
 
@@ -500,8 +486,8 @@ def signature_index_calculus(instance: CharSignatureInstance, bound: int,
     counters.update({"not_unit_at_u": 0, "not_smooth": 0, "outside_base": 0,
                      "duplicate": 0, "accepted": 0})
     read = search.read
-    for r, s_int in islice(search.walk(), max_attempts):
-        rel = read(r, s_int)
+    for x0, x1 in islice(search.walk(), max_attempts):
+        rel = read(x0, x1)
         if isinstance(rel, str):
             counters[rel] += 1
             continue

@@ -107,7 +107,9 @@ class Curve:
 
     def contains(self, point) -> bool:
         """y^2 = x^3 + ax + b: mod p over F_p, exactly in Fraction
-        arithmetic over Q and in QuadInt arithmetic over K."""
+        arithmetic over Q and in QuadInt arithmetic over K, taken from
+        the QuadInt coordinates (BadInput when theirs is not the base's
+        D), so that no field is built."""
         if point is INFINITY:
             return True
         x, y, a, b = point.x, point.y, self.a, self.b
@@ -115,9 +117,13 @@ class Curve:
         if kind == "fp":
             return (y * y - (x * x * x + a * x + b)) % self.base[1] == 0
         if kind == "quad":
-            K = RealQuadField(self.base[1])
-            x, y, a, b = (c if isinstance(c, QuadInt) else K.element(c, 0)
-                          for c in (x, y, a, b))
+            fields = {c.field for c in (x, y, a, b) if isinstance(c, QuadInt)}
+            if any(K.D != self.base[1] for K in fields):
+                raise BadInput(f"coordinates outside Q(sqrt({self.base[1]}))")
+            if fields:
+                K = fields.pop()
+                x, y, a, b = (c if isinstance(c, QuadInt) else K.element(c, 0)
+                              for c in (x, y, a, b))
         elif kind != "rational":
             raise BadInput(f"unknown base {self.base}")
         return y * y == x * x * x + a * x + b

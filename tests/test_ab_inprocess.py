@@ -60,6 +60,32 @@ def test_different_signature_counters_fail(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_different_eliminator_rows_fail(tmp_path):
+    # a parent whose search reads every relation doubled finds the same
+    # s with the same counters, and must still not pass as equal
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    module = tmp_path / "src" / "sigcalc" / "charsig.py"
+    module.write_text(module.read_text() + (
+        "\n_right_start = _BetaSearch.start\n\n\n"
+        "def _doubled_start(instance, bound, seed):\n"
+        "    from dataclasses import replace\n"
+        "    search = _right_start(instance, bound, seed)\n\n"
+        "    def read(x0, x1):\n"
+        "        rel = search.read(x0, x1)\n"
+        "        if isinstance(rel, str):\n"
+        "            return rel\n"
+        "        return Relation.make({col: 2 * c for col, c in rel.coeffs}, 2 * rel.const,\n"
+        "                             instance.ell)\n\n"
+        "    return replace(search, read=read)\n\n\n"
+        "_BetaSearch.start = _doubled_start\n"))
+    done = run_tool(tmp_path, ROOT, "--workload", "signature", "--passes", "1", "--limit", "1")
+    assert done.returncode == 1
+    assert "answers differ" in done.stderr
+    # the same instance, s, m and counters: only the rows differ
+    parent, change = done.stderr.split(", change ")
+    assert parent.split("parent ")[1].split("}, [")[0] == change.split("}, [")[0]
+
+
 def test_a_different_ec_answer_fails(tmp_path):
     # a parent whose scan reports every hit's order one higher must not
     # pass as equal

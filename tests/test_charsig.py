@@ -1,5 +1,5 @@
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, product
 from math import isqrt
 
 import pytest
@@ -396,7 +396,7 @@ class TestSignatureIndexCalculus:
         search = _BetaSearch.start(inst, bound, 0)
         base = [w for q in sympy.primerange(2, bound + 1) for w in split_places(q, inst.K)
                 if w.norm <= bound and w.q not in (ell, p)]
-        table = charsig._place_table(inst.K, inst.alpha, bound, (ell, p))
+        table = charsig._place_table(inst.K, bound, (ell, p))
         assert table_columns(table) == [column(place) for place in base]
         places = (*base, inst.place_u_conj, inst.place_v_conj)
         for place in places:
@@ -428,7 +428,7 @@ class TestSignatureIndexCalculus:
 def table_columns(table):
     """The columns of a place table, in order, off-base places aside."""
     return [col for entry in table.values()
-            for col in (entry[:2] if len(entry) == 5 else entry[:1]) if col is not None]
+            for col in (entry[:2] if len(entry) == 3 else entry[:1]) if col is not None]
 
 
 def _integral_half(K, X, b):
@@ -483,11 +483,11 @@ def shell_point(index, key):
 
 
 def pair(search, index):
-    """(r, s) of attempt `index` of a search: center + a*b1 + b*b2 for
-    the index-th shell point (a, b)."""
+    """beta's coordinates (x0, x1) at attempt `index` of a search:
+    center + a*b1 + b*b2 for the index-th shell point (a, b)."""
     a, b = shell_point(index, search.key)
-    (r0, s0), (r1, s1), (r2, s2) = search.center, search.b1, search.b2
-    return r0 + a * r1 + b * r2, s0 + a * s1 + b * s2
+    (c0, c1), (u0, u1), (w0, w1) = search.center, search.b1, search.b2
+    return c0 + a * u0 + b * w0, c1 + a * u1 + b * w1
 
 
 def attempt(search, index):
@@ -496,16 +496,21 @@ def attempt(search, index):
 
 
 def element_route_attempt(search, inst, bound, index):
-    """An attempt of the search for inst at bound, read the way the
-    search read it before it kept alpha's images: beta built in K, its
-    norm split over places by place_valuations, and its image at u by
-    embed, the columns by pairing_column.  Returns the outcome and the
-    (place, valuation) list of a smooth beta (None otherwise)."""
-    p, ell, alpha = inst.p, inst.ell, inst.alpha
-    r, s = pair(search, index)
-    if (r * embed(alpha, inst.place_u, 1) + s) % ell == 0:
+    """An attempt of the search for inst at bound, read by element_route_read."""
+    return element_route_read(inst, bound, *pair(search, index))
+
+
+def element_route_read(inst, bound, x0, x1):
+    """The outcome of beta = x0 + x1*omega for inst's search at bound,
+    read in K: beta's norm and its image at u by QuadInt and embed, the
+    norm split over places by place_valuations, the columns by
+    pairing_column.  Returns the outcome and the (place, valuation)
+    list of a smooth beta (None otherwise)."""
+    p, ell = inst.p, inst.ell
+    beta = inst.K.element(x0, x1)
+    if embed(beta, inst.place_u, 1) == 0:
         return "not_unit_at_u", None
-    norm = abs(s * s + alpha.trace() * r * s + alpha.norm() * r * r)
+    norm = abs(beta.norm())
     e_ell = e_p = 0
     while norm % ell == 0:
         norm //= ell
@@ -515,7 +520,6 @@ def element_route_attempt(search, inst, bound, index):
         e_p += 1
     if smooth_cofactor(norm, bound) > 1:
         return "not_smooth", None
-    beta = r * alpha + inst.K.element(s, 0)
     shares = place_valuations(beta, factor_smooth(norm, bound))
     coeffs = {SIGNATURE_COLUMN: teichmuller(embed(beta, inst.place_u, 2), ell)}
     for place, e in shares:
@@ -529,7 +533,7 @@ def element_route_attempt(search, inst, bound, index):
     return Relation.make(coeffs, -1, ell), shares
 
 
-def reference_place_table(K, alpha, bound, skip):
+def reference_place_table(K, bound, skip):
     """The search's place table read off split_places, pairing_column and
     embed, place by place."""
     table = {}
@@ -541,32 +545,26 @@ def reference_place_table(K, alpha, bound, skip):
         if first.splitting != "split":
             table[q] = (column(first) if first.norm <= bound else None, first.degree)
             continue
-        k = 1
-        while q**k < charsig._IMAGE_FLOOR:
-            k += 1
-        table[q] = (column(first), column(places[1]), first.root_label, k, embed(alpha, first, k))
+        table[q] = (column(first), column(places[1]), embed(K.element(0, 1), first, 1))
     return table
 
 
 class TestPlaceTable:
     @settings(max_examples=200, deadline=None)
     @given(D=st.integers(2, 10**5).filter(lambda D: max(sympy.factorint(D).values()) == 1),
-           bound=st.integers(2, 400), a=st.integers(-10**9, 10**9),
-           b=st.integers(-10**9, 10**9),
+           bound=st.integers(2, 400),
            skip=st.lists(st.integers(2, 420).filter(sympy.isprime), min_size=2, max_size=2))
     # 2 split (D = 1 mod 8), inert (5 mod 8) and ramified (2, 3 mod 4);
     # ramified 3 and 5 over D = 15; inert 3 (9 = B) and 5 (25 > B)
     # over D = 2; ell and p below B, skipped
-    @example(D=17, bound=60, a=3, b=1, skip=[7, 13])
-    @example(D=5, bound=60, a=-2, b=5, skip=[11, 31])
-    @example(D=3, bound=2, a=1, b=1, skip=[5, 7])
-    @example(D=15, bound=30, a=4, b=-1, skip=[7, 29])
-    @example(D=2, bound=9, a=1, b=1, skip=[7, 401])
-    def test_matches_the_places(self, D, bound, a, b, skip):
+    @example(D=17, bound=60, skip=[7, 13])
+    @example(D=5, bound=60, skip=[11, 31])
+    @example(D=3, bound=2, skip=[5, 7])
+    @example(D=15, bound=30, skip=[7, 29])
+    @example(D=2, bound=9, skip=[7, 401])
+    def test_matches_the_places(self, D, bound, skip):
         K = RealQuadField(D)
-        alpha = K.element(a, b)
-        assert charsig._place_table(K, alpha, bound, tuple(skip)) == \
-            reference_place_table(K, alpha, bound, skip)
+        assert charsig._place_table(K, bound, tuple(skip)) == reference_place_table(K, bound, skip)
 
 
 class TestBetaSearch:
@@ -580,12 +578,12 @@ class TestBetaSearch:
     @given(lift=small_lifts(), k=st.integers(0, 12))
     def test_pairs_lie_on_the_coset(self, lift, k):
         inst, seed = lift
-        p, a_v = inst.p, inst.residue_at_v()
+        K, v = inst.K, inst.place_v
         search = _BetaSearch.start(inst, 60, seed)
-        (r1, s1), (r2, s2) = search.b1, search.b2
-        assert abs(r1 * s2 - s1 * r2) == p
+        (u0, u1), (w0, w1) = search.b1, search.b2
+        assert abs(u0 * w1 - u1 * w0) == inst.p * abs(inst.alpha.b)
         pairs = [pair(search, i) for i in range((2 * k + 1) ** 2)]
-        assert all((r * a_v + s - inst.g) % p == 0 for r, s in pairs)
+        assert all(embed(K.element(x0, x1), v, 1) == inst.g for x0, x1 in pairs)
         assert len(set(pairs)) == len(pairs)
 
     @settings(max_examples=20, deadline=None,
@@ -632,16 +630,35 @@ class TestBetaSearch:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(lift=small_lifts(), bound=st.sampled_from((10, 30, 60, 200)),
-           first=st.integers(0, 5000), floor=st.sampled_from((2, 50, charsig._IMAGE_FLOOR)))
-    def test_attempts_match_the_element_route(self, lift, bound, first, floor):
-        # a low floor keeps alpha's images short, so that most prime
-        # powers in a norm widen one
+           first=st.integers(0, 5000))
+    def test_attempts_match_the_element_route(self, lift, bound, first):
         inst, seed = lift
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(charsig, "_IMAGE_FLOOR", floor)
-            search = _BetaSearch.start(inst, bound, seed)
+        search = _BetaSearch.start(inst, bound, seed)
         for index in range(first, first + 300):
             assert attempt(search, index) == element_route_attempt(search, inst, bound, index)[0]
+
+    def test_reads_beta_with_a_split_prime_dividing_it(self):
+        # beta = q^j * gamma for a split q <= B: both places over q divide
+        # beta, and the first or second may take more than q^j (D = 4226,
+        # omega = sqrt(D); D = 1009, omega = (1 + sqrt(D))/2 and 2 splits)
+        seen, bound = set(), 60
+        for a, p, ell in ((17, 31, 5), (3, 101, 5)):
+            inst = lift_unit(a, p, ell, seed=0)
+            search = _BetaSearch.start(inst, bound, 0)
+            for q in sympy.primerange(2, bound + 1):
+                places = split_places(q, inst.K)
+                if q in (ell, p) or places[0].splitting != "split":
+                    continue
+                for j, y0, y1 in product((1, 2), range(-8, 9), range(-8, 9)):
+                    x0, x1 = q**j * y0, q**j * y1
+                    outcome, shares = element_route_read(inst, bound, x0, x1)
+                    assert search.read(x0, x1) == outcome
+                    if isinstance(outcome, Relation):
+                        at_q = dict(shares)
+                        assert all(at_q[w] >= j for w in places)
+                        seen.update(name for name, w in zip(("first", "second"), places)
+                                    if at_q[w] > j)
+        assert seen == {"first", "second"}
 
     def test_attempts_match_the_element_route_on_a3_pairs(self):
         # the A3 pairs at the benchmark's bound, with the cases the integer

@@ -246,8 +246,8 @@ class TestSignature:
         search = _BetaSearch.start(lift_unit(800, 1021, 5, 11, g=10), 80, 11)
         replay = dict.fromkeys(counters, 0)
         relations = []
-        for r, s in islice(search.walk(), sum(counters.values())):
-            rel = search.read(r, s)
+        for x0, x1 in islice(search.walk(), sum(counters.values())):
+            rel = search.read(x0, x1)
             outcome = rel if isinstance(rel, str) else (
                 "duplicate" if rel in relations else "accepted")
             replay[outcome] += 1

@@ -688,6 +688,16 @@ class TestSerialization:
             == (inst.place_u, inst.place_u_conj, inst.place_v, inst.place_v_conj)
         assert again.sha_assumption
 
+    def test_the_loader_factors_D_once(self, monkeypatch):
+        # Curve.contains reads K off R's coordinates and builds no field
+        import sigcalc.quadfield as quadfield
+
+        inst = lift_fixture("f11003l11093", 0)
+        text, calls, factorint = ec_instance_to_json(inst), [], quadfield.factorint
+        monkeypatch.setattr(quadfield, "factorint", lambda n, *cap: calls.append(n) or factorint(n, *cap))
+        assert ec_instance_from_json(text) == inst
+        assert calls == [inst.K.D]
+
     def test_numbers_are_decimal_strings(self):
         import json
 

@@ -150,6 +150,16 @@ class TestGroupLaw:
         with pytest.raises(BadInput):
             curve_group_ops(c)
 
+    def test_quadratic_coordinates_must_lie_in_the_base_field(self):
+        # the points of test_quadratic_base, moved off Q(sqrt(22)) in part
+        # or whole
+        K, L = RealQuadField(22), RealQuadField(23)
+        R = Point(K.element(13, 0), K.from_sqrt_coords(0, 10))
+        for curve, point in ((Curve(0, 3, ("quad", 23)), R),
+                             (Curve(0, 3, ("quad", 22)), Point(R.x, L.element(0, 1)))):
+            with pytest.raises(BadInput, match="outside Q"):
+                curve.contains(point)
+
 
 def point_law_ops(curve: Curve) -> dict:
     """The ECDL oracle's table on Points: a shift of one ec_add per
@@ -181,6 +191,7 @@ def test_ecdl_oracle_on_tuples_matches_the_point_law(name):
 
 
 class TestGroupOrder:
+
     def test_enumerated_fixtures(self):
         assert ec_group_order(Curve(0, 1, ("fp", 5))) == 6
         assert ec_group_order(Curve(1, 0, ("fp", 5))) == 4

@@ -9,9 +9,9 @@ search seed and retries derived as sigbench/run.py derives them.  Each
 pass runs every position of the mix on both trees, alternating which
 runs first; a position keeps its fastest time on each tree, and every
 answer, with the lifted instance's JSON, the index-calculus search's
-counters (and, for ec, the certificate, both classes, the coker
-dimensions and the scan's hits with their orders), must be the same on
-both, or the tool exits 1.
+counters and every row it feeds its eliminator (and, for ec, the
+certificate, both classes, the coker dimensions and the scan's hits
+with their orders), must be the same on both, or the tool exits 1.
 The result line gives each tree's ops per second over the fastest
 times and the positions where CHANGE was faster.
 
@@ -59,14 +59,25 @@ def signature_op(lib, inputs, t, seed):
         return arith.bsgs_dlog(g, a, t.p - 1, **ops)
 
     inst = charsig.lift_unit(t.a, t.p, t.ell, seed, g=t.g)
-    counters = {}
-    s_index = charsig.signature_index_calculus(inst, inputs.SIGNATURE_BOUND, seed,
-                                               max_attempts=inputs.SIGNATURE_BUDGET,
-                                               counters=counters)
+    counters, rows, eliminator = {}, [], charsig.Eliminator
+
+    class Recording(eliminator):
+        def add(self, batch):
+            batch = list(batch)
+            rows.extend(batch)
+            return super().add(batch)
+
+    charsig.Eliminator = Recording  # every row the search feeds its eliminator
+    try:
+        s_index = charsig.signature_index_calculus(inst, inputs.SIGNATURE_BOUND, seed,
+                                                   max_attempts=inputs.SIGNATURE_BUDGET,
+                                                   counters=counters)
+    finally:
+        charsig.Eliminator = eliminator
     s_oracle = charsig.signature_from_dl(inst, oracle)
     m = charsig.dl_from_signature(t.a, t.g, t.p, t.ell,
                                   lambda i: charsig.signature_from_dl(i, oracle), seed=seed)
-    return charsig.instance_to_json(inst), s_index.s, s_oracle.s, m, counters
+    return charsig.instance_to_json(inst), s_index.s, s_oracle.s, m, counters, rows
 
 
 def ec_op(lib, inputs, t, seed):
